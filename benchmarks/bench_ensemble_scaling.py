@@ -28,11 +28,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.sim.execution_ensemble import (
-    EnsembleExecution,
-    replicated,
-    run_ensemble,
-)
+from repro.sim.execution_ensemble import replicated, run_ensemble
 from repro.sim.execution_fast import CompiledExecution
 
 QUICK = any(
@@ -151,85 +147,6 @@ def bench_ensemble_scaling(report, merge_json):
         assert rep_64["speedup"] >= 3.0, rep_64
 
 
-def bench_ensemble_compile_overhead(report):
-    """Compile wall time stays a small fraction of a pass, and the
-    shared-world dedupe collapses the tables of assignment-only sweeps.
-
-    Two arms: the standard sweep (a world per replica — nothing to
-    share), and a Monte-Carlo-over-allocations sweep (one world, many
-    assignments), run with ``share_tables`` on and off to record the
-    dedupe's row/memory/fill delta.  Both modes must return bit-identical
-    results — dedupe is a compile-layout change, never arithmetic.
-    """
-    n_replicas, n_hosts, iterations = (16, 8, 10) if QUICK else (64, 8, 60)
-    specs = replicated(n_replicas, n_hosts=n_hosts, seed=SEED, **GRAIN)
-    t0 = time.perf_counter()
-    ex = EnsembleExecution(specs, iterations)
-    compile_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ex.run()
-    run_s = time.perf_counter() - t0
-
-    # Shared-world arm: one testbed, assignment-only replica variants.
-    from repro.sim.execution_ensemble import ReplicaSpec, ring_assignments
-    from repro.sim.testbeds import synthetic_metacomputer
-
-    testbed = synthetic_metacomputer(n_hosts, seed=SEED)
-    shared_specs = [
-        ReplicaSpec(
-            testbed.topology,
-            ring_assignments(
-                testbed,
-                work_mflop=GRAIN["work_mflop"] * (1.0 + 0.05 * j),
-                comm_bytes=GRAIN["comm_bytes"],
-            ),
-        )
-        for j in range(n_replicas)
-    ]
-    arms = {}
-    results = {}
-    for label, share in (("shared", True), ("private", False)):
-        t0 = time.perf_counter()
-        exs = EnsembleExecution(shared_specs, iterations, share_tables=share)
-        arm_compile_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        results[label] = exs.run()
-        arm_run_s = time.perf_counter() - t0
-        arms[label] = {
-            "compile_ms": arm_compile_s * 1e3,
-            "run_ms": arm_run_s * 1e3,
-            "rate_rows": exs.compile_report["rate_rows"],
-            "pairs": exs.compile_report["pairs"],
-            "entries": exs.compile_report["entries"],
-            "table_mb": (exs._rates.nbytes + exs._pair_bw.nbytes) / 2**20,
-        }
-    # Bit-identity across the dedupe: layout only, never arithmetic.
-    for a, b in zip(results["shared"], results["private"]):
-        assert a.total_time == b.total_time
-        assert a.iteration_times == b.iteration_times
-        assert a.host_busy_time == b.host_busy_time
-    sh, pr = arms["shared"], arms["private"]
-    assert sh["rate_rows"] < pr["rate_rows"]
-    assert sh["pairs"] <= pr["pairs"]
-
-    text = (
-        "Ensemble compile overhead\n"
-        f"(replicas={n_replicas}, hosts={n_hosts}, iterations={iterations})\n\n"
-        f"compile: {compile_s * 1e3:.1f} ms   run: {run_s * 1e3:.1f} ms   "
-        f"entries: {ex.compile_report['entries']}\n\n"
-        f"shared-world dedupe (one world, {n_replicas} assignment variants,"
-        " bit-identical results):\n"
-        f"  private tables: {pr['rate_rows']} rate rows / {pr['pairs']} pairs"
-        f"   compile {pr['compile_ms']:.1f} ms   tables {pr['table_mb']:.2f} MB\n"
-        f"  shared  tables: {sh['rate_rows']} rate rows / {sh['pairs']} pairs"
-        f"   compile {sh['compile_ms']:.1f} ms   tables {sh['table_mb']:.2f} MB\n"
-        f"  delta: {pr['rate_rows'] / sh['rate_rows']:.0f}x fewer rate rows,"
-        f" {pr['table_mb'] / max(sh['table_mb'], 1e-9):.0f}x less table memory"
-    )
-    report("ensemble_compile_overhead", text)
-    assert compile_s < 5.0
-
-
 if __name__ == "__main__":
     import sys
 
@@ -245,4 +162,3 @@ if __name__ == "__main__":
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     bench_ensemble_scaling(_report, merge_json_results)
-    bench_ensemble_compile_overhead(_report)

@@ -21,9 +21,7 @@ reports what the queueing layer costs and buys:
 
 Every sampled daemon answer (all of the burst arm, every open-loop
 answer) is compared bit-for-bit against ``SchedulingService.decide()`` on
-the same per-shard multiset, and a reduced burst is repeated under the
-``REPRO_NO_FASTPATH`` oracle gate — both modes must agree with their own
-service exactly.
+the same per-shard multiset.
 
 Results go to ``benchmarks/results/service_daemon.txt`` and are merged
 into ``benchmarks/results/perf_suite.json`` under ``service_daemon``.
@@ -46,7 +44,6 @@ from repro.service.loadgen import (
 )
 from repro.sim.testbeds import nile_testbed
 from repro.sim.warmcache import warmed_state
-from repro.util import perf
 
 QUICK = any(
     os.environ.get(var, "").strip().lower() in ("1", "true", "yes")
@@ -90,13 +87,12 @@ def _signature(answer):
 def _baseline_run(requests):
     """The wrapped thing itself: hand-chunked ``SchedulingService.decide``."""
     testbed, nws = warmed_state(nile_testbed, seed=SEED, warmup_s=WARMUP_S)
-    with perf.fastpath(True):
-        service = SchedulingService(testbed, nws)
-        t0 = time.perf_counter()
-        answers = []
-        for k in range(0, len(requests), CHUNK):
-            answers.extend(service.decide(requests[k : k + CHUNK]))
-        elapsed = time.perf_counter() - t0
+    service = SchedulingService(testbed, nws)
+    t0 = time.perf_counter()
+    answers = []
+    for k in range(0, len(requests), CHUNK):
+        answers.extend(service.decide(requests[k : k + CHUNK]))
+    elapsed = time.perf_counter() - t0
     return answers, elapsed
 
 
@@ -160,7 +156,7 @@ def _open_loop_arm(rate_hz, n, queue_capacity):
     return summary, replies, [e.request for e in events]
 
 
-def _assert_identity(replies, requests, fast):
+def _assert_identity(replies, requests):
     """Every answered reply must equal the plain service's answer."""
     answered = [
         (req, rep) for req, rep in zip(requests, replies) if rep.status == ANSWERED
@@ -170,10 +166,9 @@ def _assert_identity(replies, requests, fast):
     testbed = nile_testbed(seed=SEED)
     nws = NetworkWeatherService.for_testbed(testbed, seed=SEED + 1)
     nws.warmup(WARMUP_S)
-    with perf.fastpath(fast):
-        reference = SchedulingService(testbed, nws).decide(
-            [req for req, _ in answered]
-        )
+    reference = SchedulingService(testbed, nws).decide(
+        [req for req, _ in answered]
+    )
     for (req, rep), ref in zip(answered, reference):
         assert _signature(rep.answer) == _signature(ref), req
     return len(answered)
@@ -193,13 +188,7 @@ def bench_service_daemon(report, merge_json):
     for _ in range(REPEATS):
         replies, dt = _burst_run(requests)
         burst_best = min(burst_best, dt)
-    checked = _assert_identity(replies, requests, fast=True)
-
-    # The oracle gate: a reduced burst must also match its own service.
-    oracle_n = max(4, BURST_N // 8)
-    with perf.fastpath(False):
-        oracle_replies, _ = _burst_run(requests[:oracle_n])
-    checked += _assert_identity(oracle_replies, requests[:oracle_n], fast=False)
+    checked = _assert_identity(replies, requests)
 
     throughput = {
         "requests": BURST_N,
@@ -216,7 +205,7 @@ def bench_service_daemon(report, merge_json):
     sustained, open_replies, open_requests = _open_loop_arm(
         rate_hz=rate, n=OPEN_N, queue_capacity=max(64, OPEN_N)
     )
-    checked += _assert_identity(open_replies, open_requests, fast=True)
+    checked += _assert_identity(open_replies, open_requests)
 
     overload, over_replies, _ = _open_loop_arm(
         rate_hz=3.0 * throughput["daemon_dps"],
@@ -244,8 +233,7 @@ def bench_service_daemon(report, merge_json):
         f"  answered {overload['answered']}  shed rate {overload['shed_rate']:.1%}"
         f"  p99 {overload['p99_ms']:.1f} ms",
         "",
-        f"bit-identity vs SchedulingService.decide(): {checked} answers checked"
-        " (fast path + oracle gate)",
+        f"bit-identity vs SchedulingService.decide(): {checked} answers checked",
     ]
     data = {
         "quick_mode": QUICK,

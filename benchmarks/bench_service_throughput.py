@@ -8,12 +8,12 @@ buys over the per-call baseline — a plain loop of
 ``AppLeSAgent.schedule()`` — on the 12-machine nile pool, where every
 request faces 4095 candidate resource sets.
 
-Both arms run with the fast path enabled, so the ratio isolates the
-*batching* gain (shared snapshot, shared membership matrices, one kernel
-invocation for every candidate of every request), not the fast path
-itself (benchmarked in ``bench_scheduling_scaling``).  Every timed batch
-is also checked answer-for-answer against the sequential loop — the
-throughput is only real because it changes nothing.
+Both arms decide through the same production code, so the ratio
+isolates the *batching* gain (shared snapshot, shared membership
+matrices, one kernel invocation for every candidate of every request).
+Every timed batch is also checked answer-for-answer against the
+sequential loop — the throughput is only real because it changes
+nothing.
 
 Results go to ``benchmarks/results/service_throughput.txt`` and are merged
 into ``benchmarks/results/perf_suite.json`` under ``service_throughput``.
@@ -34,7 +34,6 @@ from repro.jacobi.grid import JacobiProblem
 from repro.service import DecisionRequest, SchedulingService
 from repro.sim.testbeds import nile_testbed
 from repro.sim.warmcache import clear_warm_cache, warmed_state
-from repro.util import perf
 
 QUICK = any(
     os.environ.get(var, "").strip().lower() in ("1", "true", "yes")
@@ -74,27 +73,25 @@ def _world():
 def _service_run(requests):
     """One timed service batch: (answers, seconds). Setup untimed."""
     testbed, nws = _world()
-    with perf.fastpath(True):
-        service = SchedulingService(testbed, nws)
-        t0 = time.perf_counter()
-        answers = service.decide(requests)
-        elapsed = time.perf_counter() - t0
+    service = SchedulingService(testbed, nws)
+    t0 = time.perf_counter()
+    answers = service.decide(requests)
+    elapsed = time.perf_counter() - t0
     return answers, elapsed
 
 
 def _sequential_run(requests):
     """The baseline: a per-call loop of solo ``schedule()`` decisions."""
     testbed, nws = _world()
-    with perf.fastpath(True):
-        t0 = time.perf_counter()
-        decisions = []
-        for r in requests:
-            agent = make_jacobi_agent(
-                testbed, r.problem, nws,
-                userspec=r.userspec, account_memory=r.account_memory,
-            )
-            decisions.append(agent.schedule())
-        elapsed = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    decisions = []
+    for r in requests:
+        agent = make_jacobi_agent(
+            testbed, r.problem, nws,
+            userspec=r.userspec, account_memory=r.account_memory,
+        )
+        decisions.append(agent.schedule())
+    elapsed = time.perf_counter() - t0
     return decisions, elapsed
 
 
@@ -143,7 +140,7 @@ def bench_service_throughput(report, merge_json):
 
     lines = [
         "Scheduling-service throughput — nile pool (12 hosts, 4095 candidates/request)",
-        f"(quick_mode={QUICK}, best of {REPEATS} runs, both arms on the fast path)",
+        f"(quick_mode={QUICK}, best of {REPEATS} runs)",
         "",
         f"{'batch':>6}{'service (s)':>13}{'solo loop (s)':>15}"
         f"{'service dec/s':>15}{'solo dec/s':>12}{'speedup':>9}",

@@ -43,9 +43,9 @@ def merge_json_results(name: str, updates: dict) -> dict:
     """Merge ``updates`` into ``results/<name>.json`` by top-level key.
 
     Several benchmarks contribute sections to one archive (e.g.
-    ``perf_suite.json`` holds both the runner suite and the scheduling
-    scaling section); a wholesale overwrite by one would drop the others'
-    keys.  Unreadable or non-object existing content is replaced.
+    ``perf_suite.json`` holds the service, daemon, ensemble, arena and
+    reservation sections); a wholesale overwrite by one would drop the
+    others' keys.  Unreadable or non-object existing content is replaced.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"

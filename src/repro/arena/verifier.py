@@ -6,7 +6,7 @@ planner, no cost model, no pool.  Everything it needs is frozen in the
 latency/bandwidth matrices, the request, and the planning parameters.
 That independence is the point: a verifier that shared code with the
 policies could inherit their bugs; this one re-derives the reference
-(non-fastpath) objective arithmetic from first principles, so any policy's
+(seed) objective arithmetic from first principles, so any policy's
 claim can be checked against an implementation it cannot influence.
 
 Feasibility checks (each failure is a named reason):

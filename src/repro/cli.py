@@ -201,7 +201,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     With ``--smoke``: a reduced preset that additionally re-derives every
     answered request's decision through a fresh one-shot
     ``SchedulingService`` and fails loudly on any mismatch — the CI
-    health check for the daemon path (run it under both gate modes).
+    health check for the daemon path.
     """
     from repro.nws import NetworkWeatherService
     from repro.service import SchedulingDaemon, SchedulingService, ShardSpec
@@ -400,7 +400,7 @@ def _cmd_arena(args: argparse.Namespace) -> str:
 
 
 def _arena_smoke(args: argparse.Namespace) -> str:
-    """Tiny end-to-end self-check (run it under both gate modes in CI).
+    """Tiny end-to-end self-check (a CI health check).
 
     Generates two 8-host instances, runs the full policy portfolio,
     round-trips everything through JSONL, and asserts the arena's core
@@ -584,7 +584,7 @@ def _cmd_reserve(args: argparse.Namespace) -> str:
 
 
 def _reserve_smoke(args: argparse.Namespace) -> str:
-    """Tiny end-to-end self-check (run it under both gate modes in CI).
+    """Tiny end-to-end self-check (a CI health check).
 
     Plans the seeded workload on the 8-host SDSC world, round-trips both
     JSONL formats, verifies the ledger, then injects an urgent request and
@@ -867,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tiny self-checking end-to-end run: JSONL "
                         "round-trips exact, verifier bit-identical to "
                         "decisions, regret >= 0, oracle regret 0 "
-                        "(CI health check; run under both gate modes)")
+                        "(CI health check)")
 
     p = sub.add_parser(
         "reserve",
@@ -900,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tiny self-checking end-to-end run: plan the seeded "
                         "workload, repair in an urgent request, untouched "
                         "bookings object-identical, repair cheaper than "
-                        "replan (CI health check; run under both gate modes)")
+                        "replan (CI health check)")
 
     p = sub.add_parser("obs-report",
                        help="summarise (or diff) a trace written by --trace")

@@ -12,19 +12,18 @@ Jacobi2D prototype (§5):
 
 Everything the Coordinator knows comes from the shared Information Pool.
 
-Fast path (:mod:`repro.util.perf`, off under ``REPRO_NO_FASTPATH=1``): the
-Coordinator brackets the candidate loop with
+``schedule()`` brackets the candidate loop with
 :meth:`~repro.core.infopool.InformationPool.begin_decision` — one forecast
 snapshot shared by every evaluation — and, when the Planner/Estimator pair
 exposes admissible lower bounds, skips candidate sets whose bound cannot
 beat the incumbent.  Bounds are *admissible* (never above the true
 objective) and pruning only fires when the bound exceeds the incumbent by
 a relative epsilon, so the chosen schedule is bit-identical to the
-reference exhaustive loop; pruned rows stay in ``evaluations`` (objective
-``inf``) and the counts are reported in :class:`PruningStats`.
+exhaustive loop of :meth:`AppLeSAgent.schedule_reference`; pruned rows
+stay in ``evaluations`` (objective ``inf``) and the counts are reported in
+:class:`PruningStats`.
 
-Vectorised solo decision (off under ``REPRO_NO_SOLO_VECTOR=1``, and
-implied off by ``REPRO_NO_FASTPATH=1``): when the Planner opts in through
+Vectorised solo decision: when the Planner opts in through
 ``batch_planner(info)`` (the strip planner's ``batch_inputs`` /
 ``lower_bounds`` surface) and the Estimator exposes
 ``objective_from_prediction``, ``schedule()`` stacks *all* candidate sets
@@ -37,7 +36,9 @@ operation-for-operation and surrender any row they cannot certify back to
 the scalar planner, the winner is materialised by the scalar planner and
 cross-checked, and the sweep control flow is shared with the scalar loop
 — so :class:`ScheduleDecision`, :class:`PruningStats`, and the obs event
-stream are bit-identical to the reference loop under both gate modes.
+stream are bit-identical to the bounded scalar loop.  Planners with no
+batch surface take that scalar loop (:meth:`AppLeSAgent._schedule_loop`)
+as their production path.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.core.planner import Planner
 from repro.core.schedule import Schedule
 from repro.core.selector import ResourceSelector
 from repro.core.sweep import (
-    PRUNE_RELATIVE_EPS,
     BatchedObjective,
     PruningStats,
     SweepResult,
@@ -62,7 +62,6 @@ from repro.core.sweep import (
     resolve_batch_planner,
 )
 from repro.obs.trace import get_tracer
-from repro.util import perf
 
 __all__ = [
     "AppLeSAgent",
@@ -89,16 +88,12 @@ def record_pruning_stats(metrics: Any, stats: "PruningStats") -> None:
     if stats.bounded:
         metrics.histogram("core.pruned_fraction").observe(stats.pruned_fraction)
 
-# The canonical epsilon now lives in repro.core.sweep; the underscored
-# alias predates the shared module and is kept for importers.
-_PRUNE_RELATIVE_EPS = PRUNE_RELATIVE_EPS
-
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
     """One (resource set, schedule, objective) row from the blueprint loop.
 
-    ``pruned`` rows were skipped by the fast path's admissible lower bound
+    ``pruned`` rows were skipped by the admissible lower bound
     (``lower_bound`` > incumbent objective); their schedule is None and the
     objective ``inf``, mirroring an infeasible row for ranking purposes.
 
@@ -137,11 +132,10 @@ class ScheduleDecision:
     metric:
         Name of the user's performance metric.
     pruning:
-        Candidate-search statistics (None when produced by code predating
-        the fast path).
+        Candidate-search statistics.
     vectorised:
         Whether the one-shot candidate tensor sweep answered this decision
-        (False on the reference and scalar fast paths).
+        (False on the scalar loop and the reference oracle).
     """
 
     best: Schedule
@@ -235,11 +229,6 @@ class AppLeSAgent:
             estimator = make_estimator(info.userspec.performance_metric)
         self.estimator = estimator
         self.actuator = actuator if actuator is not None else RecordingActuator()
-        self._fast = perf.fastpath_enabled()
-        # The one-shot candidate tensor sweep is layered under the master
-        # fast path: REPRO_NO_SOLO_VECTOR=1 keeps the scalar fast path
-        # (pruned one-at-a-time planning) for honest A/B measurement.
-        self._vector = self._fast and perf.solo_vector_enabled()
 
     def _lower_bounds(
         self, candidate_sets: list[tuple[str, ...]]
@@ -249,7 +238,7 @@ class AppLeSAgent:
         Requires both optional hooks: the Planner's vectorized time bounds
         and the Estimator's mapping from a time bound to an objective
         bound.  Any failure disables pruning for this decision (the loop
-        below then degenerates to the reference exhaustive scan).
+        below then degenerates to the exhaustive scan).
         """
         planner_bounds = getattr(self.planner, "lower_bounds", None)
         estimator_bound = getattr(self.estimator, "objective_lower_bound", None)
@@ -277,27 +266,16 @@ class AppLeSAgent:
             for the decision scope — the scheduling service passes one
             snapshot to every agent of a batch so forecast queries are
             shared.  Snapshots are pure caches, so the decision is
-            bit-identical to taking a fresh one.  Ignored on the reference
-            path, which re-queries the pool per candidate by design.
+            bit-identical to taking a fresh one.
         """
-        candidate_sets = self.selector.candidate_sets(self.info)
-        if not candidate_sets:
-            raise RuntimeError(
-                "Resource Selector produced no candidate sets "
-                "(User Specification too restrictive?)"
-            )
-        if not self._fast:
-            return self._schedule_reference(candidate_sets)
-
+        candidate_sets = self._candidate_sets()
         begin = getattr(self.planner, "begin_decision", None)
         end = getattr(self.planner, "end_decision", None)
         with self.info.decision_scope(snapshot):
             if begin is not None:
                 begin(self.info)
             try:
-                if self._vector and hasattr(
-                    self.estimator, "objective_from_prediction"
-                ):
+                if hasattr(self.estimator, "objective_from_prediction"):
                     bp = resolve_batch_planner(self.planner, self.info)
                     if bp is not None:
                         return self._schedule_vectorised(candidate_sets, bp)
@@ -307,11 +285,24 @@ class AppLeSAgent:
                 if end is not None:
                     end(self.info)
 
-    def _schedule_reference(
-        self, candidate_sets: list[tuple[str, ...]]
-    ) -> ScheduleDecision:
-        """The seed exhaustive loop — one plan+estimate per candidate set."""
-        return self._schedule_loop(candidate_sets, None)
+    def schedule_reference(self) -> ScheduleDecision:
+        """The decision oracle: the seed exhaustive loop.
+
+        One plan+estimate per candidate set, no pruning bounds, no batched
+        evaluation and no decision scope, so every forecast is re-queried
+        from the pool.  :meth:`schedule` must choose the same schedule
+        with the same objective; the differential tests hold it to that.
+        """
+        return self._schedule_loop(self._candidate_sets(), None)
+
+    def _candidate_sets(self) -> list[tuple[str, ...]]:
+        candidate_sets = self.selector.candidate_sets(self.info)
+        if not candidate_sets:
+            raise RuntimeError(
+                "Resource Selector produced no candidate sets "
+                "(User Specification too restrictive?)"
+            )
+        return candidate_sets
 
     def _schedule_loop(
         self,
@@ -494,7 +485,7 @@ class AppLeSAgent:
     ) -> list[CandidateEvaluation]:
         """Per-candidate rows of a vectorised decision, in candidate order.
 
-        Pruned rows mirror the scalar fast path exactly; evaluated rows
+        Pruned rows mirror the scalar loop exactly; evaluated rows
         carry the batched objective with ``schedule=None`` unless the
         scalar planner ran for them (surrendered rows and the winner).
         """

@@ -23,13 +23,13 @@ __all__ = ["InformationPool", "DecisionCache"]
 class DecisionCache:
     """Scratch state shared by all subsystems for one scheduling decision.
 
-    The Coordinator's fast path opens a decision with
+    The Coordinator opens a decision with
     :meth:`InformationPool.begin_decision`, which takes one
     :class:`~repro.nws.snapshot.ForecastSnapshot` of the pool and hands
     every Planner/Estimator a shared ``memo`` dict for per-decision
     memoisation (cost models, locality orders, per-machine rates).  Because
     the snapshot is a pure cache over the pool, anything derived from it is
-    bit-identical to the reference path that re-queries per candidate.
+    bit-identical to the reference oracle that re-queries per candidate.
 
     Planners namespace their memo keys (e.g. ``("jacobi-model", id(self))``)
     so several planners can share one cache without collisions.
@@ -87,7 +87,7 @@ class InformationPool:
     ) -> DecisionCache:
         """Open a scheduling decision: snapshot the pool, reset the memo.
 
-        Called by the Coordinator's fast path before the candidate loop;
+        Called by the Coordinator before the candidate loop;
         planners pick the cache up via :attr:`decision_cache`.  Re-entrant
         calls replace the previous cache (one decision at a time) — a fresh
         ``DecisionCache`` with an *empty* memo, so nothing computed for one

@@ -17,16 +17,14 @@ nothing (dropping them is *resource selection falling out of planning*).
 Capacity limits (real memory) clamp allocations and the remainder
 re-balances over the rest.
 
-Two implementations coexist behind :mod:`repro.util.perf`:
-
-- the **reference** iterative drop/re-balance loop (the seed algorithm,
-  selected by ``REPRO_NO_FASTPATH=1``), and
-- a **closed-form water-filling** fast path that finds the final active
-  set in one vectorized pass over the sorted fixed-cost breakpoints, then
-  computes the terminating arithmetic with exactly the reference's
-  summation order — so both paths return bit-identical results.  Inputs
-  the closed form cannot certify (binding capacities, breakpoint ties
-  beyond float resolution) fall back to the reference loop.
+:func:`balance_divisible_work` runs a **closed-form water-filling** pass
+that finds the final active set in one scan over the sorted fixed-cost
+breakpoints, then computes the terminating arithmetic with exactly the
+summation order of the seed's iterative drop/re-balance loop
+(:func:`_balance_reference`) — so both return bit-identical results.
+Inputs the closed form cannot certify (binding capacities, breakpoint
+ties beyond float resolution) fall back to that loop, which also serves
+the tests as the balancing oracle.
 
 :func:`balance_divisible_work_batched` water-fills **many** candidate
 machine sets over one shared machine universe in a single NumPy call —
@@ -38,11 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+import math
+
 import numpy as np
 
 from repro.core.infopool import InformationPool
 from repro.core.schedule import Schedule
-from repro.util import perf
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -116,10 +115,12 @@ def balance_divisible_work(
     Parameters
     ----------
     rates:
-        Predicted processing rates ``r_i`` in units/second (must be > 0; a
-        machine predicted to deliver nothing should be excluded upstream).
+        Predicted processing rates ``r_i`` in units/second (must be finite
+        and > 0; a machine predicted to deliver nothing should be excluded
+        upstream).
     fixed_costs:
-        Per-step fixed costs ``c_i`` in seconds (communication, startup).
+        Per-step fixed costs ``c_i`` in seconds (communication, startup);
+        ``inf`` drops the machine, NaN is rejected.
     total_units:
         Work to distribute, ``U > 0``.
     capacities:
@@ -139,16 +140,14 @@ def balance_divisible_work(
     rates = [float(r) for r in rates]
     fixed_costs = [float(c) for c in fixed_costs]
     for i, r in enumerate(rates):
-        if r <= 0:
-            raise ValueError(f"rate[{i}] must be > 0, got {r}")
-        if fixed_costs[i] < 0:
+        if not 0 < r < math.inf:
+            raise ValueError(f"rate[{i}] must be finite and > 0, got {r}")
+        if not fixed_costs[i] >= 0:
             raise ValueError(f"fixed_costs[{i}] must be >= 0, got {fixed_costs[i]}")
     caps = [None] * n if capacities is None else [
         None if c is None else float(c) for c in capacities
     ]
-    if perf.fastpath_enabled():
-        return _balance_fast(rates, fixed_costs, float(total_units), caps)
-    return _balance_reference(rates, fixed_costs, float(total_units), caps)
+    return _balance_fast(rates, fixed_costs, float(total_units), caps)
 
 
 def fractional_time_floor(
@@ -179,9 +178,11 @@ def _balance_reference(
 ) -> BalanceResult | None:
     """The seed drop/re-balance loop (inputs pre-validated).
 
-    ``active`` is kept as an *ascending* index list: the summation order of
-    ``rate_sum`` and ``weighted_cost`` is part of the reference contract —
-    the fast path replicates it to return bit-identical floats.
+    The balancing oracle, and the fallback for inputs the closed form
+    cannot certify.  ``active`` is kept as an *ascending* index list: the
+    summation order of ``rate_sum`` and ``weighted_cost`` is part of the
+    reference contract — :func:`_balance_fast` replicates it to return
+    bit-identical floats.
     """
     n = len(rates)
     alloc = [0.0] * n
@@ -483,7 +484,7 @@ def balance_prefix_exact_batched(
 
     Unlike :func:`balance_divisible_work_batched` (a *bound*: relaxed drop
     semantics good enough for pruning), this kernel reproduces the exact
-    decision sequence of the scalar fast path for every row at once: the
+    decision sequence of the scalar closed form for every row at once: the
     stable cost sort, the first-inconsistent-prefix break, the terminating
     arithmetic in ascending-slot summation order, and both certification
     predicates.  Rows that the scalar path would bounce to the reference

@@ -69,7 +69,7 @@ class PruningStats:
         not beat the incumbent objective.
     bounded:
         Whether lower bounds were available at all (planner + estimator
-        both support them and the fast path was enabled).
+        both support them).
     """
 
     candidates: int

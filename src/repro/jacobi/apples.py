@@ -193,19 +193,15 @@ def schedule_from_strip_partition(
     """Wrap a concrete strip partition as a Schedule (prediction from ``model``)."""
     exchange = problem.border_exchange_bytes()
     strips = partition.strips
-    fast = getattr(model, "_fast", False)
     allocations = []
     for idx, strip in enumerate(strips):
-        if fast:
-            # Direct index arithmetic instead of partition.neighbors(),
-            # whose name lookup is a linear scan (quadratic over the set).
-            comm = {}
-            if idx > 0:
-                comm[strips[idx - 1].machine] = exchange
-            if idx + 1 < len(strips):
-                comm[strips[idx + 1].machine] = exchange
-        else:
-            comm = {nbr: exchange for nbr in partition.neighbors(strip.machine)}
+        # Direct index arithmetic instead of partition.neighbors(), whose
+        # name lookup is a linear scan (quadratic over the set).
+        comm = {}
+        if idx > 0:
+            comm[strips[idx - 1].machine] = exchange
+        if idx + 1 < len(strips):
+            comm[strips[idx + 1].machine] = exchange
         area = strip.row_count * partition.n
         allocations.append(
             Allocation(
@@ -263,8 +259,9 @@ class JacobiPlanner:
     def _model(self, info: InformationPool) -> StripCostModel:
         """The cost model — memoised per decision, snapshot-backed.
 
-        Outside a decision (reference path) a fresh model is built per
-        call, matching the seed implementation exactly.
+        Outside a decision (:meth:`AppLeSAgent.schedule_reference`) a
+        fresh model is built per call, matching the seed implementation
+        exactly.
         """
         cache = info.decision_cache
         if cache is None:
@@ -929,7 +926,7 @@ def _finalise_rows(
         p_c = 1.0 / rate_c
 
     # Neighbour comm per strip: predecessor added before successor, ends
-    # adding exactly 0.0 — StripCostModel.step_time's fast loop verbatim.
+    # adding exactly 0.0 — StripCostModel.step_time's loop verbatim.
     prev_idx = np.roll(order_idx, 1, axis=1)
     next_idx = np.roll(order_idx, -1, axis=1)
     rp = jobs[:, None]

@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.resources import ResourcePool
 from repro.jacobi.grid import JacobiProblem
 from repro.jacobi.partition import StripPartition
-from repro.util import perf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nws.snapshot import ForecastSnapshot
@@ -97,16 +96,12 @@ class StripCostModel:
         self.snapshot = snapshot
         # Per-machine memos, valid only while the pool is frozen at one
         # scheduling instant — which is exactly when a snapshot is set.
-        # Without a snapshot every query goes to the pool, matching the
-        # reference path (a fresh model per plan() call).
+        # Without a snapshot every query goes to the pool (a fresh model
+        # per plan() call).
         self._rate_memo: dict[str, float] = {}
         self._ptime_memo: dict[str, float] = {}
         self._cap_memo: dict[str, float] = {}
         self._pair_memo: dict[tuple[str, ...], np.ndarray] = {}
-        # Read once at construction, like the Coordinator: under
-        # REPRO_NO_FASTPATH=1 the per-machine loops below run exactly as
-        # the seed implementation wrote them.
-        self._fast = perf.fastpath_enabled()
         if conservatism_sigmas < 0:
             raise ValueError("conservatism_sigmas must be >= 0")
         self.conservatism_sigmas = conservatism_sigmas
@@ -220,12 +215,10 @@ class StripCostModel:
     def step_time(self, partition: StripPartition) -> float:
         """Predicted sweep time: ``max_i T_i``.
 
-        The fast path computes every ``T_i`` in one pass over the strips —
-        same arithmetic as :meth:`machine_time`, without its per-call index
-        and strip lookups (which are linear scans, quadratic over the set).
+        Computes every ``T_i`` in one pass over the strips — same
+        arithmetic as :meth:`machine_time`, without its per-call index and
+        strip lookups (which are linear scans, quadratic over the set).
         """
-        if not self._fast:
-            return max(self.machine_time(partition, m) for m in partition.machines)
         strips = partition.strips
         k = len(strips)
         n = partition.n

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from repro.nws.forecasters import Forecaster, default_forecaster_family
-from repro.util import perf
 
 __all__ = ["Forecast", "AdaptiveEnsemble", "NOMINAL_FORECAST"]
 
@@ -85,7 +84,6 @@ class AdaptiveEnsemble:
         # only in update() — planners query it far more often than sensors
         # sample, so memoise it between updates.
         self._cached_forecast: Forecast | None = None
-        self._fast = perf.fastpath_enabled()
 
     def update(self, value: float) -> None:
         """Score outstanding predictions against ``value``, then refit members."""
@@ -124,7 +122,7 @@ class AdaptiveEnsemble:
         """Predict the next measurement using the current best member."""
         if self.observations == 0:
             raise RuntimeError("ensemble: forecast requested before any update")
-        if self._fast and self._cached_forecast is not None:
+        if self._cached_forecast is not None:
             return self._cached_forecast
         best = self.best_member()
         mse = self.mse(best.name)
@@ -134,8 +132,7 @@ class AdaptiveEnsemble:
             method=best.name,
             observations=self.observations,
         )
-        if self._fast:
-            self._cached_forecast = result
+        self._cached_forecast = result
         return result
 
     def leaderboard(self) -> list[tuple[str, float]]:

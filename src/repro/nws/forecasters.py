@@ -15,9 +15,8 @@ raises ``RuntimeError`` — the ensemble guards against that.
 The windowed predictors are on the simulator's hottest path (the ensemble
 stages every member's forecast on every sensor sample), so each maintains
 incremental state — running sums, a sorted mirror of the window — instead
-of rescanning its buffer per forecast.  The straightforward rescanning
-implementations are retained behind :mod:`repro.util.perf`'s fast-path
-switch as the reference the regression tests compare against.
+of rescanning its buffer per forecast.  The regression tests rescan the
+window buffer themselves as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.util import perf
 from repro.util.validation import check_fraction, check_positive
 
 __all__ = [
@@ -127,13 +125,9 @@ class SlidingWindowMean(Forecaster):
         self.name = f"sw_mean({self.window})"
         self._buf: deque[float] = deque(maxlen=self.window)
         self._sum = 0.0
-        self._fast = perf.fastpath_enabled()
 
     def _update(self, value: float) -> None:
         buf = self._buf
-        if not self._fast:
-            buf.append(value)
-            return
         if len(buf) == self.window:
             self._sum -= buf[0]
         buf.append(value)
@@ -142,9 +136,7 @@ class SlidingWindowMean(Forecaster):
             self._sum = sum(buf)
 
     def _forecast(self) -> float:
-        if self._fast:
-            return self._sum / len(self._buf)
-        return sum(self._buf) / len(self._buf)
+        return self._sum / len(self._buf)
 
 
 class _SortedWindowMixin:
@@ -160,9 +152,6 @@ class _SortedWindowMixin:
 
     def _push(self, value: float) -> None:
         buf = self._buf
-        if not self._fast:  # reference path rescans; no mirror to maintain
-            buf.append(value)
-            return
         if len(buf) == buf.maxlen:
             evicted = buf[0]
             del self._sorted[bisect_left(self._sorted, evicted)]
@@ -182,14 +171,11 @@ class MedianWindow(_SortedWindowMixin, Forecaster):
         self.window = int(window)
         self.name = f"median({self.window})"
         self._init_window(self.window)
-        self._fast = perf.fastpath_enabled()
 
     def _update(self, value: float) -> None:
         self._push(value)
 
     def _forecast(self) -> float:
-        if not self._fast:
-            return float(np.median(list(self._buf)))
         data = self._sorted
         m = len(data)
         half = m // 2
@@ -215,17 +201,11 @@ class TrimmedMeanWindow(_SortedWindowMixin, Forecaster):
         self.trim = trim
         self.name = f"trim_mean({self.window},{trim:g})"
         self._init_window(self.window)
-        self._fast = perf.fastpath_enabled()
 
     def _update(self, value: float) -> None:
         self._push(value)
 
     def _forecast(self) -> float:
-        if not self._fast:
-            data = np.sort(np.asarray(self._buf, dtype=float))
-            k = int(len(data) * self.trim)
-            core = data[k : len(data) - k] if len(data) > 2 * k else data
-            return float(core.mean())
         data = self._sorted
         m = len(data)
         k = int(m * self.trim)
@@ -347,14 +327,9 @@ class AdaptiveWindowMean(Forecaster):
         self._err = {w: 0.0 for w in self.windows}
         self._weight = {w: 0.0 for w in self.windows}
         self._sums = {w: 0.0 for w in self.windows}
-        self._fast = perf.fastpath_enabled()
 
     def _window_mean(self, w: int) -> float:
-        if self._fast:
-            count = min(len(self._buf), w)
-            return self._sums[w] / count
-        data = list(self._buf)[-w:]
-        return sum(data) / len(data)
+        return self._sums[w] / min(len(self._buf), w)
 
     def _update(self, value: float) -> None:
         buf = self._buf
@@ -364,9 +339,6 @@ class AdaptiveWindowMean(Forecaster):
                 err = (self._window_mean(w) - value) ** 2
                 self._err[w] = decay * self._err[w] + err
                 self._weight[w] = decay * self._weight[w] + 1.0
-        if not self._fast:
-            buf.append(value)
-            return
         # Each window-w running sum gains the new value and loses the
         # element that was w-th from the right before the append.
         length = len(buf)

@@ -16,7 +16,6 @@ from repro.nws.ensemble import AdaptiveEnsemble, Forecast
 from repro.nws.series import TimeSeries
 from repro.sim.host import Host
 from repro.sim.link import Link
-from repro.util import perf
 from repro.util.rng import RngStream
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -114,7 +113,6 @@ class LinkSensor(_PeriodicSensor):
         # The nominal (availability == 1) bandwidth is static per flow
         # count; recomputing it per forecast query was a hot-path cost.
         self._nominal_cache: dict[int, float] = {}
-        self._fast = perf.fastpath_enabled()
 
     def _measure(self, t: float) -> float:
         value = self.link.load.availability(t) + self.rng.normal(0.0, self.noise_std)
@@ -126,7 +124,7 @@ class LinkSensor(_PeriodicSensor):
         # Reuse the link's own composition of nominal bandwidth, MAC
         # efficiency and flow sharing by probing it with availability == 1
         # and scaling by the forecast fraction.
-        nominal = self._nominal_cache.get(flows) if self._fast else None
+        nominal = self._nominal_cache.get(flows)
         if nominal is None:
             nominal = self.link.deliverable_bandwidth(t=0.0, flows=flows) / max(
                 self.link.load.availability(0.0), 1e-12

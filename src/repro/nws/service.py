@@ -15,7 +15,6 @@ from repro.nws.sensors import CpuSensor, LinkSensor
 from repro.obs.trace import get_tracer
 from repro.sim.testbeds import Testbed
 from repro.sim.topology import Topology
-from repro.util import perf
 from repro.util.rng import RngStream
 from repro.util.validation import check_nonnegative
 
@@ -64,7 +63,6 @@ class NetworkWeatherService:
         # Between advance_to() calls every sensor's state is frozen, so
         # forecast queries are pure; planners issue thousands of them per
         # schedule.  Caches are invalidated whenever time advances.
-        self._fast = perf.fastpath_enabled()
         self._cpu_cache: dict[str, Forecast] = {}
         self._path_bw_cache: dict[tuple[str, str, int], float] = {}
         self._latency_cache: dict[tuple[str, str], float] = {}
@@ -109,12 +107,11 @@ class NetworkWeatherService:
         forecast if the sensor has no data yet.
         """
         tracer = get_tracer()
-        if self._fast:
-            cached = self._cpu_cache.get(host)
-            if cached is not None:
-                if tracer.enabled:
-                    tracer.metrics.counter("nws.cpu_cache_hits").inc()
-                return cached
+        cached = self._cpu_cache.get(host)
+        if cached is not None:
+            if tracer.enabled:
+                tracer.metrics.counter("nws.cpu_cache_hits").inc()
+            return cached
         if tracer.enabled:
             tracer.metrics.counter("nws.cpu_cache_misses").inc()
         sensor = self._cpu(host)
@@ -122,8 +119,7 @@ class NetworkWeatherService:
             result = NOMINAL_FORECAST
         else:
             result = sensor.forecast()
-        if self._fast:
-            self._cpu_cache[host] = result
+        self._cpu_cache[host] = result
         return result
 
     def effective_speed_forecast(self, host: str) -> float:
@@ -144,12 +140,11 @@ class NetworkWeatherService:
     def path_bandwidth_forecast(self, a: str, b: str, flows: int = 1) -> float:
         """Predicted bottleneck bytes/s between hosts ``a`` and ``b``."""
         tracer = get_tracer()
-        if self._fast:
-            cached = self._path_bw_cache.get((a, b, flows))
-            if cached is not None:
-                if tracer.enabled:
-                    tracer.metrics.counter("nws.bandwidth_cache_hits").inc()
-                return cached
+        cached = self._path_bw_cache.get((a, b, flows))
+        if cached is not None:
+            if tracer.enabled:
+                tracer.metrics.counter("nws.bandwidth_cache_hits").inc()
+            return cached
         if tracer.enabled:
             tracer.metrics.counter("nws.bandwidth_cache_misses").inc()
         links = self.topology.route(a, b)
@@ -168,20 +163,17 @@ class NetworkWeatherService:
                     )
                     bws.append(nominal)
             result = min(bws)
-        if self._fast:
-            self._path_bw_cache[(a, b, flows)] = result
+        self._path_bw_cache[(a, b, flows)] = result
         return result
 
     def path_latency(self, a: str, b: str) -> float:
         """Route latency (static; the 1996 NWS forecast latency too, but the
         testbed experiments here are bandwidth-dominated)."""
-        if self._fast:
-            cached = self._latency_cache.get((a, b))
-            if cached is not None:
-                return cached
+        cached = self._latency_cache.get((a, b))
+        if cached is not None:
+            return cached
         result = self.topology.path_latency(a, b)
-        if self._fast:
-            self._latency_cache[(a, b)] = result
+        self._latency_cache[(a, b)] = result
         return result
 
     def transfer_time_forecast(self, a: str, b: str, nbytes: float, flows: int = 1) -> float:

@@ -20,8 +20,7 @@ idiom::
     if tr.enabled:
         tr.event("core.selector.candidates", layer="core", sets=len(sets))
 
-so a disabled run pays one attribute test per instrumentation site — the
-same construction-time-gate philosophy as :mod:`repro.util.perf`.
+so a disabled run pays one attribute test per instrumentation site.
 Instrumentation only ever *reads* experiment state; runs with tracing on
 and off are bit-identical by construction, and the equivalence tests
 assert it.

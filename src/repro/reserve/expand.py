@@ -21,12 +21,13 @@ its results later.
 Worlds are pure functions of their seeds (the :mod:`repro.sim.warmcache`
 argument), so when a candidate instant precedes the expander's NWS clock
 the expander simply rebuilds its world and replays forward — deciding "in
-the past" is exact, never approximate.  As a gated fast path the expander
-checkpoints (deep-copies) the world at spaced instants and restores the
-nearest one instead of rebuilding from scratch: a restored state advanced
-to ``t`` is bit-identical to a fresh build advanced straight to ``t`` —
-the warm-cache argument again — and ``REPRO_NO_FASTPATH=1`` forces the
-rebuild-only reference path.
+the past" is exact, never approximate.  To make rewinds cheap the
+expander checkpoints (deep-copies) the world at spaced instants and
+restores the nearest one instead of rebuilding from scratch: a restored
+state advanced to ``t`` is bit-identical to a fresh build advanced
+straight to ``t`` — the warm-cache argument again.  An expander with
+``max_checkpoints = 0`` stores none and always rebuilds from seeds, which
+is the oracle the repair tests compare against.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.reserve.ledger import Booking, ReservationLedger
 from repro.reserve.requests import ReservationRequest
 from repro.service.core import SchedulingService
 from repro.sim.testbeds import Testbed
-from repro.util import perf
 
 __all__ = ["ExpandStats", "Expander"]
 
@@ -122,14 +122,13 @@ class Expander:
         self._testbed: Testbed | None = None
         self._nws: NetworkWeatherService | None = None
         self._service: SchedulingService | None = None
-        # World checkpoints are a gated fast path (read once, like every
-        # other gate): pristine deep-copies of (testbed, nws) at spaced
-        # instants, restored instead of rebuilding on a clock rewind.
-        self._use_checkpoints = perf.fastpath_enabled()
+        # Pristine deep-copies of (testbed, nws) at spaced instants,
+        # restored instead of rebuilding on a clock rewind.
         self._checkpoints: list[tuple[float, tuple]] = []
 
     #: Minimum sim-seconds between stored world checkpoints, and how many
-    #: are kept (the horizon coverage of the rewind fast path).
+    #: are kept (the horizon coverage of checkpoint restores; 0 turns
+    #: every rewind into a rebuild from seeds).
     checkpoint_every = 900.0
     max_checkpoints = 16
 
@@ -151,7 +150,7 @@ class Expander:
 
     def _maybe_checkpoint(self) -> None:
         """Store a pristine copy of the world at its current clock."""
-        if not self._use_checkpoints or self._nws is None:
+        if self._nws is None:
             return
         if len(self._checkpoints) >= self.max_checkpoints:
             return
@@ -166,8 +165,6 @@ class Expander:
 
     def _restore(self, at: float) -> bool:
         """Restore the latest checkpoint at or before ``at``; False = none."""
-        if not self._use_checkpoints:
-            return False
         best = None
         for now, state in self._checkpoints:
             if now <= at:
@@ -184,8 +181,8 @@ class Expander:
     def _ensure(self, at: float) -> bool:
         """Make the world able to decide at ``at``; False = unreachable.
 
-        Rewinds restore the nearest stored checkpoint (fast path) or
-        rebuild exactly from seeds (reference path) and replay forward; an
+        Rewinds restore the nearest stored checkpoint or, with none at or
+        before ``at``, rebuild exactly from seeds, and replay forward; an
         instant before the world's warm-up horizon stays unreachable —
         there is no forecast state there to decide from.
         """

@@ -26,9 +26,8 @@ request's own agent would have decided alone:
   objective is checked against the batched prediction — a divergence
   raises instead of answering wrong.
 
-With the fast path disabled (``REPRO_NO_FASTPATH=1``) the service
-degenerates to a plain sequential loop of solo ``schedule()`` calls — the
-oracle the differential test harness compares against.
+The differential tests hold every answer equal to a sequential loop of
+solo :meth:`~repro.core.coordinator.AppLeSAgent.schedule_reference` calls.
 
 Cross-call reuse (the always-on daemon's amortisation)
 ------------------------------------------------------
@@ -42,8 +41,7 @@ alive across ``decide()`` calls, invalidating the lot the moment
 is in a new state).  Every cached value is a pure function of the
 snapshot, so reuse is bit-identical by the same argument as the snapshot
 itself; it only changes how often the same floats are recomputed.  Reuse
-requires an attached NWS (staleness is keyed on the NWS clock/epoch) and
-is inert on the reference path.
+requires an attached NWS (staleness is keyed on the NWS clock/epoch).
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ from repro.jacobi.apples import (
 from repro.nws.service import NetworkWeatherService
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
-from repro.util import perf
 
 __all__ = ["SchedulingService"]
 
@@ -140,16 +137,13 @@ class SchedulingService:
         self.testbed = testbed
         self.nws = nws
         self.selector = selector
-        # Read once at construction, like AppLeSAgent: a service answers
-        # every batch on the path chosen when it was built.
-        self._fast = perf.fastpath_enabled()
         if reuse and nws is None:
             raise ValueError(
                 "SchedulingService(reuse=True) needs an NWS: cross-call "
                 "reuse is invalidated by the NWS clock, and a pool without "
                 "one has no staleness signal"
             )
-        self._reuse = bool(reuse) and self._fast
+        self._reuse = bool(reuse)
         # Agents are pure functions of the request configuration (the
         # dynamic state flows in per decision through the snapshot), so
         # they may be kept across pool states.
@@ -171,7 +165,6 @@ class SchedulingService:
             "service.batch", layer="service",
             t=instants[0] if instants else None,
             requests=len(requests), instants=len(instants),
-            mode="batched" if self._fast else "sequential",
         ) as span:
             if tracer.enabled:
                 span.set_end(instants[-1] if instants else 0.0)
@@ -182,15 +175,7 @@ class SchedulingService:
             for at in instants:
                 group = [i for i, r in enumerate(requests) if r.at == at]
                 self._advance(at)
-                if self._fast:
-                    self._decide_group(requests, group, at, answers)
-                else:
-                    for i in group:
-                        agent = self._agent(requests[i])
-                        decision = agent.schedule()
-                        if tracer.enabled:
-                            self._count_solo(tracer, decision.vectorised)
-                        answers[i] = ServiceAnswer.from_decision(decision, at=at)
+                self._decide_group(requests, group, at, answers)
         return [a for a in answers if a is not None]
 
     @staticmethod
@@ -198,10 +183,10 @@ class SchedulingService:
         """Count one solo ``schedule()`` answer by the path that made it.
 
         ``service.solo_vectorised`` vs ``service.solo_scalar``: every
-        decision the service answers through a single agent — the
-        reference sequential loop and the scalar-config fallback — lands
-        in one of the two, so the daemon's obs stream shows exactly how
-        many decisions the one-shot tensor sweep served.
+        decision the service answers through a single agent (the
+        scalar-config fallback) lands in one of the two, so the daemon's
+        obs stream shows exactly how many decisions the one-shot tensor
+        sweep served.
         """
         name = "service.solo_vectorised" if vectorised else "service.solo_scalar"
         tracer.metrics.counter(name).inc()
@@ -301,17 +286,15 @@ class SchedulingService:
             if st is None:
                 agent = self._agent(requests[idxs[0]], key)
                 planner = self._strip_planner(agent)
-                batchable = (
-                    agent._fast
-                    and planner is not None
-                    and hasattr(agent.estimator, "objective_from_prediction")
+                batchable = planner is not None and hasattr(
+                    agent.estimator, "objective_from_prediction"
                 )
                 if not batchable:
                     # Sequential answer under the shared snapshot — still
                     # one solo decision, bit-identical by snapshot purity.
                     # The agent's own vectorised path may still engage here
-                    # (e.g. a service gate the solo gate doesn't share);
-                    # count whichever path answered.
+                    # (a batch planner other than the strip planner the
+                    # service core takes); count whichever path answered.
                     if tracer.enabled:
                         tracer.metrics.counter("service.scalar_configs").inc()
                     decision = agent.schedule(snapshot=snapshot)

@@ -46,6 +46,9 @@ are dispatched through the :mod:`repro.runner` process-pool machinery
 (:class:`~repro.runner.ParallelRunner` tasks over a picklable
 ``(spec, requests)`` trampoline with a per-process shard registry), so
 independent pools scale across cores exactly like experiment trials do.
+A pool whose worker processes died (``BrokenProcessPool``) fails the batch
+that found it and is then closed and dropped; the next pooled batch builds
+a fresh one, whose workers rebuild their shards from the spec seeds.
 
 Bit-identity contract
 ---------------------
@@ -53,8 +56,7 @@ The daemon adds queueing, batching and reuse — never arithmetic.  Every
 answered ticket carries precisely the :class:`ServiceAnswer` a one-shot
 ``SchedulingService.decide()`` (and therefore a solo
 ``AppLeSAgent.schedule()``) would produce for the same request at the
-same instant, on either side of the :mod:`repro.util.perf` gate, no
-matter how the traffic was split into batches.
+same instant, no matter how the traffic was split into batches.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import heapq
 import threading
 import time
 from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -72,7 +75,6 @@ from repro.runner import ParallelRunner, Task
 from repro.service.core import SchedulingService
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
-from repro.util import perf
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -297,14 +299,12 @@ class ShardSpec:
 
 # Per-process shard registry for the process-pool mode: each worker
 # process rebuilds a shard's world on first use and keeps its reusing
-# service (and monotonically advancing NWS) alive across batches.  Keyed
-# by (spec, fastpath flag) because the service reads the gate at
-# construction.
-_PROCESS_SHARDS: dict[tuple, SchedulingService] = {}
+# service (and monotonically advancing NWS) alive across batches.
+_PROCESS_SHARDS: dict[ShardSpec, SchedulingService] = {}
 
 
 def _shard_decide(
-    spec: ShardSpec, requests: list[DecisionRequest], fast: bool
+    spec: ShardSpec, requests: list[DecisionRequest]
 ) -> list[ServiceAnswer]:
     """Process-pool trampoline: answer one micro-batch in a worker process.
 
@@ -313,15 +313,12 @@ def _shard_decide(
     batch's instants replays exactly the measurements any other replica
     would take (see :mod:`repro.sim.warmcache`).
     """
-    key = (spec, bool(fast))
-    service = _PROCESS_SHARDS.get(key)
+    service = _PROCESS_SHARDS.get(spec)
     if service is None:
-        with perf.fastpath(fast):
-            testbed, nws = spec.build()
-            service = SchedulingService(testbed, nws, reuse=fast)
-        _PROCESS_SHARDS[key] = service
-    with perf.fastpath(fast):
-        return service.decide(requests)
+        testbed, nws = spec.build()
+        service = SchedulingService(testbed, nws, reuse=True)
+        _PROCESS_SHARDS[spec] = service
+    return service.decide(requests)
 
 
 class _Shard:
@@ -353,7 +350,7 @@ class _Shard:
         self.stats = {
             "submitted": 0, "answered": 0, "shed": 0,
             "rejected": 0, "failed": 0, "batches": 0, "max_batch": 0,
-            "reservations": 0, "booked": 0,
+            "reservations": 0, "booked": 0, "pool_rebuilds": 0,
         }
 
     def ensure_service(self) -> SchedulingService:
@@ -363,9 +360,7 @@ class _Shard:
                 assert self.spec is not None
                 self._world = self.spec.build()
             testbed, nws = self._world
-            self.service = SchedulingService(
-                testbed, nws, reuse=perf.fastpath_enabled()
-            )
+            self.service = SchedulingService(testbed, nws, reuse=True)
         return self.service
 
     def ensure_reservation_lane(self):
@@ -452,8 +447,8 @@ class SchedulingDaemon:
         self._batchers = {
             name: MicroBatcher(*self._batcher_args) for name in self.shards
         }
-        self._fast = perf.fastpath_enabled()
         self._runner: ParallelRunner | None = None  # persistent, created lazily
+        self._runner_lock = threading.Lock()
         self._started = False
         self._draining = False
         self._stopped = False
@@ -667,9 +662,25 @@ class SchedulingDaemon:
     # -- internals ---------------------------------------------------------
     def _ensure_runner(self) -> ParallelRunner:
         """The persistent process-pool runner for ``workers > 1`` dispatch."""
-        if self._runner is None:
-            self._runner = ParallelRunner(workers=self.workers, persistent=True)
-        return self._runner
+        with self._runner_lock:
+            if self._runner is None:
+                self._runner = ParallelRunner(workers=self.workers, persistent=True)
+            return self._runner
+
+    def _drop_runner(self, runner: ParallelRunner, sh: _Shard) -> None:
+        """Close a runner whose pool broke so the next batch builds afresh.
+
+        Only the runner that failed is dropped: when several shards hit
+        the same dead pool, the first one closes it and the others find a
+        different (or no) runner in place.
+        """
+        with self._runner_lock:
+            if self._runner is not runner:
+                return
+            self._runner = None
+        runner.close()
+        with sh.cond:
+            sh.stats["pool_rebuilds"] += 1
 
     def _take_now(self, sh: _Shard) -> list[tuple[Ticket, float]]:
         """Pop up to ``max_batch`` queued entries without lingering."""
@@ -739,6 +750,7 @@ class SchedulingDaemon:
         requests = [t.request for t in tickets]
         size = len(requests)
         tracer = get_tracer()
+        runner = None
         try:
             pooled = self.workers > 1 and sh.spec is not None
             with tracer.span(
@@ -751,16 +763,19 @@ class SchedulingDaemon:
                     tracer.metrics.counter("daemon.batches").inc()
                     tracer.metrics.histogram("daemon.batch_size").observe(size)
                 if pooled:
-                    answers = self._ensure_runner().submit(
+                    runner = self._ensure_runner()
+                    answers = runner.submit(
                         Task(
                             _shard_decide,
-                            {"spec": sh.spec, "requests": requests, "fast": self._fast},
+                            {"spec": sh.spec, "requests": requests},
                             key=(sh.name,),
                         )
                     ).result()
                 else:
                     answers = sh.ensure_service().decide(requests)
         except Exception as exc:  # resolve, never hang the callers
+            if isinstance(exc, BrokenProcessPool) and runner is not None:
+                self._drop_runner(runner, sh)
             with sh.cond:
                 sh.stats["failed"] += size
                 sh.in_flight -= size

@@ -13,8 +13,8 @@ that hardware with an explicit simulation:
   and routed paths,
 - :mod:`repro.sim.contention` — time-sharing slowdown model,
 - :mod:`repro.sim.execution` — epoch-based execution of work allocations,
-- :mod:`repro.sim.execution_fast` — the vectorised (compiled) executor the
-  fast-path gate dispatches to,
+- :mod:`repro.sim.execution_fast` — the vectorised (compiled) executor
+  :func:`~repro.sim.execution.simulate_iterations` runs on,
 - :mod:`repro.sim.execution_ensemble` — the ensemble tensor backend that
   batches many replicas into one struct-of-arrays pass,
 - :mod:`repro.sim.testbeds` — canned topologies (Figure 2 and variants,

@@ -24,7 +24,6 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.trace import get_tracer
-from repro.util import perf
 
 __all__ = ["Simulator", "Process", "Signal", "SimulationError"]
 
@@ -134,7 +133,7 @@ class Simulator:
     ['a', 'b']
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_ready", "_zero_fast", "events_processed")
+    __slots__ = ("now", "_heap", "_seq", "_ready", "events_processed")
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -145,7 +144,6 @@ class Simulator:
         # backwards, so the deque is sorted by (time, seq) by construction
         # and can be merged with the heap without sifting.
         self._ready: deque[tuple[float, int, Callable, tuple]] = deque()
-        self._zero_fast = perf.fastpath_enabled()
         self.events_processed = 0
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -154,7 +152,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        if delay == 0 and self._zero_fast:
+        if delay == 0:
             self._ready.append((self.now, seq, fn, args))
         else:
             heapq.heappush(self._heap, (self.now + float(delay), seq, fn, args))

@@ -19,12 +19,12 @@ allocation (concurrent border exchanges share segments).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.trace import get_tracer
 from repro.sim.topology import RouteError, Topology
-from repro.util import perf
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "simulate_iterations_reference",
     "validate_assignments",
     "count_flows",
+    "check_clock",
 ]
 
 
@@ -104,6 +105,21 @@ class IterationResult:
         return sum(fractions) / len(fractions)
 
 
+def check_clock(t: float) -> None:
+    """Refuse to start an iteration from a non-finite simulated clock.
+
+    A bottleneck that delivers zero bandwidth (or a host pinned at zero
+    availability) makes one step take forever; the next step would then
+    index load epochs at ``inf``.  Every executor calls this at the top of
+    each iteration, so all of them fail the same way at the same step.
+    """
+    if not math.isfinite(t):
+        raise RuntimeError(
+            "simulated time became non-finite "
+            "(a bottleneck delivered zero bandwidth?)"
+        )
+
+
 def count_flows(topology: Topology, assignments: list[WorkAssignment]) -> dict[str, int]:
     """Number of concurrent flows each link carries during an exchange phase.
 
@@ -169,13 +185,11 @@ def simulate_iterations(
 ) -> IterationResult:
     """Simulate ``iterations`` barrier-synchronised steps of an allocation.
 
-    With fast paths on (:func:`repro.util.perf.fastpath_enabled`, the
-    default) the allocation is compiled once into struct-of-arrays form
-    and stepped by the vectorised executor
+    The allocation is compiled once into struct-of-arrays form and stepped
+    by the vectorised executor
     (:class:`repro.sim.execution_fast.CompiledExecution`), which is
-    bit-identical to the reference loop; ``REPRO_NO_FASTPATH=1`` restores
-    the reference loop (:func:`simulate_iterations_reference`) as the
-    differential oracle.
+    bit-identical to the reference loop
+    (:func:`simulate_iterations_reference`, the differential oracle).
 
     Parameters
     ----------
@@ -191,27 +205,18 @@ def simulate_iterations(
     """
     check_positive("iterations", iterations)
     validate_assignments(topology, assignments)
-    fast = perf.fastpath_enabled()
+    # Deferred: the compiled executor builds on this module's types.
+    from repro.sim.execution_fast import CompiledExecution
+
     tracer = get_tracer()
     with tracer.span(
         "sim.execute", layer="sim", t=t0,
         hosts=len(assignments), iterations=int(iterations),
-        mode="fast" if fast else "reference",
     ) as span:
-        if fast:
-            from repro.sim.execution_fast import CompiledExecution
-
-            result = CompiledExecution(topology, assignments).run(iterations, t0)
-        else:
-            result = simulate_iterations_reference(
-                topology, assignments, iterations, t0
-            )
+        result = CompiledExecution(topology, assignments).run(iterations, t0)
         if tracer.enabled:
             span.set_end(t0 + result.total_time)
             span.attrs["total_time"] = result.total_time
-            tracer.metrics.counter(
-                "sim.executions.fast" if fast else "sim.executions.reference"
-            ).inc()
             tracer.metrics.counter("sim.iterations").inc(int(iterations))
     return result
 
@@ -238,6 +243,7 @@ def simulate_iterations_reference(
     busy: dict[str, float] = {wa.host: 0.0 for wa in assignments}
 
     for _ in range(int(iterations)):
+        check_clock(t)
         step_max = 0.0
         for wa in assignments:
             host = hosts[wa.host]

@@ -54,10 +54,8 @@ step therefore replays the reference arithmetic elementwise:
 Replicas the tensor backend cannot compile — mutable injected loads,
 non-tabular routes, heterogeneous per-replica iteration counts —
 **surrender individually** to :class:`CompiledExecution`; the rest of the
-batch stays vectorised.  The whole backend sits behind the
-:mod:`repro.util.perf` gate: ``REPRO_NO_FASTPATH=1`` restores a loop of
-:func:`~repro.sim.execution.simulate_iterations_reference` as the
-differential oracle.
+batch stays vectorised.  The differential tests compare every replica
+against :func:`~repro.sim.execution.simulate_iterations_reference`.
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ from repro.obs.trace import get_tracer
 from repro.sim.execution import (
     IterationResult,
     WorkAssignment,
+    check_clock,
     count_flows,
-    simulate_iterations_reference,
     validate_assignments,
 )
 from repro.sim.host import _MAX_EPOCHS
@@ -81,7 +79,6 @@ from repro.sim.link import Link
 from repro.sim.load import epoch_cached
 from repro.sim.testbeds import Testbed, synthetic_metacomputer
 from repro.sim.topology import Topology
-from repro.util import perf
 from repro.util.rng import derive_seed
 from repro.util.stats import MeanCI, mean_ci
 from repro.util.validation import check_positive
@@ -157,7 +154,6 @@ class EnsembleExecution:
         self,
         replicas: Sequence[ReplicaSpec],
         iterations: int,
-        share_tables: bool = True,
     ) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
@@ -166,12 +162,6 @@ class EnsembleExecution:
         compile_t0 = time.perf_counter() if tracer.enabled else 0.0
         self.iterations = int(iterations)
         self.replicas = list(replicas)
-        # Shared-world dedupe: identical rate/pair rows collapse across
-        # replicas.  Off builds one row per entry/pair occurrence — kept
-        # selectable so the compile-overhead benchmark can measure the
-        # delta; results are bit-identical either way (rows are filled
-        # from the same read-only prefix exports).
-        self.share_tables = bool(share_tables)
         for spec in self.replicas:
             validate_assignments(spec.topology, spec.assignments)
 
@@ -272,11 +262,7 @@ class EnsembleExecution:
                 # would be byte-identical — same host object (covers the
                 # shared-topology case), same memory footprint.  Epoch
                 # tables are absolute-time-indexed, so t0 never enters.
-                row_key = (
-                    (id(host), float(wa.footprint_mb))
-                    if self.share_tables
-                    else entry
-                )
+                row_key = (id(host), float(wa.footprint_mb))
                 row = row_index.get(row_key)
                 if row is None:
                     row = len(row_hosts)
@@ -301,11 +287,7 @@ class EnsembleExecution:
                         for link in links
                     ]
                     pair_refs += 1
-                    key = (
-                        tuple((id(link), fc) for link, fc in resolved)
-                        if self.share_tables
-                        else (r, tuple(sorted((wa.host, peer))))
-                    )
+                    key = tuple((id(link), fc) for link, fc in resolved)
                     pair = pair_index.get(key)
                     if pair is None:
                         pair = len(pair_links)
@@ -522,11 +504,9 @@ class EnsembleExecution:
 
         with np.errstate(divide="ignore", invalid="ignore"):
             for it in range(self.iterations):
-                if not np.isfinite(t).all():
-                    raise RuntimeError(
-                        "ensemble time became non-finite "
-                        "(a bottleneck delivered zero bandwidth?)"
-                    )
+                # Clocks only grow from finite starts, so the max is
+                # non-finite exactly when some replica's clock is.
+                check_clock(float(t.max()))
                 t_ent = t[self._rep_index]
                 # -- compute: single-epoch vector exit, bulk walk otherwise.
                 # Truncation equals floor for non-negative quotients, and
@@ -595,34 +575,20 @@ def run_ensemble(
 ) -> list[IterationResult]:
     """Execute a batch of replicas; one result per replica, input order.
 
-    With fast paths on (:func:`repro.util.perf.fastpath_enabled`, the
-    default) the batch is compiled into the struct-of-arrays tensors of
+    The batch is compiled into the struct-of-arrays tensors of
     :class:`EnsembleExecution` and stepped together, with per-replica
-    surrender for shapes the tensors cannot hold; ``REPRO_NO_FASTPATH=1``
-    restores a loop of
-    :func:`~repro.sim.execution.simulate_iterations_reference` as the
-    differential oracle.  Every replica's result is bit-identical across
-    the three regimes and independent of its batch-mates.
+    surrender for shapes the tensors cannot hold.  Every replica's result
+    is bit-identical to
+    :func:`~repro.sim.execution.simulate_iterations_reference` run solo
+    and independent of its batch-mates.
     """
     check_positive("iterations", iterations)
-    fast = perf.fastpath_enabled()
     tracer = get_tracer()
     with tracer.span(
         "sim.ensemble.execute", layer="sim",
         replicas=len(replicas), iterations=int(iterations),
-        mode="fast" if fast else "reference",
     ):
-        if fast:
-            return EnsembleExecution(replicas, iterations).run()
-        return [
-            simulate_iterations_reference(
-                spec.topology,
-                spec.assignments,
-                iterations if spec.iterations is None else spec.iterations,
-                spec.t0,
-            )
-            for spec in replicas
-        ]
+        return EnsembleExecution(replicas, iterations).run()
 
 
 def ring_assignments(

@@ -46,8 +46,7 @@ testbed).  Two consequences shape the implementation:
   fall back to live queries at exactly the instants the reference loop
   would issue them.
 
-The fast path is gated by :mod:`repro.util.perf` like every other
-optimised path: ``REPRO_NO_FASTPATH=1`` restores the reference loop as
+:func:`repro.sim.execution.simulate_iterations_reference` stays live as
 the differential oracle.
 """
 
@@ -61,6 +60,7 @@ from repro.obs.trace import get_tracer
 from repro.sim.execution import (
     IterationResult,
     WorkAssignment,
+    check_clock,
     count_flows,
     validate_assignments,
 )
@@ -353,6 +353,7 @@ class CompiledExecution:
         busy = [0.0] * len(plans)
         append = iteration_times.append
         for _ in range(int(iterations)):
+            check_clock(t)
             step_max = 0.0
             for i, plan in enumerate(plans):
                 step = plan.step(t)

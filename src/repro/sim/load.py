@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.util import perf
 from repro.util.rng import RngStream
 from repro.util.validation import check_fraction, check_positive
 
@@ -63,7 +62,6 @@ class LoadProcess:
         self.dt = check_positive("dt", dt)
         self._cache: list[float] = []
         self._export = np.empty(0)
-        self._bulk = perf.fastpath_enabled()
 
     # -- subclass interface ------------------------------------------------
     def _generate(self, k: int, prev: float | None) -> float:
@@ -148,7 +146,7 @@ class LoadProcess:
         missing = k + 1 - len(cache)
         if missing <= 0:
             return
-        if self._bulk and missing > 1:
+        if missing > 1:
             prev = cache[-1] if cache else None
             values = self._generate_many(len(cache), missing, prev)
             arr = np.asarray(values, dtype=np.float64)

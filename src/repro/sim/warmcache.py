@@ -26,7 +26,6 @@ from typing import Callable
 
 from repro.nws.service import NetworkWeatherService
 from repro.sim.testbeds import Testbed
-from repro.util import perf
 
 __all__ = ["warmed_state", "clear_warm_cache", "warm_cache_stats"]
 
@@ -83,7 +82,6 @@ def warmed_state(
         int(seed),
         int(nws_seed),
         float(warmup_s),
-        perf.fastpath_enabled(),
     )
     entry = _cache.get(key)
     if entry is not None and entry[1].now <= at:

@@ -26,9 +26,9 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_nonnegative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it as float."""
+    """Require ``value >= 0`` (NaN fails); return it as float."""
     v = float(value)
-    if v < 0:
+    if not v >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return v
 

@@ -8,10 +8,11 @@ Two layers of guarantee:
 2. **Differential bit-identity** — for every decision an
    :class:`AppLeSAgent` or the batched :class:`SchedulingService` emits
    over canned testbeds, the verifier re-derives the *same* objective
-   from the frozen instance alone, under both decision paths (the fast
-   path and ``REPRO_NO_FASTPATH``).  The verifier imports zero scheduler
-   code, so agreement means the frozen arrays and the reference estimator
-   arithmetic really carry the whole objective.
+   from the frozen instance alone, for the production decision and for
+   the decision oracle (``AppLeSAgent.schedule_reference()``) alike.  The
+   verifier imports zero scheduler code, so agreement means the frozen
+   arrays and the reference estimator arithmetic really carry the whole
+   objective.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from repro.arena import (
     make_policy,
     verify_allocation,
 )
-from repro.service import DecisionRequest, SchedulingService
-from repro.util import perf
+from repro.jacobi.apples import make_jacobi_agent
+from repro.service import DecisionRequest, SchedulingService, ServiceAnswer
 
 # -- a hand-built instance whose infeasibilities are unambiguous -----------
 
@@ -156,7 +157,7 @@ class TestFeasibility:
         assert report.objective == float("inf")
 
 
-# -- differential: verifier == decision objective, both gate modes ---------
+# -- differential: verifier == decision objective, production and oracle --
 
 _POLICIES = ("greedy", "exhaustive", "seeded", "locality")
 
@@ -169,59 +170,89 @@ def canned_instances():
     )
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "no-fastpath"])
-class TestDifferential:
-    def test_agent_decisions_re_derived_exactly(self, canned_instances, fast):
-        """verifier(instance, alloc) == AppLeSAgent.schedule() objective."""
-        checked = 0
-        with perf.fastpath(fast):
-            for name in _POLICIES:
-                runner = make_policy(name)
-                for inst in canned_instances:
-                    if name == "exhaustive" and len(inst.machines) > 12:
-                        continue
-                    alloc = runner.run(inst)
-                    report = verify_allocation(inst, alloc)
-                    assert report.feasible, (name, inst.instance_id, report.reasons)
-                    assert report.objective == alloc.claimed_objective, (
-                        name, inst.instance_id,
-                    )
-                    checked += 1
-        assert checked == len(_POLICIES) * 3 - 1  # exhaustive skips synth14
+def _reference_allocation(runner, inst) -> ArenaAllocation:
+    """What an agent policy emits when its agent asks the decision oracle."""
+    testbed, nws = build_world(inst.world)
+    selector = runner._selector(inst)
+    agent = make_jacobi_agent(
+        testbed, inst.jacobi_problem(), nws,
+        selector=selector,
+        account_memory=bool(inst.params["account_memory"]),
+    )
+    decision = agent.schedule_reference()
+    runner._after_decision(selector, decision)
+    return ArenaAllocation(
+        instance_id=inst.instance_id,
+        policy=runner.name,
+        machines=tuple(a.machine for a in decision.best.allocations),
+        points=tuple(float(a.work_units) for a in decision.best.allocations),
+        claimed_objective=decision.best_objective,
+    )
 
-    def test_service_decisions_re_derived_exactly(self, canned_instances, fast):
-        """verifier(instance, alloc) == SchedulingService.decide() objective."""
-        with perf.fastpath(fast):
-            for inst in canned_instances[:2]:  # the sdsc8 pair
-                testbed, nws = build_world(inst.world)
-                service = SchedulingService(testbed, nws)
-                answers = service.decide([
-                    DecisionRequest(
-                        problem=inst.jacobi_problem(),
-                        account_memory=bool(inst.params["account_memory"]),
-                        at=nws.now,
-                    )
-                ])
-                (answer,) = answers
-                alloc = ArenaAllocation(
-                    instance_id=inst.instance_id,
-                    policy="service",
-                    machines=tuple(a.machine for a in answer.best.allocations),
-                    points=tuple(
-                        float(a.work_units) for a in answer.best.allocations
-                    ),
-                    claimed_objective=answer.best_objective,
+
+def _reference_answer(testbed, nws, request) -> ServiceAnswer:
+    agent = make_jacobi_agent(
+        testbed, request.problem, nws, account_memory=request.account_memory,
+    )
+    return ServiceAnswer.from_decision(agent.schedule_reference(), at=request.at)
+
+
+class TestDifferential:
+    """``fastpath`` ids run the production decision, ``no-fastpath`` ids
+    the decision oracle."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "no-fastpath"])
+    def test_agent_decisions_re_derived_exactly(self, canned_instances, fast):
+        """verifier(instance, alloc) == the agent's decision objective."""
+        checked = 0
+        for name in _POLICIES:
+            runner = make_policy(name)
+            for inst in canned_instances:
+                if name == "exhaustive" and len(inst.machines) > 12:
+                    continue
+                alloc = (
+                    runner.run(inst) if fast
+                    else _reference_allocation(runner, inst)
                 )
                 report = verify_allocation(inst, alloc)
-                assert report.feasible, report.reasons
-                assert report.objective == answer.best_objective
+                assert report.feasible, (name, inst.instance_id, report.reasons)
+                assert report.objective == alloc.claimed_objective, (
+                    name, inst.instance_id,
+                )
+                checked += 1
+        assert checked == len(_POLICIES) * 3 - 1  # exhaustive skips synth14
 
-    def test_static_claim_differs_from_verified(self, canned_instances, fast):
+    @pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "no-fastpath"])
+    def test_service_decisions_re_derived_exactly(self, canned_instances, fast):
+        """verifier(instance, alloc) == SchedulingService.decide() objective."""
+        for inst in canned_instances[:2]:  # the sdsc8 pair
+            testbed, nws = build_world(inst.world)
+            request = DecisionRequest(
+                problem=inst.jacobi_problem(),
+                account_memory=bool(inst.params["account_memory"]),
+                at=nws.now,
+            )
+            if fast:
+                (answer,) = SchedulingService(testbed, nws).decide([request])
+            else:
+                answer = _reference_answer(testbed, nws, request)
+            alloc = ArenaAllocation(
+                instance_id=inst.instance_id,
+                policy="service",
+                machines=tuple(a.machine for a in answer.best.allocations),
+                points=tuple(
+                    float(a.work_units) for a in answer.best.allocations
+                ),
+                claimed_objective=answer.best_objective,
+            )
+            report = verify_allocation(inst, alloc)
+            assert report.feasible, report.reasons
+            assert report.objective == answer.best_objective
+
+    def test_static_claim_differs_from_verified(self, canned_instances):
         """The compile-time baseline's nominal claim is NOT the verified
         objective — the gap between them is the paper's motivation."""
-        with perf.fastpath(fast):
-            runner = make_policy("static")
-            alloc = runner.run(canned_instances[0])
+        alloc = make_policy("static").run(canned_instances[0])
         report = verify_allocation(canned_instances[0], alloc)
         assert report.feasible, report.reasons
         assert report.objective != alloc.claimed_objective

@@ -16,11 +16,11 @@ from repro.core.hat import (
 from repro.core.infopool import InformationPool
 from repro.core.planner import (
     TimeBalancedPlanner,
+    _balance_reference,
     balance_divisible_work,
     balance_divisible_work_batched,
 )
 from repro.core.resources import ResourcePool
-from repro.util import perf
 
 
 class TestBalanceDivisibleWork:
@@ -72,12 +72,26 @@ class TestBalanceDivisibleWork:
         assert r.makespan == pytest.approx(4.0)
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError):
-            balance_divisible_work([0.0], [0.0], 10.0)
+        # NaN and inf rates would otherwise balance to NaN allocations
+        # with makespan 0.0 — a perfect-looking schedule.
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                balance_divisible_work([rate], [0.0], 10.0)
+            with pytest.raises(ValueError):
+                balance_divisible_work([1.0, rate], [0.0, 0.0], 10.0)
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            balance_divisible_work([1.0], [-1.0], 10.0)
+        for cost in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                balance_divisible_work([1.0], [cost], 10.0)
+            with pytest.raises(ValueError):
+                balance_divisible_work([1.0, 1.0], [0.0, cost], 10.0)
+
+    def test_infinite_cost_drops_machine(self):
+        r = balance_divisible_work([10.0, 10.0], [0.0, float("inf")], 100.0)
+        assert r.allocations == [100.0, 0.0]
+        assert r.dropped == (1,)
+        assert r.makespan == 10.0
 
     def test_empty_returns_none(self):
         assert balance_divisible_work([], [], 10.0) is None
@@ -121,13 +135,14 @@ class TestBalanceDivisibleWork:
 
 
 class TestFastBalanceEquivalence:
-    """The closed-form fast balance must be bit-identical to the loop."""
+    """The closed-form balance must be bit-identical to the seed loop."""
 
     def _both(self, rates, costs, total, caps=None):
-        with perf.fastpath(False):
-            ref = balance_divisible_work(rates, costs, total, caps)
-        with perf.fastpath(True):
-            fast = balance_divisible_work(rates, costs, total, caps)
+        ref = _balance_reference(
+            [float(r) for r in rates], [float(c) for c in costs], float(total),
+            [None] * len(rates) if caps is None else list(caps),
+        )
+        fast = balance_divisible_work(rates, costs, total, caps)
         return ref, fast
 
     def _assert_identical(self, ref, fast):

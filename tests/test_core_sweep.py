@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.coordinator as coordinator
 from repro.core.sweep import (
     PRUNE_RELATIVE_EPS,
     PruningStats,
@@ -128,10 +129,11 @@ class TestReplaySweep:
 AT = 420.0
 
 
-def test_pruning_stats_identical_across_entry_points():
-    """Coordinator ``schedule()`` and service ``decide()`` replay the same
-    sweep, so the same decision yields the *identical* PruningStats —
-    under whichever gate mode the suite is running."""
+def test_pruning_stats_identical_across_entry_points(monkeypatch):
+    """Coordinator ``schedule()`` (vectorised, and the bounded scalar loop
+    planners without a batch surface take) and service ``decide()`` replay
+    the same sweep, so the same decision yields the *identical*
+    PruningStats."""
     problem = JacobiProblem(n=600, iterations=20)
 
     testbed = sdsc_pcl_testbed(seed=1996)
@@ -143,12 +145,17 @@ def test_pruning_stats_identical_across_entry_points():
     solo_nws = NetworkWeatherService.for_testbed(solo_bed, seed=7)
     solo_nws.advance_to(AT)
     agent = make_jacobi_agent(solo_bed, problem, nws=solo_nws)
-    decision = agent.schedule()
+    vectorised = agent.schedule()
+    # No batch planner: the same agent answers through the scalar loop.
+    monkeypatch.setattr(coordinator, "resolve_batch_planner", lambda *args: None)
+    scalar = agent.schedule()
+    assert vectorised.vectorised and not scalar.vectorised
 
-    assert answer.pruning == decision.pruning
-    assert answer.best_objective == decision.best_objective
-    assert answer.predicted_time == decision.best.predicted_time
-    assert answer.machines == tuple(decision.best.resource_set)
+    for decision in (vectorised, scalar):
+        assert answer.pruning == decision.pruning
+        assert answer.best_objective == decision.best_objective
+        assert answer.predicted_time == decision.best.predicted_time
+        assert answer.machines == tuple(decision.best.resource_set)
 
 
 def test_pruning_stats_is_one_class():

@@ -1,12 +1,13 @@
-"""Decision-path equivalence: fast scheduler ≡ reference scheduler.
+"""Decision-path equivalence: ``schedule()`` ≡ ``schedule_reference()``.
 
-The perf fast path (forecast snapshot + memoised cost models + candidate
-pruning + closed-form balance) must leave the Coordinator's decision
-**bit-identical** — same winning resource set, same allocations, same
-predicted time — on every canned testbed and across seeds.  These tests
-build one testbed + NWS and flip only the fast-path flag around agent
-construction and ``schedule()``, so both paths read the exact same
-forecast values and any divergence is the decision path's fault.
+The production decision (forecast snapshot + memoised cost models +
+candidate pruning + batched evaluation) must leave the Coordinator's
+decision **bit-identical** to the oracle — the unpruned scalar loop with
+no decision scope — with the same winning resource set, same allocations
+and same predicted time, on every canned testbed and across seeds.  These
+tests build one testbed + NWS and call both methods on agents over it, so
+both read the exact same forecast values and any divergence is the
+decision path's fault.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
 from repro.sim import casa_testbed, nile_testbed, sdsc_pcl_testbed, sdsc_pcl_with_sp2
-from repro.util import perf
 
 SEEDS = [(1996, 7), (2023, 11), (5, 97)]  # (testbed seed, NWS seed)
 
@@ -29,11 +29,10 @@ TESTBED_BUILDERS = {
 }
 
 
-def _decide(testbed, nws, problem, fast):
-    """One scheduling decision with the fast path forced on or off."""
-    with perf.fastpath(fast):
-        agent = make_jacobi_agent(testbed, problem, nws=nws)
-        return agent.schedule()
+def _decide(testbed, nws, problem, fast, **kwargs):
+    """One production decision (``fast``) or one oracle decision."""
+    agent = make_jacobi_agent(testbed, problem, nws=nws, **kwargs)
+    return agent.schedule() if fast else agent.schedule_reference()
 
 
 def _alloc_rows(schedule):
@@ -116,10 +115,9 @@ def test_reference_path_reports_unbounded_stats(testbed, warmed_nws):
 def test_decision_cache_closed_after_schedule(testbed, warmed_nws):
     """begin_decision/end_decision bracket cleanly (no leaked cache)."""
     problem = JacobiProblem(n=600, iterations=40)
-    with perf.fastpath(True):
-        agent = make_jacobi_agent(testbed, problem, nws=warmed_nws)
-        agent.schedule()
-        assert agent.info.decision_cache is None
+    agent = make_jacobi_agent(testbed, problem, nws=warmed_nws)
+    agent.schedule()
+    assert agent.info.decision_cache is None
 
 
 def test_blocked_preference_equivalent(testbed, warmed_nws):
@@ -129,15 +127,8 @@ def test_blocked_preference_equivalent(testbed, warmed_nws):
     problem = JacobiProblem(n=600, iterations=40)
     spec = UserSpecification(decomposition_preference=("strip", "blocked"))
 
-    def decide(fast):
-        with perf.fastpath(fast):
-            agent = make_jacobi_agent(
-                testbed, problem, nws=warmed_nws, userspec=spec
-            )
-            return agent.schedule()
-
-    ref = decide(False)
-    fast = decide(True)
+    ref = _decide(testbed, warmed_nws, problem, fast=False, userspec=spec)
+    fast = _decide(testbed, warmed_nws, problem, fast=True, userspec=spec)
     assert fast.best.resource_set == ref.best.resource_set
     assert _alloc_rows(fast.best) == _alloc_rows(ref.best)
     assert fast.best.predicted_time == ref.best.predicted_time

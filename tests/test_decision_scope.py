@@ -15,15 +15,35 @@ import pytest
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
-from repro.service import DecisionRequest, SchedulingService
+from repro.service import DecisionRequest, SchedulingService, ServiceAnswer
 from repro.sim import sdsc_pcl_testbed
-from repro.util import perf
 
 
 def _world(tb_seed=1996, nws_seed=7):
     testbed = sdsc_pcl_testbed(seed=tb_seed)
     nws = NetworkWeatherService.for_testbed(testbed, seed=nws_seed)
     return testbed, nws
+
+
+def _schedule(agent, fast):
+    """The production decision, or the oracle (no decision scope at all)."""
+    return agent.schedule() if fast else agent.schedule_reference()
+
+
+def _reference_decide(testbed, nws, requests):
+    """The service's oracle: solo ``schedule_reference()`` per request."""
+    answers = []
+    for r in requests:
+        if r.at > nws.now:
+            nws.advance_to(r.at)
+        agent = make_jacobi_agent(
+            testbed, r.problem, nws,
+            userspec=r.userspec, account_memory=r.account_memory,
+        )
+        answers.append(
+            ServiceAnswer.from_decision(agent.schedule_reference(), at=r.at)
+        )
+    return answers
 
 
 def _fingerprint(decision):
@@ -42,20 +62,18 @@ def test_back_to_back_decisions_see_fresh_information(fast):
     brand-new agent decides at that instant (no stale memo reuse)."""
     problem = JacobiProblem(n=900, iterations=60)
     testbed, nws = _world()
-    with perf.fastpath(fast):
-        agent = make_jacobi_agent(testbed, problem, nws)
-        nws.advance_to(300.0)
-        first = agent.schedule()
-        nws.advance_to(1500.0)  # load has moved on
-        second = agent.schedule()
+    agent = make_jacobi_agent(testbed, problem, nws)
+    nws.advance_to(300.0)
+    first = _schedule(agent, fast)
+    nws.advance_to(1500.0)  # load has moved on
+    second = _schedule(agent, fast)
 
     # Fresh worlds, fresh agents — the memoryless oracle.
     testbed2, nws2 = _world()
-    with perf.fastpath(fast):
-        nws2.advance_to(300.0)
-        solo_first = make_jacobi_agent(testbed2, problem, nws2).schedule()
-        nws2.advance_to(1500.0)
-        solo_second = make_jacobi_agent(testbed2, problem, nws2).schedule()
+    nws2.advance_to(300.0)
+    solo_first = _schedule(make_jacobi_agent(testbed2, problem, nws2), fast)
+    nws2.advance_to(1500.0)
+    solo_second = _schedule(make_jacobi_agent(testbed2, problem, nws2), fast)
 
     assert _fingerprint(first) == _fingerprint(solo_first)
     assert _fingerprint(second) == _fingerprint(solo_second)
@@ -66,19 +84,21 @@ def test_back_to_back_decisions_see_fresh_information(fast):
 @pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "reference"])
 def test_service_batches_at_two_instants_match_fresh_worlds(fast):
     """The same service answering two instants back-to-back must agree
-    with two single-instant services built from scratch."""
+    with two single-instant services built from scratch (the ``reference``
+    arm answers through the oracle loop instead of the service)."""
     problem = JacobiProblem(n=900, iterations=60)
 
     def _answers(batches):
         testbed, nws = _world()
-        with perf.fastpath(fast):
-            service = SchedulingService(testbed, nws)
-            out = []
-            for at in batches:
-                out.extend(
-                    service.decide([DecisionRequest(problem=problem, at=at)])
-                )
-            return out
+        service = SchedulingService(testbed, nws)
+        out = []
+        for at in batches:
+            requests = [DecisionRequest(problem=problem, at=at)]
+            if fast:
+                out.extend(service.decide(requests))
+            else:
+                out.extend(_reference_decide(testbed, nws, requests))
+        return out
 
     combined = _answers([300.0, 1500.0])
     alone_early = _answers([300.0])

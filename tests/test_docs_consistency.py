@@ -134,13 +134,12 @@ class TestArenaDocumented:
 
 
 class TestSoloVectorDocumented:
-    """The unified vectorised decision core and its kill switch."""
+    """The unified vectorised decision core and its oracle."""
 
     @pytest.mark.parametrize("doc", ["README.md", "docs/TUTORIAL.md", "DESIGN.md"])
     def test_docs_cover_vectorised_solo_decision(self, doc):
         text = (ROOT / doc).read_text()
-        for needle in ("REPRO_NO_SOLO_VECTOR", "repro.core.sweep",
-                       "bench_solo_decision"):
+        for needle in ("repro.core.sweep", "schedule_reference"):
             assert needle in text, f"{doc} does not document {needle}"
 
     def test_readme_names_the_counters_and_suite(self):
@@ -149,11 +148,17 @@ class TestSoloVectorDocumented:
                        "test_solo_vector_equivalence"):
             assert needle in text, f"README does not document {needle}"
 
-    def test_gate_flags_exist(self):
-        from repro.util import perf
-
-        assert hasattr(perf, "solo_vector")
-        assert hasattr(perf, "solo_vector_enabled")
+    def test_design_tables_every_oracle(self):
+        """DESIGN.md names each layer's oracle next to the test holding
+        the production path equal to it."""
+        text = (ROOT / "DESIGN.md").read_text()
+        for needle in ("schedule_reference", "_balance_reference",
+                       "simulate_iterations_reference", "max_checkpoints",
+                       "test_solo_vector_equivalence", "test_core_planner",
+                       "test_execution_equivalence",
+                       "test_ensemble_equivalence", "test_reserve_repair",
+                       "test_perf_fastpaths"):
+            assert needle in text, f"DESIGN.md does not name {needle}"
 
 
 class TestReserveDocumented:

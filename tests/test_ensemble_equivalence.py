@@ -4,9 +4,7 @@ Every replica of an :class:`repro.sim.execution_ensemble.EnsembleExecution`
 pass must reproduce :func:`repro.sim.execution.simulate_iterations_reference`
 run *solo* — ``total_time``, every entry of ``iteration_times`` and every
 value of ``host_busy_time`` — regardless of its batch-mates, start time or
-load regime.  CI also runs this module under ``REPRO_NO_FASTPATH=1``,
-which swaps :func:`repro.sim.execution_ensemble.run_ensemble` to a loop
-of the reference executor, proving the equivalence in both regimes.
+load regime.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.sim.testbeds import (
     sdsc_pcl_with_sp2,
     synthetic_metacomputer,
 )
-from repro.util import perf
 
 BUILDERS = {
     "casa": casa_testbed,
@@ -125,6 +122,29 @@ def test_mutable_load_replica_surrenders_in_mixed_batch():
     _assert_all_match_reference(specs, ex.run(), 20)
 
 
+def test_shared_world_tables_dedupe():
+    """Assignment-only variants of one world share their table rows.
+
+    Rows are keyed on host/link identity plus footprint/flow content, so
+    six variants of one eight-host ring compile eight rate rows, not 48 —
+    and every replica still matches the reference loop exactly.
+    """
+    testbed = synthetic_metacomputer(8, seed=5)
+    specs = [
+        ReplicaSpec(
+            testbed.topology,
+            ring_assignments(testbed, work_mflop=8.0 * (1.0 + 0.05 * j)),
+        )
+        for j in range(6)
+    ]
+    ex = EnsembleExecution(specs, 10)
+    report = ex.compile_report
+    assert report["entries"] == 48
+    assert report["rate_rows"] == 8
+    assert report["pairs"] < report["pair_refs"]
+    _assert_all_match_reference(specs, ex.run(), 10)
+
+
 def test_heterogeneous_iterations_surrender():
     """A per-replica iteration override cannot ride the lock-step tensors."""
     specs = [
@@ -155,18 +175,6 @@ def test_long_horizon_tensor_growth():
 
     specs = [heavy(3), heavy(5)]
     _assert_all_match_reference(specs, run_ensemble(specs, 8), 8)
-
-
-def test_gate_dispatches_fast_and_reference():
-    """run_ensemble honours the perf gate; both modes agree exactly."""
-    specs_a = [_spec("sdsc_pcl", 5, 1.0, t0=3.5) for _ in range(2)]
-    specs_b = [_spec("sdsc_pcl", 5, 1.0, t0=3.5) for _ in range(2)]
-    with perf.fastpath(True):
-        fast = run_ensemble(specs_a, 15)
-    with perf.fastpath(False):
-        ref = run_ensemble(specs_b, 15)
-    for a, b in zip(fast, ref):
-        _assert_identical(a, b)
 
 
 def test_replicated_deterministic_and_seed_split():

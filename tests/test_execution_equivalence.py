@@ -4,10 +4,10 @@
 :func:`repro.sim.execution.simulate_iterations_reference` *float-for-float*
 — ``total_time``, every entry of ``iteration_times`` and every value of
 ``host_busy_time`` — across every canned testbed, multiple seeds and
-multiple allocation shapes.  CI also runs this module under
-``REPRO_NO_FASTPATH=1``, which flips the construction-time bulk-generation
-paths inside the load processes, so the equivalence is proven in both
-regimes.
+multiple allocation shapes.  The reference loop is the oracle for the
+ensemble executor too (``tests/test_ensemble_equivalence.py``); all three
+executors also fail identically once the simulated clock stops being
+finite.
 """
 
 from __future__ import annotations
@@ -15,12 +15,15 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.execution import (
+    IterationResult,
     WorkAssignment,
     simulate_iterations,
     simulate_iterations_reference,
 )
+from repro.sim.execution_ensemble import ReplicaSpec, run_ensemble
 from repro.sim.execution_fast import CompiledExecution
 from repro.sim.jobs import make_injectable
+from repro.sim.load import ConstantLoad
 from repro.sim.testbeds import (
     casa_testbed,
     nile_testbed,
@@ -28,7 +31,6 @@ from repro.sim.testbeds import (
     sdsc_pcl_with_sp2,
     synthetic_metacomputer,
 )
-from repro.util import perf
 
 BUILDERS = {
     "casa": casa_testbed,
@@ -102,13 +104,44 @@ def test_fast_executor_bit_identical(builder_key, seed, shape_key):
     _assert_identical(fast, ref)
 
 
-def test_dispatcher_selects_by_fastpath_gate():
+def test_dispatcher_matches_reference():
     (tb1, a1), (tb2, a2) = _pair("sdsc_pcl", 5, "ring")
-    with perf.fastpath(True):
-        fast = simulate_iterations(tb1.topology, a1, 15)
-    with perf.fastpath(False):
-        ref = simulate_iterations(tb2.topology, a2, 15)
+    fast = simulate_iterations(tb1.topology, a1, 15)
+    ref = simulate_iterations_reference(tb2.topology, a2, 15)
     _assert_identical(fast, ref)
+
+
+_EXECUTORS = {
+    "reference": simulate_iterations_reference,
+    "compiled": lambda topo, assignments, iterations: CompiledExecution(
+        topo, assignments
+    ).run(iterations),
+    "ensemble": lambda topo, assignments, iterations: run_ensemble(
+        [ReplicaSpec(topo, assignments)], iterations
+    )[0],
+}
+
+
+@pytest.mark.parametrize("executor", sorted(_EXECUTORS))
+def test_non_finite_clock_fails_identically(executor):
+    """Every link pinned at availability 0: one step takes forever.
+
+    A single iteration reports that honestly (``total_time=inf``); a
+    second iteration would start from an infinite clock, which every
+    executor refuses with the same error.
+    """
+    run = _EXECUTORS[executor]
+
+    def dead_links():
+        testbed = sdsc_pcl_testbed(seed=5)
+        for link in testbed.topology.links.values():
+            link.load = ConstantLoad(0.0)
+        return testbed.topology, _ring(sorted(testbed.topology.hosts))
+
+    one: IterationResult = run(*dead_links(), 1)
+    assert one.total_time == float("inf")
+    with pytest.raises(RuntimeError, match="time became non-finite"):
+        run(*dead_links(), 2)
 
 
 def test_mutable_injected_loads_bit_identical():

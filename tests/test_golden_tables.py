@@ -2,9 +2,8 @@
 
 Each test runs one paper experiment in a small, fixed-seed "quick"
 configuration and compares its rendered table *character for character*
-against a snapshot under ``tests/golden/``.  Because the decision fast
-path is bit-identical to the reference path, these snapshots hold
-regardless of ``REPRO_NO_FASTPATH`` — a golden diff means the simulated
+against a snapshot under ``tests/golden/``.  Every production path is
+bit-identical to its oracle, so a golden diff means the simulated
 physics, a scheduling decision, or the table formatting actually changed,
 never mere float drift.
 

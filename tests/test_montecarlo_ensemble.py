@@ -9,7 +9,9 @@ from repro.montecarlo import (
     run_acceptance_ensemble,
     true_acceptance,
 )
-from repro.util import perf
+from repro.sim.execution import WorkAssignment, simulate_iterations_reference
+from repro.sim.testbeds import synthetic_metacomputer
+from repro.util.rng import derive_seed
 
 PROBLEM = MonteCarloProblem(samples=40_000, seed=3)
 
@@ -44,11 +46,19 @@ class TestAcceptanceEnsemble:
         assert head.replicas + tail.replicas == full.replicas
 
     def test_fast_and_reference_modes_agree(self):
-        with perf.fastpath(True):
-            fast = run_acceptance_ensemble(PROBLEM, 4, seed=11)
-        with perf.fastpath(False):
-            ref = run_acceptance_ensemble(PROBLEM, 4, seed=11)
-        assert fast.replicas == ref.replicas
+        """Each replica's ensemble-pass timing equals the reference
+        executor run solo over the same world and shares."""
+        ens = run_acceptance_ensemble(PROBLEM, 4, seed=11)
+        for rep in ens.replicas:
+            testbed = synthetic_metacomputer(
+                8, seed=derive_seed(11, "mc-ensemble", rep.index)
+            )
+            assignments = [
+                WorkAssignment(host=name, work_mflop=count * PROBLEM.flop_per_sample)
+                for name, count in rep.shares.items()
+            ]
+            ref = simulate_iterations_reference(testbed.topology, assignments, 1)
+            assert rep.elapsed_s == ref.total_time
 
     def test_table_renders(self):
         ens = run_acceptance_ensemble(PROBLEM, 3, seed=11)

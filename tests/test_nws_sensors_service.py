@@ -109,6 +109,10 @@ class TestNetworkWeatherService:
         nws.advance_to(100.0)
         with pytest.raises(ValueError):
             nws.advance_to(50.0)
+        # A NaN instant is neither behind nor ahead: rejected, clock kept.
+        with pytest.raises(ValueError):
+            nws.advance_to(float("nan"))
+        assert (nws.now, nws.epoch) == (100.0, 1)
 
     def test_unknown_resource_raises(self, warmed_nws):
         with pytest.raises(KeyError):

@@ -8,8 +8,9 @@ The repair engine's contract, on small exactly-checkable scenarios over a
   (``is``-identity, not tolerance);
 - the repaired ledger books the same ``(request, occurrence)`` set a
   from-scratch replan books, while spending strictly fewer decisions;
-- the whole pipeline is bit-identical under ``perf.fastpath`` on and off
-  (the expander's checkpoint/restore fast path vs rebuild-from-seeds).
+- the whole pipeline is bit-identical whether the expander restores
+  world checkpoints or (with ``max_checkpoints = 0``) rebuilds every
+  rewound world from seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.reserve import (
     seeded_requests,
     verify_ledger,
 )
-from repro.util import perf
 
 WORLD = {
     "generator": "synthetic",
@@ -216,13 +216,13 @@ class TestDifferentialRepair:
 
 
 class TestGateEquivalence:
-    """The expander's checkpoint/restore fast path vs rebuild-from-seeds."""
+    """The expander's checkpoint restores vs the rebuild-from-seeds oracle."""
 
-    def _run(self, use_checkpoints: bool | None = None):
+    def _run(self, use_checkpoints: bool):
         workload = small_workload(4)
         planner = ReservationPlanner(world=WORLD, label="test")
-        if use_checkpoints is not None:
-            planner.expander._use_checkpoints = use_checkpoints
+        if not use_checkpoints:
+            planner.expander.max_checkpoints = 0
         outcome = planner.plan(list(workload))
         urgent = ReservationRequest(
             request_id="urgent",
@@ -240,37 +240,17 @@ class TestGateEquivalence:
 
     def test_checkpoint_restore_bit_identical_to_rebuilds(self):
         """Restoring a checkpoint and advancing equals rebuilding from
-        seeds and advancing, bit for bit (the warm-cache argument) — the
-        forecaster implementation is held fixed, so any divergence would
-        be the checkpoint path's own."""
-        with perf.fastpath(True):
-            planner, checkpointed = self._run(use_checkpoints=True)
-            _, rebuilt = self._run(use_checkpoints=False)
+        seeds and advancing, bit for bit (the warm-cache argument)."""
+        planner, checkpointed = self._run(use_checkpoints=True)
+        oracle, rebuilt = self._run(use_checkpoints=False)
         assert checkpointed == rebuilt
         assert planner.expander.stats.restores > 0, (
             "scenario never exercised the restore path"
         )
-
-    def test_across_gates_same_decisions(self):
-        """Across the perf gate the member forecasters themselves change
-        implementation, so the repo-wide contract applies: identical
-        resource decisions, objectives within float-accumulation
-        tolerance (see test_perf_fastpaths on ensemble drift)."""
-        with perf.fastpath(True):
-            _, fast = self._run()
-        with perf.fastpath(False):
-            _, ref = self._run()
-        assert [
-            (b.request_id, b.occurrence, b.machines) for b in fast
-        ] == [(b.request_id, b.occurrence, b.machines) for b in ref]
-        for f, r in zip(fast, ref):
-            assert f.start == r.start
-            assert f.points == pytest.approx(r.points, rel=1e-9)
-            assert f.objective == pytest.approx(r.objective, rel=1e-9)
+        assert oracle.expander.stats.restores == 0
+        assert oracle.expander.stats.rebuilds > 0
 
     def test_fast_path_actually_restores(self, workload):
-        if not perf.fastpath_enabled():
-            pytest.skip("reference-path run: checkpoints gated off")
         planner, outcome = fresh_plan(workload)
         stats = planner.expander.stats
         assert stats.rebuilds > 0, "workload never rewound the clock"

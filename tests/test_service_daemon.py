@@ -15,11 +15,16 @@ tests pin the edges of that claim:
   between calls and compare against fresh solo agents;
 - a Hypothesis property: however a request multiset is sliced into
   submissions, daemon answers equal one `SchedulingService.decide()`;
+- a process pool whose workers were killed is rebuilt for later batches;
 - traced and untraced daemon runs are bit-identical, with the queue
   gauge / admission counters / batch spans present when traced.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +41,7 @@ from repro.service import (
     MicroBatcher,
     SchedulingDaemon,
     SchedulingService,
+    ServiceAnswer,
     ShardSpec,
 )
 from repro.service.daemon import ANSWERED, FAILED, REJECTED, SHED
@@ -46,7 +52,6 @@ from repro.service.loadgen import (
     run_open_loop,
 )
 from repro.sim import casa_testbed, nile_testbed, sdsc_pcl_testbed
-from repro.util import perf
 
 AT = 420.0
 
@@ -65,24 +70,34 @@ def _spec(name="sdsc", builder=sdsc_pcl_testbed, seed=1996) -> ShardSpec:
     return ShardSpec(name, builder, seed=seed, nws_seed=7, warmup_s=0.0)
 
 
-def _service_answers(requests, builder=sdsc_pcl_testbed, seed=1996, fast=None):
-    # fast=None follows the ambient gate, so the whole suite also runs
-    # under REPRO_NO_FASTPATH=1 comparing daemon and service like-for-like
-    # (pruning statistics legitimately differ between gate modes).
-    if fast is None:
-        fast = perf.fastpath_enabled()
+def _service_answers(requests, builder=sdsc_pcl_testbed, seed=1996):
     testbed = builder(seed=seed)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-    with perf.fastpath(fast):
-        return SchedulingService(testbed, nws).decide(requests)
+    return SchedulingService(testbed, nws).decide(requests)
 
 
-def _sig(answer):
+def _reference_decisions(requests, builder=sdsc_pcl_testbed, seed=1996):
+    """The decision oracle: one ``schedule_reference()`` per request."""
+    testbed = builder(seed=seed)
+    nws = NetworkWeatherService.for_testbed(testbed, seed=7)
+    decisions = []
+    for r in requests:
+        if r.at > nws.now:
+            nws.advance_to(r.at)
+        agent = make_jacobi_agent(
+            testbed, r.problem, nws,
+            userspec=r.userspec, account_memory=r.account_memory,
+        )
+        decisions.append(agent.schedule_reference())
+    return decisions
+
+
+def _sig(answer, pruning=True):
     return (
         answer.best_objective,
         answer.predicted_time,
         answer.machines,
-        answer.pruning,
+        answer.pruning if pruning else None,
         tuple(a.work_units for a in answer.best.allocations),
     )
 
@@ -300,14 +315,17 @@ class TestBitIdentity:
             assert _sig(ticket.result(0.0).answer) == _sig(ref)
 
     def test_oracle_gate_equals_its_service(self):
+        """Daemon answers equal the decision oracle's, search statistics
+        aside (the oracle prunes nothing by design)."""
         requests = [_request(k) for k in range(3)]
-        with perf.fastpath(False):
-            daemon = SchedulingDaemon([_spec()], queue_capacity=8)
-            tickets = daemon.submit_many("sdsc", requests)
-            daemon.pump()
-        reference = _service_answers(requests, fast=False)
-        for ticket, ref in zip(tickets, reference):
-            assert _sig(ticket.result(0.0).answer) == _sig(ref)
+        daemon = SchedulingDaemon([_spec()], queue_capacity=8)
+        tickets = daemon.submit_many("sdsc", requests)
+        daemon.pump()
+        for ticket, ref in zip(tickets, _reference_decisions(requests)):
+            got = ticket.result(0.0).answer
+            assert _sig(got, pruning=False) == _sig(
+                ServiceAnswer.from_decision(ref, at=AT), pruning=False
+            )
 
     @pytest.mark.slow
     def test_process_mode_equals_service(self):
@@ -324,6 +342,45 @@ class TestBitIdentity:
             assert _sig(ticket.result(0.0).answer) == _sig(ref)
         for ticket, ref in zip(tb, _service_answers(requests, builder=casa_testbed)):
             assert _sig(ticket.result(0.0).answer) == _sig(ref)
+
+    @pytest.mark.slow
+    def test_dead_pool_is_rebuilt(self):
+        """SIGKILL every pool worker: the batch that meets the dead pool
+        fails, the pool is dropped, and later batches are answered by a
+        fresh one, bit-identical to a one-shot service."""
+        requests = [_request(k) for k in range(3)]
+        daemon = SchedulingDaemon([_spec()], queue_capacity=8, workers=2)
+        try:
+            first = daemon.submit("sdsc", requests[0])
+            daemon.pump()
+            assert first.result(0.0).status == ANSWERED
+            pool = daemon._runner._pool
+            workers = list(pool._processes.values())
+            assert workers
+            for proc in workers:
+                os.kill(proc.pid, signal.SIGKILL)
+            for proc in workers:
+                proc.join(10.0)
+            deadline = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+            doomed = daemon.submit("sdsc", requests[1])
+            daemon.pump()
+            reply = doomed.result(0.0)
+            assert reply.status == FAILED
+            assert "BrokenProcessPool" in reply.reason
+            assert daemon.stats()["sdsc"]["pool_rebuilds"] == 1
+
+            later = daemon.submit("sdsc", requests[2])
+            daemon.pump()
+            answer = later.result(0.0)
+            assert answer.status == ANSWERED
+            (fresh,) = _service_answers([requests[2]])
+            assert _sig(answer.answer) == _sig(fresh)
+            assert daemon.stats()["sdsc"]["pool_rebuilds"] == 1
+        finally:
+            daemon.shutdown()
 
     def test_process_mode_requires_specs(self):
         testbed = sdsc_pcl_testbed(seed=1996)
@@ -489,8 +546,7 @@ class TestObservability:
         """Every answered request is attributed to exactly one decision
         path: ``service.solo_vectorised`` (the one-shot tensor sweep /
         batched core) or ``service.solo_scalar`` (the per-candidate
-        loop).  Which side fires follows the ambient gate the suite runs
-        under — the counters are how operators see the split."""
+        loop).  The counters are how operators see the split."""
         requests = [_request(k) for k in range(4)]
         with tracing() as tr:
             daemon = SchedulingDaemon([_spec()], queue_capacity=16)
@@ -501,11 +557,8 @@ class TestObservability:
         vectorised = metrics.get("service.solo_vectorised", {}).get("value", 0)
         scalar = metrics.get("service.solo_scalar", {}).get("value", 0)
         assert vectorised + scalar == len(requests)
-        if perf.fastpath_enabled():
-            # Strip-only requests all ride the batched/vectorised core.
-            assert vectorised == len(requests) and scalar == 0
-        else:
-            assert scalar == len(requests) and vectorised == 0
+        # Strip-only requests all ride the batched/vectorised core.
+        assert vectorised == len(requests) and scalar == 0
 
     def test_scalar_config_counts_as_scalar_solo(self):
         """A configuration the batched core cannot take (two active
@@ -523,8 +576,7 @@ class TestObservability:
         metrics = tr.metrics.as_dict()
         assert metrics["service.solo_scalar"]["value"] == 1
         assert "service.solo_vectorised" not in metrics
-        if perf.fastpath_enabled():
-            assert metrics["service.scalar_configs"]["value"] == 1
+        assert metrics["service.scalar_configs"]["value"] == 1
 
 
 # -- load generator -------------------------------------------------------

@@ -3,17 +3,18 @@
 The :class:`~repro.service.SchedulingService` promises every answer
 bit-identical to what the request's own agent would decide alone at the
 same instant.  These tests build two value-identical worlds per case —
-one answered through the service, one through a plain loop of
-``AppLeSAgent.schedule()`` calls — and compare the decisions float for
-float: chosen machines, strip row counts, predicted/objective values, and
-the candidate-search statistics (evaluation count after pruning).
+one answered through the service, one through a plain loop of solo agent
+decisions — and compare the decisions float for float: chosen machines,
+strip row counts, predicted/objective values and work units.
 
-Both decision paths are covered: the batched fast path, and the
-``REPRO_NO_FASTPATH=1`` oracle (where the service degenerates to the
-sequential loop by construction — verified, not assumed).  Batch
-contents are mixed on purpose: several problem sizes, user specifications
-(including a different metric and a machine cap), memory-blind requests,
-and duplicated configurations that exercise the service's dedup.
+Two solo loops serve as the comparison: ``AppLeSAgent.schedule()``, whose
+candidate-search statistics (evaluation count after pruning) the service
+must also reproduce, and the decision oracle
+``AppLeSAgent.schedule_reference()`` — the unpruned scalar loop with no
+decision scope.  Batch contents are mixed on purpose: several problem
+sizes, user specifications (including a different metric and a machine
+cap), memory-blind requests, and duplicated configurations that exercise
+the service's dedup.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
 from repro.service import DecisionRequest, SchedulingService, ServiceAnswer
 from repro.sim import casa_testbed, nile_testbed, sdsc_pcl_testbed, sdsc_pcl_with_sp2
-from repro.util import perf
 
 SEEDS = [(1996, 7), (2023, 11), (5, 97)]  # (testbed seed, NWS seed)
 
@@ -72,31 +72,30 @@ def _requests(batch: int) -> list[DecisionRequest]:
     return reqs
 
 
-def _service_answers(name, tb_seed, nws_seed, requests, fast):
+def _service_answers(name, tb_seed, nws_seed, requests):
     builder = TESTBED_BUILDERS[name]
     testbed = builder(seed=tb_seed)
     nws = NetworkWeatherService.for_testbed(testbed, seed=nws_seed)
-    with perf.fastpath(fast):
-        service = SchedulingService(testbed, nws)
-        return service.decide(requests)
+    return SchedulingService(testbed, nws).decide(requests)
 
 
-def _solo_decisions(name, tb_seed, nws_seed, requests, fast):
+def _solo_decisions(name, tb_seed, nws_seed, requests, reference=False):
     builder = TESTBED_BUILDERS[name]
     testbed = builder(seed=tb_seed)
     nws = NetworkWeatherService.for_testbed(testbed, seed=nws_seed)
     decisions = []
-    with perf.fastpath(fast):
-        for at in sorted({r.at for r in requests}):
-            nws.advance_to(at)
-            for r in requests:
-                if r.at != at:
-                    continue
-                agent = make_jacobi_agent(
-                    testbed, r.problem, nws,
-                    userspec=r.userspec, account_memory=r.account_memory,
-                )
-                decisions.append(agent.schedule())
+    for at in sorted({r.at for r in requests}):
+        nws.advance_to(at)
+        for r in requests:
+            if r.at != at:
+                continue
+            agent = make_jacobi_agent(
+                testbed, r.problem, nws,
+                userspec=r.userspec, account_memory=r.account_memory,
+            )
+            decisions.append(
+                agent.schedule_reference() if reference else agent.schedule()
+            )
     return decisions
 
 
@@ -108,86 +107,91 @@ def _strip_rows(schedule):
     return [(s.machine, s.row_start, s.row_count) for s in strips]
 
 
-def _assert_identical(answer: ServiceAnswer, decision) -> None:
+def _assert_identical(answer: ServiceAnswer, decision, stats=True) -> None:
     assert answer.machines == decision.best.resource_set
     assert answer.predicted_time == decision.best.predicted_time  # bitwise
     assert answer.best_objective == decision.best_objective
     assert answer.metric == decision.metric
-    # Evaluation count after pruning, and the full search statistics.
-    assert answer.pruning == decision.pruning
-    assert answer.evaluations_planned == decision.pruning.planned
+    if stats:
+        # Evaluation count after pruning, and the full search statistics.
+        assert answer.pruning == decision.pruning
+        assert answer.evaluations_planned == decision.pruning.planned
+    else:
+        # The oracle prunes nothing but searches the same candidate space.
+        assert not decision.pruning.bounded
+        assert answer.pruning.candidates == decision.pruning.planned
     assert _strip_rows(answer.best) == _strip_rows(decision.best)
     assert [a.work_units for a in answer.best.allocations] == [
         a.work_units for a in decision.best.allocations
     ]
 
 
-def _run_case(name, tb_seed, nws_seed, batch, fast):
+def _run_case(name, tb_seed, nws_seed, batch, reference=False):
     requests = _requests(batch)
-    answers = _service_answers(name, tb_seed, nws_seed, requests, fast)
-    decisions = _solo_decisions(name, tb_seed, nws_seed, requests, fast)
+    answers = _service_answers(name, tb_seed, nws_seed, requests)
+    decisions = _solo_decisions(name, tb_seed, nws_seed, requests, reference)
     assert len(answers) == len(decisions) == batch
     for answer, decision in zip(answers, decisions):
-        _assert_identical(answer, decision)
+        _assert_identical(answer, decision, stats=not reference)
 
 
-# -- fast path: full testbed × seed matrix, batch sizes per cost ---------
+# -- solo schedule(): full testbed × seed matrix, batch sizes per cost ---
 @pytest.mark.parametrize("seeds", SEEDS, ids=lambda s: f"seed{s[0]}")
 @pytest.mark.parametrize("batch", [1, 2, 7])
 @pytest.mark.parametrize("name", ["sdsc_pcl", "sdsc_pcl_sp2", "casa"])
 def test_fast_small_testbeds(name, batch, seeds):
-    _run_case(name, seeds[0], seeds[1], batch, fast=True)
+    _run_case(name, seeds[0], seeds[1], batch)
 
 
 @pytest.mark.parametrize("seeds", SEEDS, ids=lambda s: f"seed{s[0]}")
 @pytest.mark.parametrize("batch", [1, 2])
 def test_fast_nile(batch, seeds):
-    _run_case("nile", seeds[0], seeds[1], batch, fast=True)
+    _run_case("nile", seeds[0], seeds[1], batch)
 
 
 @pytest.mark.parametrize("name", ["sdsc_pcl", "casa"])
 def test_fast_batch64(name):
-    _run_case(name, *SEEDS[0], batch=64, fast=True)
+    _run_case(name, *SEEDS[0], batch=64)
 
 
 def test_fast_nile_batch7():
-    _run_case("nile", *SEEDS[1], batch=7, fast=True)
+    _run_case("nile", *SEEDS[1], batch=7)
 
 
 @pytest.mark.slow
 def test_fast_nile_batch64():
     """The acceptance-scenario shape: 64 requests on the 12-machine pool."""
-    _run_case("nile", *SEEDS[0], batch=64, fast=True)
+    _run_case("nile", *SEEDS[0], batch=64)
 
 
-# -- oracle path: REPRO_NO_FASTPATH answers must match too ---------------
+# -- the decision oracle: schedule_reference() answers must match too ----
 @pytest.mark.parametrize("batch", [1, 2, 7])
 @pytest.mark.parametrize("name", ["sdsc_pcl", "casa"])
 def test_reference_small_testbeds(name, batch):
-    _run_case(name, *SEEDS[0], batch=batch, fast=False)
+    _run_case(name, *SEEDS[0], batch=batch, reference=True)
 
 
 def test_reference_sp2():
-    _run_case("sdsc_pcl_sp2", *SEEDS[2], batch=2, fast=False)
+    _run_case("sdsc_pcl_sp2", *SEEDS[2], batch=2, reference=True)
 
 
 def test_reference_nile():
-    _run_case("nile", *SEEDS[0], batch=2, fast=False)
+    _run_case("nile", *SEEDS[0], batch=2, reference=True)
 
 
 def test_reference_batch64_casa():
-    _run_case("casa", *SEEDS[1], batch=64, fast=False)
+    _run_case("casa", *SEEDS[1], batch=64, reference=True)
 
 
-# -- cross-path: the two service modes agree with each other -------------
+# -- cross-path: the service vs the sequential oracle loop ----------------
 @pytest.mark.parametrize("name", ["sdsc_pcl", "casa"])
 def test_fast_vs_reference_service(name):
     requests = _requests(5)
-    fast = _service_answers(name, *SEEDS[0], requests, fast=True)
-    ref = _service_answers(name, *SEEDS[0], requests, fast=False)
+    fast = _service_answers(name, *SEEDS[0], requests)
+    ref = _solo_decisions(name, *SEEDS[0], requests, reference=True)
     for a, b in zip(fast, ref):
-        assert a.machines == b.machines
-        assert a.predicted_time == b.predicted_time
+        assert a.machines == b.best.resource_set
+        assert a.predicted_time == b.best.predicted_time
         assert a.best_objective == b.best_objective
         assert _strip_rows(a.best) == _strip_rows(b.best)
 
@@ -203,8 +207,8 @@ def test_two_instants_one_batch():
         for r in _requests(3)
     ]
     requests = [early[0], late[0], early[1], late[1], early[2], late[2]]
-    answers = _service_answers("sdsc_pcl", *SEEDS[0], requests, fast=True)
-    decisions = _solo_decisions("sdsc_pcl", *SEEDS[0], requests, fast=True)
+    answers = _service_answers("sdsc_pcl", *SEEDS[0], requests)
+    decisions = _solo_decisions("sdsc_pcl", *SEEDS[0], requests)
     # _solo_decisions orders by instant; realign to request order.
     order = sorted(range(len(requests)), key=lambda i: requests[i].at)
     by_request = dict(zip(order, decisions))

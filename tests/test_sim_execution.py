@@ -83,6 +83,11 @@ class TestSimulateIterations:
         with pytest.raises(ValueError):
             simulate_iterations(_mk_topology(), [], 1)
 
+    def test_nan_work_rejected(self):
+        # Would otherwise spin the work integrator for millions of epochs.
+        with pytest.raises(ValueError, match="work_mflop"):
+            WorkAssignment("a", float("nan"))
+
     def test_mean_iteration_time(self):
         topo = _mk_topology()
         res = simulate_iterations(topo, [WorkAssignment("a", 10.0)], 4)

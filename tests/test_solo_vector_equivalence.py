@@ -1,11 +1,14 @@
-"""Differential suite: vectorised solo decision ≡ scalar fast path ≡ reference.
+"""Differential suite: vectorised solo decision ≡ bounded scalar loop ≡ oracle.
 
 The one-shot tensor sweep (``AppLeSAgent._schedule_vectorised``) claims to
-change *nothing observable* about a solo decision.  These tests force each
-arm explicitly — ``reference`` (``REPRO_NO_FASTPATH`` semantics),
-``scalar`` (the PR2 fast path with ``REPRO_NO_SOLO_VECTOR`` semantics) and
-``vector`` — around agent construction, so all three read the same
-forecasts, and assert bit-identity:
+change *nothing observable* about a solo decision.  These tests run each
+arm explicitly over agents sharing one world, so all three read the same
+forecasts — ``reference`` (:meth:`AppLeSAgent.schedule_reference`, the
+decision oracle), ``scalar`` (``schedule()`` with
+``repro.core.coordinator.resolve_batch_planner`` patched to find no batch
+planner, which routes Jacobi agents to the bounded scalar loop that
+planners without a batch surface take in production) and ``vector``
+(plain ``schedule()``) — and assert bit-identity:
 
 - winner resource set, allocations, predicted time, objective — across
   all three arms (the reference loop is the ground truth);
@@ -16,8 +19,7 @@ forecasts, and assert bit-identity:
   and the scalar arm really did not.
 
 A Hypothesis property drives random pools, seeds, problem shapes and user
-specifications through the same oracle; CI runs this file in both ambient
-gate modes, which must not matter because every arm pins its own gates.
+specifications through the same oracle.
 """
 
 from __future__ import annotations
@@ -26,35 +28,36 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.coordinator as coordinator
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
 from repro.obs.trace import tracing
 from repro.sim import casa_testbed, nile_testbed, sdsc_pcl_testbed
-from repro.util import perf
 
 BUILDERS = {
     "sdsc_pcl": sdsc_pcl_testbed,
     "casa": casa_testbed,
 }
 
-ARMS = {
-    "reference": (False, False),
-    "scalar": (True, False),
-    "vector": (True, True),
-}
 
 
 def _decide(testbed, nws, problem, arm, userspec=None, account_memory=True):
-    """One decision with the (fastpath, solo_vector) gates pinned."""
-    fast, vector = ARMS[arm]
-    with perf.fastpath(fast), perf.solo_vector(vector), tracing() as tr:
-        agent = make_jacobi_agent(
-            testbed, problem, nws=nws, userspec=userspec,
-            account_memory=account_memory,
-        )
-        decision = agent.schedule()
+    """One decision on the named arm: reference, scalar or vector."""
+    agent = make_jacobi_agent(
+        testbed, problem, nws=nws, userspec=userspec,
+        account_memory=account_memory,
+    )
+    with pytest.MonkeyPatch.context() as mp, tracing() as tr:
+        if arm == "reference":
+            decision = agent.schedule_reference()
+        else:
+            if arm == "scalar":
+                mp.setattr(
+                    coordinator, "resolve_batch_planner", lambda *args: None
+                )
+            decision = agent.schedule()
     incumbents = [
         (r["fields"]["idx"], r["fields"]["objective"],
          r["fields"].get("seeded", False))
@@ -161,7 +164,7 @@ def test_incumbent_stream_seeds_exactly_once():
 
 def test_multi_family_configuration_declines_to_vectorise():
     """With both decomposition families active the dispatcher cannot name
-    a single batch planner, so the vector gate falls back to the scalar
+    a single batch planner, so ``schedule()`` falls back to the scalar
     sweep — and the decision is still bit-identical to the reference."""
     testbed = sdsc_pcl_testbed(seed=1996)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)

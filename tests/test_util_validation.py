@@ -30,6 +30,9 @@ class TestCheckNonnegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_nonnegative("x", -1e-9)
+        # NaN compares false both ways; it must not slip through as >= 0.
+        with pytest.raises(ValueError, match="non-negative"):
+            check_nonnegative("x", float("nan"))
 
 
 class TestCheckFraction:
