@@ -26,32 +26,38 @@ stay in ``evaluations`` (objective ``inf``) and the counts are reported in
 Vectorised solo decision: when the Planner opts in through
 ``batch_planner(info)`` (the strip planner's ``batch_inputs`` /
 ``lower_bounds`` surface) and the Estimator exposes
-``objective_from_prediction``, ``schedule()`` stacks *all* candidate sets
-into one membership-mask matrix, evaluates them in a single
+``objectives_from_predictions``, ``schedule()`` stacks *all* candidate
+sets into one membership-mask matrix, evaluates them in a single
 :func:`~repro.jacobi.apples.evaluate_strip_batch` call (a one-job batch),
-and replays the incumbent/pruning order over the precomputed objectives
-with the canonical :func:`~repro.core.sweep.replay_sweep`.  The batched
-kernels replicate the scalar planner's float semantics
-operation-for-operation and surrender any row they cannot certify back to
-the scalar planner, the winner is materialised by the scalar planner and
-cross-checked, and the sweep control flow is shared with the scalar loop
-— so :class:`ScheduleDecision`, :class:`PruningStats`, and the obs event
-stream are bit-identical to the bounded scalar loop.  Planners with no
-batch surface take that scalar loop (:meth:`AppLeSAgent._schedule_loop`)
-as their production path.
+scores the whole objective array at once, and replays the
+incumbent/pruning order over it with the canonical
+:func:`~repro.core.sweep.replay_sweep` — a prefix-min scan, with only the
+surrendered rows planned one by one.  The batched kernels replicate the
+scalar planner's float semantics operation-for-operation and surrender
+any row they cannot certify back to the scalar planner, the winner is
+materialised by the scalar planner and cross-checked, and the sweep
+control flow is shared with the scalar loop — so
+:class:`ScheduleDecision`, :class:`PruningStats`, and the obs event
+stream are bit-identical to the bounded scalar loop.  The per-candidate
+``ScheduleDecision.evaluations`` rows are built from the sweep's arrays
+on first read.  Planners with no batch surface take that scalar loop
+(:meth:`AppLeSAgent._schedule_loop`) as their production path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable
+
+import numpy as np
 
 from repro.core.actuator import Actuator, RecordingActuator
 from repro.core.estimator import PerformanceEstimator, make_estimator
 from repro.core.infopool import InformationPool
 from repro.core.planner import Planner
 from repro.core.schedule import Schedule
-from repro.core.selector import ResourceSelector
+from repro.core.selector import ResourceSelector, member_masks_over
 from repro.core.sweep import (
     BatchedObjective,
     PruningStats,
@@ -125,10 +131,6 @@ class ScheduleDecision:
         The chosen schedule.
     best_objective:
         Its objective value (lower is better).
-    evaluations:
-        Every candidate considered, in evaluation order — the paper's
-        "consider more options ... at machine speeds" made observable.
-        Pruned candidates appear with ``pruned=True``.
     metric:
         Name of the user's performance metric.
     pruning:
@@ -136,14 +138,32 @@ class ScheduleDecision:
     vectorised:
         Whether the one-shot candidate tensor sweep answered this decision
         (False on the scalar loop and the reference oracle).
+    rows:
+        The :attr:`evaluations` rows, or a zero-argument callable that
+        builds them; :attr:`evaluations` calls it on first read.
     """
 
     best: Schedule
     best_objective: float
-    evaluations: list[CandidateEvaluation] = field(default_factory=list)
     metric: str = "execution_time"
     pruning: PruningStats | None = None
     vectorised: bool = False
+    rows: (
+        list[CandidateEvaluation] | Callable[[], list[CandidateEvaluation]]
+    ) = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def evaluations(self) -> list[CandidateEvaluation]:
+        """Every candidate considered, in candidate order — the paper's
+        "consider more options ... at machine speeds" made observable.
+
+        Pruned candidates appear with ``pruned=True``.  Built from the
+        sweep's arrays on first read and cached, so the rows (and their
+        identity) are the same on every read.
+        """
+        if callable(self.rows):
+            self.rows = self.rows()
+        return self.rows
 
     @property
     def candidates_considered(self) -> int:
@@ -196,6 +216,34 @@ class ScheduleDecision:
         return "\n".join(lines)
 
 
+def _candidate_rows(
+    objective: BatchedObjective,
+    bounds: np.ndarray | None,
+    result: SweepResult,
+    best: Schedule,
+) -> list[CandidateEvaluation]:
+    """Per-candidate rows of a decision, in candidate order.
+
+    Pruned rows carry their bound; evaluated rows carry their objective
+    and, where the scalar planner ran for them (every row of the scalar
+    loop, surrendered rows of the vectorised sweep), their schedule.  The
+    winner row holds the chosen schedule.
+    """
+    objectives = objective.objectives.tolist()
+    lower = bounds.tolist() if bounds is not None else None
+    schedules = objective.schedules
+    rows: list[CandidateEvaluation] = []
+    for idx, (rset, skipped) in enumerate(zip(objective.csets, result.pruned)):
+        if skipped:
+            rows.append(CandidateEvaluation(
+                rset, None, float("inf"), pruned=True, lower_bound=lower[idx],
+            ))
+        else:
+            sched = best if idx == result.best_idx else schedules.get(idx)
+            rows.append(CandidateEvaluation(rset, sched, objectives[idx]))
+    return rows
+
+
 class AppLeSAgent:
     """An application-level scheduling agent.
 
@@ -230,28 +278,6 @@ class AppLeSAgent:
         self.estimator = estimator
         self.actuator = actuator if actuator is not None else RecordingActuator()
 
-    def _lower_bounds(
-        self, candidate_sets: list[tuple[str, ...]]
-    ) -> list[float] | None:
-        """Admissible objective lower bound per candidate set, or None.
-
-        Requires both optional hooks: the Planner's vectorized time bounds
-        and the Estimator's mapping from a time bound to an objective
-        bound.  Any failure disables pruning for this decision (the loop
-        below then degenerates to the exhaustive scan).
-        """
-        planner_bounds = getattr(self.planner, "lower_bounds", None)
-        estimator_bound = getattr(self.estimator, "objective_lower_bound", None)
-        if planner_bounds is None or estimator_bound is None:
-            return None
-        time_bounds = planner_bounds(candidate_sets, self.info)
-        if time_bounds is None or len(time_bounds) != len(candidate_sets):
-            return None
-        return [
-            estimator_bound(float(tb), rset, self.info)
-            for tb, rset in zip(time_bounds, candidate_sets)
-        ]
-
     def schedule(self, snapshot: Any | None = None) -> ScheduleDecision:
         """Run blueprint steps 1–3: select, plan, estimate, choose.
 
@@ -275,11 +301,11 @@ class AppLeSAgent:
             if begin is not None:
                 begin(self.info)
             try:
-                if hasattr(self.estimator, "objective_from_prediction"):
+                if hasattr(self.estimator, "objectives_from_predictions"):
                     bp = resolve_batch_planner(self.planner, self.info)
                     if bp is not None:
                         return self._schedule_vectorised(candidate_sets, bp)
-                bounds = self._lower_bounds(candidate_sets)
+                bounds = objective_bounds(self, self.planner, candidate_sets)
                 return self._schedule_loop(candidate_sets, bounds)
             finally:
                 if end is not None:
@@ -307,7 +333,7 @@ class AppLeSAgent:
     def _schedule_loop(
         self,
         candidate_sets: list[tuple[str, ...]],
-        bounds: Sequence[float] | None,
+        bounds: np.ndarray | None,
     ) -> ScheduleDecision:
         # Observability (repro.obs): the span/metric calls below only read
         # decision state, never influence it — tracing on/off is
@@ -360,51 +386,28 @@ class AppLeSAgent:
     def _candidate_sweep(
         self,
         candidate_sets: list[tuple[str, ...]],
-        bounds: Sequence[float] | None,
+        bounds: np.ndarray | None,
         span: Any | None,
         t_dec: float | None,
     ) -> ScheduleDecision:
-        schedules: dict[int, Schedule | None] = {}
-        objectives: dict[int, float] = {}
-
-        def objective(idx: int) -> float:
-            sched = self.planner.plan(candidate_sets[idx], self.info)
-            schedules[idx] = sched
-            obj = (
-                float("inf")
-                if sched is None
-                else self.estimator.objective(sched, self.info)
-            )
-            objectives[idx] = obj
-            return obj
-
+        # Nothing precomputed: every row is lazy, planned and estimated
+        # one at a time as the sweep reaches it.
+        objective = BatchedObjective(self, candidate_sets)
         result = replay_sweep(
-            len(candidate_sets), bounds, objective,
+            bounds, objective.objectives, objective.lazy, objective.resolve,
             self._incumbent_hook(span, t_dec),
         )
         if result.best_idx < 0:
             raise RuntimeError(
                 f"no feasible schedule across {len(candidate_sets)} candidate resource sets"
             )
-        evaluations: list[CandidateEvaluation] = []
-        for idx, rset in enumerate(candidate_sets):
-            if result.pruned[idx]:
-                evaluations.append(
-                    CandidateEvaluation(
-                        rset, None, float("inf"),
-                        pruned=True, lower_bound=bounds[idx],
-                    )
-                )
-            else:
-                evaluations.append(
-                    CandidateEvaluation(rset, schedules[idx], objectives[idx])
-                )
+        best = objective.schedules[result.best_idx]
         return ScheduleDecision(
-            best=schedules[result.best_idx],
+            best=best,
             best_objective=result.best_objective,
-            evaluations=evaluations,
             metric=self.info.userspec.performance_metric,
             pruning=result.stats(bounds is not None),
+            rows=partial(_candidate_rows, objective, bounds, result, best),
         )
 
     def _schedule_vectorised(
@@ -413,18 +416,16 @@ class AppLeSAgent:
         """One-shot candidate tensor sweep: the whole decision in one batch.
 
         Stacks every candidate set into a membership-mask matrix, evaluates
-        all of them in a single one-job ``evaluate_strip_batch`` call, then
-        replays the canonical sweep over the precomputed objectives.  Rows
-        the batched core surrendered are planned by the scalar planner on
-        demand; the winner is materialised by the scalar planner and
-        cross-checked.  Runs inside the decision scope ``schedule()``
-        already opened, so all snapshot/model/plan memos are shared with
-        any scalar fallbacks.
+        all of them in a single one-job ``evaluate_strip_batch`` call,
+        scores the objective array, then replays the canonical sweep over
+        it.  Rows the batched core surrendered are planned by the scalar
+        planner when the sweep reaches them unpruned; the winner is
+        materialised by the scalar planner and cross-checked.  Runs inside
+        the decision scope ``schedule()`` already opened, so all
+        snapshot/model/plan memos are shared with any scalar fallbacks.
         """
         # Deferred import: repro.jacobi builds on repro.core.
-        import numpy as np
-
-        from repro.jacobi.apples import evaluate_strip_batch, member_masks_over
+        from repro.jacobi.apples import evaluate_strip_batch
 
         info = self.info
         names = info.pool.machine_names()
@@ -451,7 +452,7 @@ class AppLeSAgent:
         ) as span:
             objective = BatchedObjective(self, candidate_sets, inputs, ev)
             result = replay_sweep(
-                len(candidate_sets), bounds, objective,
+                bounds, objective.objectives, objective.lazy, objective.resolve,
                 self._incumbent_hook(span if traced else None, t_dec),
             )
             best = materialise_winner(self, candidate_sets, result)
@@ -459,12 +460,10 @@ class AppLeSAgent:
             decision = ScheduleDecision(
                 best=best,
                 best_objective=result.best_objective,
-                evaluations=self._batched_evaluations(
-                    candidate_sets, bounds, result, objective, best
-                ),
                 metric=info.userspec.performance_metric,
                 pruning=stats,
                 vectorised=True,
+                rows=partial(_candidate_rows, objective, bounds, result, best),
             )
             if traced:
                 span.attrs.update(
@@ -474,36 +473,6 @@ class AppLeSAgent:
                 )
                 record_pruning_stats(tracer.metrics, stats)
         return decision
-
-    @staticmethod
-    def _batched_evaluations(
-        candidate_sets: list[tuple[str, ...]],
-        bounds: Sequence[float] | None,
-        result: SweepResult,
-        objective: BatchedObjective,
-        best: Schedule,
-    ) -> list[CandidateEvaluation]:
-        """Per-candidate rows of a vectorised decision, in candidate order.
-
-        Pruned rows mirror the scalar loop exactly; evaluated rows
-        carry the batched objective with ``schedule=None`` unless the
-        scalar planner ran for them (surrendered rows and the winner).
-        """
-        evaluations: list[CandidateEvaluation] = []
-        for idx, rset in enumerate(candidate_sets):
-            if result.pruned[idx]:
-                evaluations.append(
-                    CandidateEvaluation(
-                        rset, None, float("inf"),
-                        pruned=True, lower_bound=bounds[idx],
-                    )
-                )
-                continue
-            sched = best if idx == result.best_idx else objective.schedules.get(idx)
-            evaluations.append(
-                CandidateEvaluation(rset, sched, objective.memo[idx])
-            )
-        return evaluations
 
     def run(self, t0: float = 0.0) -> tuple[ScheduleDecision, Any]:
         """Blueprint steps 1–4: schedule, then actuate the winner at ``t0``."""

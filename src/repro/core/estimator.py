@@ -13,8 +13,12 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, Sequence
 
+import numpy as np
+
 from repro.core.infopool import InformationPool
+from repro.core.planner import ordered_sum
 from repro.core.schedule import Schedule
+from repro.core.selector import member_masks_over
 
 __all__ = [
     "PerformanceEstimator",
@@ -28,11 +32,19 @@ __all__ = [
 class PerformanceEstimator(Protocol):
     """Protocol: score a candidate schedule (lower objective = better).
 
-    Estimators may optionally implement
-    ``objective_lower_bound(time_lb, resource_set, info) -> float`` — an
-    admissible objective bound given a lower bound on predicted time for a
-    candidate set, used by the Coordinator's pruning fast path.  Estimators
-    without it simply disable pruning (never changing any decision).
+    Estimators may optionally implement two array hooks, each scoring a
+    whole candidate space at once with the same IEEE operations as the
+    Schedule-based :meth:`objective`:
+
+    - ``objective_lower_bounds(time_lbs, candidate_sets, info,
+      member_mask=None) -> ndarray`` — admissible objective bounds given
+      lower bounds on predicted time, one per candidate set, used by the
+      Coordinator's pruning.  Estimators without it disable pruning (never
+      changing any decision).
+    - ``objectives_from_predictions(predicted, kept, names, info) ->
+      ndarray`` — the objective of each batched plan from its predicted
+      time and kept-member mask over ``names`` (the strip order), used by
+      the vectorised sweep.  Estimators without it take the scalar loop.
     """
 
     def objective(self, schedule: Schedule, info: InformationPool) -> float:
@@ -55,24 +67,33 @@ class ExecutionTimeEstimator:
     def metric_value(self, schedule: Schedule, info: InformationPool) -> float:
         return schedule.predicted_time
 
-    def objective_lower_bound(
-        self, time_lb: float, resource_set: Sequence[str], info: InformationPool
-    ) -> float:
-        """Objective is the time itself, so the time bound is the bound."""
-        return time_lb
+    def objective_lower_bounds(
+        self,
+        time_lbs: np.ndarray,
+        candidate_sets: Sequence[Sequence[str]],
+        info: InformationPool,
+        member_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Objective is the time itself, so the time bounds are the bounds."""
+        return time_lbs
 
-    def objective_from_prediction(
-        self, predicted_time: float, machines: Sequence[str], info: InformationPool
-    ) -> float:
-        """:meth:`objective` without a Schedule object.
+    def objectives_from_predictions(
+        self,
+        predicted: np.ndarray,
+        kept: np.ndarray,
+        names: Sequence[str],
+        info: InformationPool,
+    ) -> np.ndarray:
+        """:meth:`objective` for many batched plans, without Schedules.
 
-        ``machines`` is the schedule's kept resource set (in allocation
-        order) — what :attr:`Schedule.resource_set` would be.  The batched
-        scheduling service scores candidates from predicted times alone,
-        so every estimator mirrors its objective here with the exact same
+        ``predicted`` holds each plan's predicted time and ``kept`` its
+        ``(k, n)`` kept-member mask over ``names``, listed in allocation
+        order — what :attr:`Schedule.resource_set` would be.  The batched
+        sweeps score candidates from predicted times alone, so every
+        estimator mirrors its objective here with the exact same
         arithmetic.
         """
-        return predicted_time
+        return predicted
 
 
 class SpeedupEstimator:
@@ -107,17 +128,25 @@ class SpeedupEstimator:
             return float("inf")
         return self._baseline_time(info) / schedule.predicted_time
 
-    def objective_lower_bound(
-        self, time_lb: float, resource_set: Sequence[str], info: InformationPool
-    ) -> float:
+    def objective_lower_bounds(
+        self,
+        time_lbs: np.ndarray,
+        candidate_sets: Sequence[Sequence[str]],
+        info: InformationPool,
+        member_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Monotone in time: bound / baseline bounds the objective below."""
-        return time_lb / self._baseline_time(info)
+        return time_lbs / self._baseline_time(info)
 
-    def objective_from_prediction(
-        self, predicted_time: float, machines: Sequence[str], info: InformationPool
-    ) -> float:
-        """:meth:`objective` without a Schedule (same division, same floats)."""
-        return predicted_time / self._baseline_time(info)
+    def objectives_from_predictions(
+        self,
+        predicted: np.ndarray,
+        kept: np.ndarray,
+        names: Sequence[str],
+        info: InformationPool,
+    ) -> np.ndarray:
+        """:meth:`objective` without Schedules (same division, same floats)."""
+        return predicted / self._baseline_time(info)
 
 
 class CostEstimator:
@@ -138,7 +167,8 @@ class CostEstimator:
 
     def _cost(self, schedule: Schedule, info: InformationPool) -> float:
         rates = info.userspec.cost_per_cpu_second
-        rate_sum = sum(rates.get(m, 0.0) for m in schedule.resource_set)
+        # Plain left-to-right addition, as objectives_from_predictions.
+        rate_sum = ordered_sum(rates.get(m, 0.0) for m in schedule.resource_set)
         return schedule.predicted_time * rate_sum
 
     def objective(self, schedule: Schedule, info: InformationPool) -> float:
@@ -147,30 +177,48 @@ class CostEstimator:
     def metric_value(self, schedule: Schedule, info: InformationPool) -> float:
         return self._cost(schedule, info)
 
-    def objective_lower_bound(
-        self, time_lb: float, resource_set: Sequence[str], info: InformationPool
-    ) -> float:
+    def objective_lower_bounds(
+        self,
+        time_lbs: np.ndarray,
+        candidate_sets: Sequence[Sequence[str]],
+        info: InformationPool,
+        member_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Admissible bound: the schedule uses at least one machine of the
         candidate set (possibly fewer after planner drops), so its rate sum
-        is at least the cheapest member's rate."""
+        is at least the cheapest member's rate.  ``member_mask`` is the
+        sets' membership over ``info.pool.machine_names()`` (built here
+        when the caller has none)."""
+        names = info.pool.machine_names()
+        if member_mask is None:
+            member_mask = member_masks_over(candidate_sets, names)
         rates = info.userspec.cost_per_cpu_second
-        if not resource_set:
-            return self.time_weight * time_lb
-        min_rate = min(rates.get(m, 0.0) for m in resource_set)
-        return time_lb * min_rate + self.time_weight * time_lb
+        rate = np.array([rates.get(m, 0.0) for m in names])
+        min_rate = np.where(member_mask, rate, np.inf).min(axis=1)
+        with np.errstate(invalid="ignore"):  # inf * 0.0, as in Python floats
+            weighted = self.time_weight * time_lbs
+            bounds = time_lbs * min_rate + weighted
+        return np.where(member_mask.any(axis=1), bounds, weighted)
 
-    def objective_from_prediction(
-        self, predicted_time: float, machines: Sequence[str], info: InformationPool
-    ) -> float:
-        """:meth:`objective` without a Schedule.
+    def objectives_from_predictions(
+        self,
+        predicted: np.ndarray,
+        kept: np.ndarray,
+        names: Sequence[str],
+        info: InformationPool,
+    ) -> np.ndarray:
+        """:meth:`objective` without Schedules.
 
-        ``machines`` must be the *kept* machine list in allocation order —
-        the rate sum runs left-to-right over it, exactly like the
-        Schedule-based path sums over :attr:`Schedule.resource_set`.
+        The rate sum is a left-to-right ``cumsum`` over each row's kept
+        machines in allocation order (non-members add an exact ``0.0``):
+        the same additions, in the same order, as the
+        :func:`~repro.core.planner.ordered_sum` over
+        :attr:`Schedule.resource_set` in :meth:`objective`.
         """
         rates = info.userspec.cost_per_cpu_second
-        rate_sum = sum(rates.get(m, 0.0) for m in machines)
-        return predicted_time * rate_sum + self.time_weight * predicted_time
+        rate = np.array([rates.get(m, 0.0) for m in names])
+        rate_sum = np.cumsum(np.where(kept, rate, 0.0), axis=1)[:, -1]
+        return predicted * rate_sum + self.time_weight * predicted
 
 
 def make_estimator(metric: str, **kwargs) -> PerformanceEstimator:

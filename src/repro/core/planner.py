@@ -34,7 +34,7 @@ the vector engine behind the Coordinator's candidate pruning bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import math
 
@@ -47,14 +47,27 @@ from repro.util.validation import check_positive
 __all__ = [
     "Planner",
     "BalanceResult",
-    "BatchBalanceResult",
     "ExactBatchBalance",
     "balance_divisible_work",
     "balance_divisible_work_batched",
     "balance_prefix_exact_batched",
     "fractional_time_floor",
+    "ordered_sum",
     "TimeBalancedPlanner",
 ]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right in plain float arithmetic.
+
+    The summation the batched kernels mirror with a left-to-right
+    ``np.cumsum``.  An explicit loop rather than ``sum()``: since Python
+    3.12, ``sum()`` of floats is compensated and can round differently.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class Planner(Protocol):
@@ -195,8 +208,8 @@ def _balance_reference(
     for _ in range(2 * n + 1):
         if not active:
             return None  # capacity exhausted before all work placed
-        rate_sum = sum(rates[i] for i in active)
-        weighted_cost = sum(rates[i] * fixed_costs[i] for i in active)
+        rate_sum = ordered_sum(rates[i] for i in active)
+        weighted_cost = ordered_sum(rates[i] * fixed_costs[i] for i in active)
         t = (remaining + weighted_cost) / rate_sum
         # Drop machines whose fixed cost alone exceeds the balanced time.
         useless = [i for i in active if fixed_costs[i] >= t]
@@ -291,8 +304,8 @@ def _balance_fast(
 
     active = sorted(order[:k])
     # Terminating pass, arithmetic identical to the reference loop.
-    rate_sum = sum(rates[i] for i in active)
-    weighted_cost = sum(rates[i] * fixed_costs[i] for i in active)
+    rate_sum = ordered_sum(rates[i] for i in active)
+    weighted_cost = ordered_sum(rates[i] * fixed_costs[i] for i in active)
     t = (total_units + weighted_cost) / rate_sum
 
     # Certify the reference's drop predicate at the final T; ties within
@@ -325,33 +338,12 @@ def _balance_fast(
     )
 
 
-@dataclass(frozen=True)
-class BatchBalanceResult:
-    """Outcome of :func:`balance_divisible_work_batched`.
-
-    Attributes
-    ----------
-    makespans:
-        Balanced step time per candidate set, shape ``(m,)``; ``inf`` for
-        sets with no usable member.
-    allocations:
-        Work units per (set, machine), shape ``(m, n)``; zero outside the
-        set and for dropped machines.
-    active:
-        Boolean mask of machines loaded at the optimum, shape ``(m, n)``.
-    """
-
-    makespans: np.ndarray
-    allocations: np.ndarray
-    active: np.ndarray
-
-
 def balance_divisible_work_batched(
     rates: Sequence[float] | np.ndarray,
     fixed_costs: Sequence[float] | np.ndarray,
     total_units: float | Sequence[float] | np.ndarray,
     members: np.ndarray | Sequence[Sequence[bool]] | None = None,
-) -> BatchBalanceResult:
+) -> np.ndarray:
     """Water-fill many candidate sets over one machine universe at once.
 
     Solves, for every row mask ``S`` of ``members``, the uncapacitated
@@ -361,6 +353,10 @@ def balance_divisible_work_batched(
     one solver call per set.  This is the engine behind the Coordinator's
     pruning bounds: thousands of candidate resource sets bounded in a
     single call.
+
+    Returns the balanced step time per candidate set, shape ``(m,)``
+    (``inf`` for sets with no usable member) — the bounds read nothing
+    else, so allocations are never formed.
 
     Parameters
     ----------
@@ -430,24 +426,10 @@ def balance_divisible_work_batched(
     ok = cs < t_prefix  # prefix-monotone per row
     k = np.count_nonzero(ok, axis=1)  # active prefix length per set
 
-    m = mask.shape[0]
-    makespans = np.full(m, np.inf)
-    nonempty = k > 0
-    rows = np.nonzero(nonempty)[0]
+    makespans = np.full(mask.shape[0], np.inf)
+    rows = np.nonzero(k > 0)[0]
     makespans[rows] = t_prefix[rows, k[rows] - 1]
-
-    # Allocations in sorted space, scattered back to machine order.
-    t_col = np.where(nonempty, makespans, 0.0)[:, None]
-    positions = np.arange(n)[None, :]
-    active_sorted = positions < k[:, None]
-    alloc_sorted = np.where(active_sorted, rs * (t_col - np.where(np.isfinite(cs), cs, 0.0)), 0.0)
-    allocations = np.zeros_like(alloc_sorted)
-    np.put_along_axis(allocations, order, alloc_sorted, axis=1)
-    active = np.zeros_like(mask)
-    np.put_along_axis(active, order, active_sorted, axis=1)
-    return BatchBalanceResult(
-        makespans=makespans, allocations=allocations, active=active & mask
-    )
+    return makespans
 
 
 @dataclass(frozen=True)
@@ -631,10 +613,10 @@ class TimeBalancedPlanner:
                     mask[i, j] = True
         safe_rates = np.where(usable, rates, 1.0)
         total = info.hat.structure.total_units
-        result = balance_divisible_work_batched(
+        makespans = balance_divisible_work_batched(
             safe_rates, np.zeros_like(safe_rates), total, mask
         )
-        return result.makespans * info.hat.structure.iterations
+        return makespans * info.hat.structure.iterations
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
         from repro.core.schedule import Allocation  # local to avoid cycle at import

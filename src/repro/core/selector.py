@@ -16,8 +16,10 @@ tightened prefixes per site.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.core.distance import set_diameter
 from repro.core.infopool import InformationPool
@@ -26,9 +28,43 @@ from repro.obs.trace import get_tracer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.coordinator import PruningStats
 
-__all__ = ["ResourceSelector", "SeededSelector", "LocalitySelector"]
+__all__ = [
+    "ResourceSelector",
+    "SeededSelector",
+    "LocalitySelector",
+    "member_masks_over",
+]
 
 _REGIMES = ("auto", "exhaustive", "greedy")
+
+
+def member_masks_over(
+    candidate_sets: Sequence[Sequence[str]], names: Sequence[str]
+) -> np.ndarray:
+    """``(m, n)`` membership matrix of ``candidate_sets`` over ``names``.
+
+    One flat scatter instead of a per-set Python loop — with thousands of
+    candidate sets the loop is a measurable slice of a whole batched
+    decision, so the name lookups run as C-level ``map`` calls.  Unknown
+    machine names are simply absent from the mask, matching the per-set
+    lookup the planners do themselves.
+    """
+    index = {m: j for j, m in enumerate(names)}
+    m_sets = len(candidate_sets)
+    masks = np.zeros((m_sets, len(names)), dtype=bool)
+    lens = np.fromiter(map(len, candidate_sets), dtype=np.int64, count=m_sets)
+    total = int(lens.sum())
+    if total == 0:
+        return masks
+    rows = np.repeat(np.arange(m_sets), lens)
+    cols = np.fromiter(
+        map(index.get, chain.from_iterable(candidate_sets), repeat(-1)),
+        dtype=np.int64,
+        count=total,
+    )
+    known = cols >= 0
+    masks[rows[known], cols[known]] = True
+    return masks
 
 
 class ResourceSelector:

@@ -11,15 +11,19 @@ objectives).  Both replicas had to agree decision-for-decision; now they
 
 :func:`replay_sweep` is the pure control flow — the seed-candidate choice,
 the incumbent updates (strict minimum, ties to the earlier index), and the
-pruning predicate with its relative epsilon.  It is parameterised only by
-an ``objective(idx)`` callable, so the same code drives
+pruning predicate with its relative epsilon.  It reads an objective array
+plus a mask of *lazy* rows resolved through a callback, so the same code
+drives
 
-- the Coordinator's scalar loop (``objective`` plans and estimates one
-  candidate),
+- the Coordinator's scalar loop (every row lazy: resolving one plans and
+  estimates that candidate),
 - the Coordinator's vectorised solo fast path and the scheduling
-  service's batched core (``objective`` reads a precomputed
-  :class:`~repro.jacobi.apples.StripBatchEvaluation` row via
-  :class:`BatchedObjective`).
+  service's batched core (objectives scored from a precomputed
+  :class:`~repro.jacobi.apples.StripBatchEvaluation` by
+  :class:`BatchedObjective`; only surrendered rows are lazy).
+
+Between lazy rows the replay is a prefix-min scan in NumPy, so a sweep
+over thousands of precomputed objectives costs a few array passes.
 
 Because every consumer replays the identical incumbent/pruning order, the
 chosen schedule, the :class:`PruningStats`, and the ``core.incumbent``
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "PRUNE_RELATIVE_EPS",
@@ -114,13 +120,25 @@ class SweepResult:
         )
 
 
+def _seed_index(bounds: np.ndarray) -> int:
+    """``min(range(n), key=bounds.__getitem__)``: the first smallest bound.
+
+    ``np.argmin`` alone would pick the first NaN; Python's ``min`` keeps a
+    NaN only in position 0 and otherwise never selects one.
+    """
+    if np.isnan(bounds[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(bounds), _INF, bounds)))
+
+
 def replay_sweep(
-    count: int,
-    bounds: Sequence[float] | None,
-    objective: Callable[[int], float],
+    bounds: np.ndarray | None,
+    objectives: np.ndarray,
+    lazy: np.ndarray,
+    resolve: Callable[[int], float],
     on_incumbent: Callable[[int, float, bool], None] | None = None,
 ) -> SweepResult:
-    """Run the canonical prune-and-choose sweep over ``count`` candidates.
+    """Run the canonical prune-and-choose sweep over a candidate space.
 
     Exactly the Coordinator's reference semantics:
 
@@ -136,99 +154,157 @@ def replay_sweep(
       the strict ``<`` incumbent update means skipping a tie never changes
       the first-minimum winner either.
 
-    ``objective(idx)`` returns the candidate's objective (``inf`` for
-    infeasible); ``on_incumbent(idx, objective, seeded)`` fires on every
-    incumbent improvement, in evaluation order — the hook behind the
+    ``objectives[i]`` is candidate ``i``'s objective (``inf`` for
+    infeasible).  Rows flagged in ``lazy`` carry no value yet: each one the
+    sweep does not prune is resolved through ``resolve(i)`` in evaluation
+    order (the seed first, then index order) and its value written back
+    into ``objectives``.  The scalar loop marks every row lazy.
+    ``on_incumbent(idx, objective, seeded)`` fires on every incumbent
+    improvement, in evaluation order — the hook behind the
     ``core.incumbent`` observability events.
+
+    Between lazy rows the sweep is a prefix-min scan: a running minimum
+    (``np.fmin.accumulate``, which like ``<`` never takes a NaN) decides
+    every pruning predicate of the stretch at once, and only rows at or
+    below the running minimum can fire an incumbent event.  That equals the
+    row-by-row replay as long as no pruned row would have lowered the
+    minimum — true for admissible bounds; a stretch where a pruned row
+    does (an inadmissible bound in floats) is replayed row by row.
     """
+    objectives = np.asarray(objectives, dtype=float)
+    if bounds is not None:
+        bounds = np.asarray(bounds, dtype=float)
+    count = len(objectives)
+    margin = 1.0 + PRUNE_RELATIVE_EPS
+    pruned = np.zeros(count, dtype=bool)
     best_obj = _INF
-    best_idx = -1
-    seed_idx = -1
-    pruned = [False] * count
+    best_idx = seed_idx = -1
 
-    if bounds is not None and count > 1:
-        seed_idx = min(range(count), key=bounds.__getitem__)
-        obj = objective(seed_idx)
-        if obj < _INF:
-            best_obj, best_idx = obj, seed_idx
-            if on_incumbent is not None:
-                on_incumbent(seed_idx, obj, True)
-
-    for idx in range(count):
-        if idx == seed_idx:
-            continue
-        if bounds is not None:
-            lb = bounds[idx]
-            if best_obj < _INF and lb >= best_obj * (1.0 + PRUNE_RELATIVE_EPS):
-                pruned[idx] = True
-                continue
-        obj = objective(idx)
+    def offer(idx: int, obj: float, seeded: bool = False) -> None:
+        nonlocal best_obj, best_idx
         if obj < best_obj or (obj == best_obj and idx < best_idx):
             best_obj, best_idx = obj, idx
             if on_incumbent is not None:
-                on_incumbent(idx, obj, False)
+                on_incumbent(idx, obj, seeded)
+
+    def prunes(idx: int) -> bool:
+        return (
+            bounds is not None
+            and best_obj < _INF
+            and bounds[idx] >= best_obj * margin
+        )
+
+    def evaluate(idx: int) -> float:
+        if lazy[idx]:
+            objectives[idx] = obj = resolve(idx)
+            return obj
+        return float(objectives[idx])
+
+    def scan(lo: int, hi: int) -> None:
+        """Rows ``lo..hi-1``, none of them lazy or the seed."""
+        objs = objectives[lo:hi]
+        before = np.fmin.accumulate(np.concatenate(([best_obj], objs[:-1])))
+        offers = objs < before
+        if bounds is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cut = (before < _INF) & (bounds[lo:hi] >= before * margin)
+            if np.any(cut & offers):
+                for idx in range(lo, hi):
+                    if prunes(idx):
+                        pruned[idx] = True
+                    else:
+                        offer(idx, float(objectives[idx]))
+                return
+            pruned[lo:hi] = cut
+            # A tie moves the incumbent only onto a row ahead of the seed.
+            ties = objs == before
+            ties[max(seed_idx - lo, 0):] = False
+            offers = (offers | ties) & ~cut
+        for k in np.flatnonzero(offers).tolist():
+            offer(lo + k, float(objs[k]))
+
+    if bounds is not None and count > 1:
+        seed_idx = _seed_index(bounds)
+        obj = evaluate(seed_idx)
+        if obj < _INF:
+            offer(seed_idx, obj, seeded=True)
+
+    # The scan stops at every lazy row and at the seed.
+    stops = np.array(lazy, dtype=bool)
+    if seed_idx >= 0:
+        stops[seed_idx] = True
+    lo = 0
+    for stop in np.flatnonzero(stops).tolist() + [count]:
+        if stop > lo:
+            scan(lo, stop)
+        lo = stop + 1
+        if stop == count or stop == seed_idx:
+            continue
+        if prunes(stop):
+            pruned[stop] = True
+        else:
+            offer(stop, evaluate(stop))
 
     return SweepResult(
         best_idx=best_idx,
         best_objective=best_obj,
         seed_idx=seed_idx,
-        pruned=tuple(pruned),
+        pruned=tuple(pruned.tolist()),
     )
 
 
 class BatchedObjective:
     """Candidate objectives from a precomputed batched strip evaluation.
 
-    The ``objective(idx)`` callable for :func:`replay_sweep` when the
-    candidate space was evaluated by
+    The objective array and lazy-row resolver for :func:`replay_sweep`
+    when the candidate space was evaluated by
     :func:`~repro.jacobi.apples.evaluate_strip_batch`:
 
-    - rows the batched core certified (``feasible``) are scored through
-      the estimator's ``objective_from_prediction`` — the same floats the
-      Schedule-based objective would produce, without the Schedule;
-    - rows it *surrendered* (``fallback``) are planned by the scalar
-      planner here, inside the caller's decision scope, and their
-      schedules kept for callers that report per-candidate rows;
+    - rows the batched core certified (``feasible``) are scored up front
+      through the estimator's ``objectives_from_predictions`` — the same
+      floats the Schedule-based objective would produce, without the
+      Schedules;
+    - rows it *surrendered* (``fallback``) are ``lazy``: :meth:`resolve`
+      plans them with the scalar planner, inside the caller's decision
+      scope, and keeps their schedules in ``schedules`` for callers that
+      report per-candidate rows;
     - remaining rows mirror ``plan() is None`` (objective ``inf``).
 
-    ``memo``/``schedules`` expose what one sweep actually computed, keyed
-    by candidate index: the Coordinator's vectorised solo path turns them
-    into ``ScheduleDecision.evaluations`` rows.
+    Without an evaluation (``ev=None``) nothing is precomputed and every
+    row is lazy — the Coordinator's scalar loop.
     """
 
-    __slots__ = ("_agent", "_csets", "_rank_names", "_ev", "memo", "schedules")
+    __slots__ = ("_agent", "csets", "objectives", "lazy", "schedules")
 
-    def __init__(self, agent: Any, csets: Sequence, inputs: Any, ev: Any) -> None:
+    def __init__(
+        self, agent: Any, csets: Sequence, inputs: Any = None, ev: Any = None
+    ) -> None:
         self._agent = agent
-        self._csets = csets
-        self._rank_names = inputs.rank_names
-        self._ev = ev
-        self.memo: dict[int, float] = {}
+        self.csets = csets
+        self.objectives = np.full(len(csets), _INF)
         self.schedules: dict[int, Any] = {}
+        if ev is None:
+            self.lazy = np.ones(len(csets), dtype=bool)
+            return
+        self.lazy = ev.fallback
+        certified = np.flatnonzero(ev.feasible)
+        # No certified row, no scoring: a speedup estimator's lazy
+        # baseline stays uncomputed, as on the scalar path.
+        if certified.size:
+            score = agent.estimator.objectives_from_predictions
+            self.objectives[certified] = score(
+                ev.predicted[certified], ev.kept[certified], inputs.rank_names,
+                agent.info,
+            )
 
-    def __call__(self, idx: int) -> float:
-        obj = self.memo.get(idx)
-        if obj is not None:
-            return obj
+    def resolve(self, idx: int) -> float:
+        """Plan lazy row ``idx`` with the scalar planner and estimate it."""
         agent = self._agent
-        ev = self._ev
-        if ev.fallback[idx]:
-            sched = agent.planner.plan(self._csets[idx], agent.info)
-            self.schedules[idx] = sched
-            obj = (
-                _INF
-                if sched is None
-                else agent.estimator.objective(sched, agent.info)
-            )
-        elif ev.feasible[idx]:
-            kept = [nm for nm, k in zip(self._rank_names, ev.kept[idx]) if k]
-            obj = agent.estimator.objective_from_prediction(
-                float(ev.predicted[idx]), kept, agent.info
-            )
-        else:
-            obj = _INF  # plan() returned None
-        self.memo[idx] = obj
-        return obj
+        sched = agent.planner.plan(self.csets[idx], agent.info)
+        self.schedules[idx] = sched
+        if sched is None:
+            return _INF
+        return agent.estimator.objective(sched, agent.info)
 
 
 def materialise_winner(agent: Any, csets: Sequence, result: SweepResult) -> Any:
@@ -274,19 +350,19 @@ def objective_bounds(
     planner: Any,
     csets: Sequence,
     member_mask: Any | None = None,
-) -> list[float] | None:
+) -> np.ndarray | None:
     """Admissible objective lower bound per candidate set, or ``None``.
 
-    ``AppLeSAgent._lower_bounds`` with the membership matrix reused: for a
-    batchable configuration the dispatcher has exactly one active family,
-    so that family's time bounds are the dispatcher's own — computed here
-    with the precomputed masks, then mapped through the estimator's
-    objective bound exactly like the Coordinator does.  Same floats as the
-    scalar path, by construction.
+    Requires both optional hooks: the planner's vectorised time bounds
+    (``lower_bounds``) and the estimator's mapping from time bounds to
+    objective bounds (``objective_lower_bounds``); without either, pruning
+    is disabled for the decision.  ``member_mask`` optionally supplies the
+    ``(m, n)`` membership matrix over ``info.pool.machine_names()`` that
+    the batched callers already built; the scalar loop passes none.
     """
-    estimator_bound = getattr(agent.estimator, "objective_lower_bound", None)
+    estimator_bounds = getattr(agent.estimator, "objective_lower_bounds", None)
     planner_bounds = getattr(planner, "lower_bounds", None)
-    if estimator_bound is None or planner_bounds is None:
+    if estimator_bounds is None or planner_bounds is None:
         return None
     if member_mask is not None:
         time_bounds = planner_bounds(csets, agent.info, member_mask=member_mask)
@@ -294,7 +370,6 @@ def objective_bounds(
         time_bounds = planner_bounds(csets, agent.info)
     if time_bounds is None or len(time_bounds) != len(csets):
         return None
-    return [
-        estimator_bound(float(tb), rset, agent.info)
-        for tb, rset in zip(time_bounds, csets)
-    ]
+    return estimator_bounds(
+        np.asarray(time_bounds, dtype=float), csets, agent.info, member_mask
+    )

@@ -34,7 +34,7 @@ from repro.core.planner import (
 )
 from repro.core.resources import ResourcePool
 from repro.core.schedule import Allocation, Schedule
-from repro.core.selector import ResourceSelector
+from repro.core.selector import ResourceSelector, member_masks_over
 from repro.core.userspec import UserSpecification
 from repro.jacobi.cost import StripCostModel, batched_neighbor_comm_costs
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
@@ -54,7 +54,6 @@ from repro.sim.testbeds import Testbed
 __all__ = [
     "locality_order",
     "batched_locality_orders",
-    "member_masks_over",
     "ApplesBlockedPlanner",
     "PreferencePlanner",
     "JacobiPlanner",
@@ -290,9 +289,9 @@ class JacobiPlanner:
 
         ``member_mask`` optionally supplies the ``(m, n)`` membership
         matrix over ``info.pool.machine_names()`` (unusable members are
-        filtered here either way) — the scheduling service builds it once
-        per request and shares it with the batched evaluator, skipping the
-        per-set Python loop below.  Values are unchanged.
+        filtered here either way) — the batched callers build it once per
+        decision and share it with the batched evaluator.  Values are
+        unchanged.
 
         The planner may keep any non-empty subset of a candidate set, so
         the bound is the minimum of two relaxations that together cover
@@ -317,18 +316,11 @@ class JacobiPlanner:
         model = self._model(info)
         names = info.pool.machine_names()
         n = len(names)
-        index = {nm: j for j, nm in enumerate(names)}
         rates = np.array([model.point_rate(nm) for nm in names])
         usable = rates > 0.0
-        if member_mask is not None:
-            mask = np.asarray(member_mask, dtype=bool) & usable[None, :]
-        else:
-            mask = np.zeros((len(candidate_sets), n), dtype=bool)
-            for i, rset in enumerate(candidate_sets):
-                for m in rset:
-                    j = index.get(m)
-                    if j is not None and usable[j]:
-                        mask[i, j] = True
+        if member_mask is None:
+            member_mask = member_masks_over(candidate_sets, names)
+        mask = np.asarray(member_mask, dtype=bool) & usable[None, :]
         safe_rates = np.where(usable, rates, 1.0)
         total = float(self.problem.total_points)
         iters = self.problem.iterations
@@ -352,15 +344,18 @@ class JacobiPlanner:
         np.fill_diagonal(pair, np.inf)
         # floors[i, m] = min border exchange from m to any other member of
         # set i (inf for singleton members — the singleton bound covers
-        # them, and inf marks them unusable in the water-fill).
-        floors = np.where(mask[:, None, :], pair[None, :, :], np.inf).min(axis=2)
+        # them, and inf marks them unusable in the water-fill): the first
+        # member of set i along m's neighbours sorted by exchange cost.
+        nearest = np.argsort(pair, axis=1, kind="stable")
+        first = np.argmax(mask[:, nearest], axis=2)
+        floors = np.take_along_axis(pair, nearest, axis=1)[np.arange(n), first]
         costs = sync + floors
-        result = balance_divisible_work_batched(safe_rates, costs, total, mask)
+        makespans = balance_divisible_work_batched(
+            safe_rates, costs, total, mask
+        )
         min_risk = np.where(mask, risks, np.inf).min(axis=1)
         min_risk = np.where(np.isfinite(min_risk), min_risk, 0.0)
-        multi_lb = (
-            result.makespans * iters * (1.0 + self.risk_aversion * min_risk)
-        )
+        multi_lb = makespans * iters * (1.0 + self.risk_aversion * min_risk)
         return np.minimum(single_lb, multi_lb)
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
@@ -531,36 +526,6 @@ class StripBatchInputs:
         return member_masks_over(candidate_sets, self.rank_names)
 
 
-def member_masks_over(
-    candidate_sets: Sequence[Sequence[str]], names: Sequence[str]
-) -> np.ndarray:
-    """``(m, n)`` membership matrix of ``candidate_sets`` over ``names``.
-
-    One flat scatter instead of a per-set Python loop — with thousands of
-    candidate sets the loop is a measurable slice of a whole batched
-    decision.  Unknown machine names are simply absent from the mask,
-    matching the per-set lookup the planners do themselves.
-    """
-    index = {m: j for j, m in enumerate(names)}
-    m_sets = len(candidate_sets)
-    masks = np.zeros((m_sets, len(names)), dtype=bool)
-    lens = np.fromiter(
-        (len(rset) for rset in candidate_sets), dtype=np.int64, count=m_sets
-    )
-    total = int(lens.sum())
-    if total == 0:
-        return masks
-    rows = np.repeat(np.arange(m_sets), lens)
-    cols = np.fromiter(
-        (index.get(nm, -1) for rset in candidate_sets for nm in rset),
-        dtype=np.int64,
-        count=total,
-    )
-    known = cols >= 0
-    masks[rows[known], cols[known]] = True
-    return masks
-
-
 @dataclass(frozen=True)
 class StripBatchEvaluation:
     """Per-candidate outcomes of one job inside :func:`evaluate_strip_batch`.
@@ -709,6 +674,19 @@ def evaluate_strip_batch(
     return results
 
 
+def _member_keys(member: np.ndarray, job_of: np.ndarray) -> np.ndarray:
+    """One opaque key per row: its job and its packed membership bits.
+
+    Equal keys mean the same job and the same member set, for any universe
+    size; the keys sort and compare as fixed-width byte strings.
+    """
+    job = job_of.astype(">u8").view(np.uint8).reshape(-1, 8)
+    key = np.ascontiguousarray(
+        np.concatenate([job, np.packbits(member, axis=1)], axis=1)
+    )
+    return key.view(np.dtype((np.void, key.shape[1]))).ravel()
+
+
 def _evaluate_chunk(
     masks,
     job_of,
@@ -730,20 +708,120 @@ def _evaluate_chunk(
     kept_out,
 ):
     """One chunk of :func:`evaluate_strip_batch` (results written in place)."""
+    member, areas_rank, done, stopped, continues = _fixpoint(
+        masks, job_of, job_rates, job_caps, job_pair, job_sync, job_total,
+        job_memory, fallback,
+    )
+    drows = np.nonzero(done)[0]
+    if drows.size:
+        _finalise_rows(
+            drows,
+            member,
+            areas_rank,
+            job_of,
+            job_rates,
+            job_caps,
+            job_avail,
+            job_pair,
+            job_risks,
+            job_sync,
+            job_grid,
+            job_bytes,
+            job_iters,
+            job_ra,
+            job_memory,
+            feasible,
+            fallback,
+            predicted,
+            kept_out,
+        )
+
+    # Follow each continuation chain to the row that finished, adding up
+    # the passes the chain stands for.
+    crows = np.nonzero(continues >= 0)[0]
+    if crows.size == 0:
+        return
+    final = continues[crows]
+    passes = stopped[crows].copy()
+    while True:
+        further = continues[final]
+        chained = further >= 0
+        if not chained.any():
+            break
+        passes[chained] += stopped[final[chained]]
+        final[chained] = further[chained]
+    passes += stopped[final]
+    within = passes <= _MAX_BATCH_PASSES
+    src, dst = final[within], crows[within]
+    feasible[dst] = feasible[src]
+    fallback[dst] = fallback[src]
+    predicted[dst] = predicted[src]
+    kept_out[dst] = kept_out[src]
+    # Past the structural bound the row would still have been pending.
+    fallback[crows[~within]] = True
+
+
+def _fixpoint(
+    masks,
+    job_of,
+    job_rates,
+    job_caps,
+    job_pair,
+    job_sync,
+    job_total,
+    job_memory,
+    fallback,
+):
+    """The drop/re-balance fixpoint of one chunk of rows.
+
+    Batch plan continuation: from a given member set onward, a row's
+    fixpoint depends on that set alone — the scalar planner's
+    ``("jacobi-plan", ...)`` continuation memo, applied across rows.  A row
+    whose members shrink (balance drop or dead-link drop) to the starting
+    member set of another row of the same job in this chunk stops
+    iterating and takes that row's final outcome; the passes the other row
+    needs count toward ``_MAX_BATCH_PASSES`` exactly as the passes they
+    replace.  On exhaustive candidate spaces every shrunk set is some row's
+    start, so the fixpoint ends after one pass.
+
+    Returns ``(member, areas_rank, done, stopped, continues)``: the final
+    members and areas of converged (``done``) rows, the pass in which each
+    row stopped iterating, and the row each continued row takes its outcome
+    from (``-1`` for none).  Surrendered rows are flagged in ``fallback``.
+    A function of its own, so the big per-pass temporaries are freed before
+    the chunk is finalised.
+    """
     m, n = masks.shape
     slots = np.arange(n)[None, :]
     rates_rows = job_rates[job_of]
     # The scalar plan first filters members predicted to deliver nothing.
     member = masks & (rates_rows > 0.0)
+    starts = _member_keys(member, job_of)
+    by_start = np.argsort(starts, kind="stable")
+    sorted_starts = starts[by_start]
 
     pending = np.ones(m, dtype=bool)
     done = np.zeros(m, dtype=bool)
     areas_rank = np.zeros((m, n))
+    # The pass in which each row stopped iterating; a continued row also
+    # names the row whose outcome it takes.
+    stopped = np.zeros(m, dtype=np.int64)
+    continues = np.full(m, -1, dtype=np.int64)
 
-    for _ in range(_MAX_BATCH_PASSES):
+    def continue_shrunk(grows):
+        """Rows ``grows`` just shrank; those whose member set now starts
+        another row stop iterating and continue as that row."""
+        keys = _member_keys(member[grows], job_of[grows])
+        pos = np.minimum(np.searchsorted(sorted_starts, keys), m - 1)
+        hit = sorted_starts[pos] == keys
+        continues[grows[hit]] = by_start[pos[hit]]
+        pending[grows[hit]] = False
+
+    for npass in range(1, _MAX_BATCH_PASSES + 1):
         rows = np.nonzero(pending)[0]
         if rows.size == 0:
             break
+        stopped[rows] = npass
         sub = member[rows]
         cnt = sub.sum(axis=1)
         sub_jobs = job_of[rows]
@@ -776,6 +854,7 @@ def _evaluate_chunk(
                 worst = np.argmax(costs_c[mrows], axis=1)
                 drop_rank = order_idx[mrows, worst]
                 member[rows[mrows], drop_rank] = False
+                continue_shrunk(rows[mrows])
             # Dropping leaves the row pending for the next pass.
 
         bal = ~has_inf & ~empty
@@ -821,6 +900,7 @@ def _evaluate_chunk(
                 new_member, order_idx[brows][orows][srows], kept_c[srows], axis=1
             )
             member[g2[srows]] = new_member
+            continue_shrunk(g2[srows])
 
         if np.any(converged):
             crows = np.nonzero(converged)[0]
@@ -842,30 +922,7 @@ def _evaluate_chunk(
         fallback[pending] = True
         pending[:] = False
 
-    drows = np.nonzero(done)[0]
-    if drows.size == 0:
-        return
-    _finalise_rows(
-        drows,
-        member,
-        areas_rank,
-        job_of,
-        job_rates,
-        job_caps,
-        job_avail,
-        job_pair,
-        job_risks,
-        job_sync,
-        job_grid,
-        job_bytes,
-        job_iters,
-        job_ra,
-        job_memory,
-        feasible,
-        fallback,
-        predicted,
-        kept_out,
-    )
+    return member, areas_rank, done, stopped, continues
 
 
 def _finalise_rows(
@@ -1133,7 +1190,6 @@ class ApplesBlockedPlanner(BlockedPlanner):
         Same argument as the strip planner's.
         """
         names = info.pool.machine_names()
-        index = {n: j for j, n in enumerate(names)}
         rates = np.array(
             [
                 self._conservative_speed(n, info) / self.problem.flop_per_point
@@ -1141,22 +1197,17 @@ class ApplesBlockedPlanner(BlockedPlanner):
             ]
         )
         usable = rates > 0.0
-        mask = np.zeros((len(candidate_sets), len(names)), dtype=bool)
-        for i, rset in enumerate(candidate_sets):
-            for m in rset:
-                j = index.get(m)
-                if j is not None and usable[j]:
-                    mask[i, j] = True
+        mask = member_masks_over(candidate_sets, names) & usable[None, :]
         safe_rates = np.where(usable, rates, 1.0)
         sync = np.full(len(names), self.problem.sync_overhead_s)
-        result = balance_divisible_work_batched(
+        makespans = balance_divisible_work_batched(
             safe_rates, sync, float(self.problem.total_points), mask
         )
         risks = np.asarray(_member_risks(names, info))
         min_risk = np.where(mask, risks, np.inf).min(axis=1)
         min_risk = np.where(np.isfinite(min_risk), min_risk, 0.0)
         return (
-            result.makespans
+            makespans
             * self.problem.iterations
             * (1.0 + self.risk_aversion * min_risk)
         )

@@ -58,14 +58,13 @@ from repro.core.sweep import (
 )
 from repro.obs.trace import get_tracer
 from repro.core.resources import ResourcePool
-from repro.core.selector import ResourceSelector
+from repro.core.selector import ResourceSelector, member_masks_over
 import numpy as np
 
 from repro.jacobi.apples import (
     JacobiPlanner,
     evaluate_strip_batch,
     make_jacobi_agent,
-    member_masks_over,
 )
 from repro.nws.service import NetworkWeatherService
 from repro.service.requests import DecisionRequest, ServiceAnswer
@@ -287,7 +286,7 @@ class SchedulingService:
                 agent = self._agent(requests[idxs[0]], key)
                 planner = self._strip_planner(agent)
                 batchable = planner is not None and hasattr(
-                    agent.estimator, "objective_from_prediction"
+                    agent.estimator, "objectives_from_predictions"
                 )
                 if not batchable:
                     # Sequential answer under the shared snapshot — still
@@ -320,7 +319,9 @@ class SchedulingService:
                     snapshot, reuse=state.decisions.get(key)
                 ) as cache:
                     state.decisions[key] = cache
-                    bounds = self._bounds(agent, planner, csets, name_masks)
+                    bounds = objective_bounds(
+                        agent, planner, csets, member_mask=name_masks
+                    )
                     inputs = planner.batch_inputs(agent.info)
                 name_index = {m: k for k, m in enumerate(names)}
                 perm = np.array([name_index[m] for m in inputs.rank_names])
@@ -378,29 +379,22 @@ class SchedulingService:
             for i in idxs:
                 answers[i] = answer
 
-    @staticmethod
-    def _bounds(agent, planner, csets, name_masks) -> list[float] | None:
-        """``AppLeSAgent._lower_bounds`` with the membership matrix reused.
-
-        Delegates to the canonical :func:`repro.core.sweep.objective_bounds`
-        — the same helper the Coordinator's vectorised solo path uses.
-        """
-        return objective_bounds(agent, planner, csets, member_mask=name_masks)
-
     def _sweep(self, agent, csets, bounds, inputs, ev, at) -> ServiceAnswer:
         """Replay the Coordinator's prune-and-choose loop on batched results.
 
         One call into the canonical sweep core
-        (:mod:`repro.core.sweep`): a :class:`BatchedObjective` scores each
-        candidate from the batched evaluation (planning surrendered rows
-        with the scalar planner, inside the same decision scope),
-        :func:`replay_sweep` reproduces the seed/incumbent/pruning
+        (:mod:`repro.core.sweep`): a :class:`BatchedObjective` scores every
+        candidate from the batched evaluation at once (surrendered rows
+        stay lazy, planned by the scalar planner inside the same decision
+        scope), :func:`replay_sweep` reproduces the seed/incumbent/pruning
         sequence, and :func:`materialise_winner` plans and cross-checks
         the winner — the identical code path the vectorised solo
         ``schedule()`` runs, so solo and batched answers cannot drift.
         """
         objective = BatchedObjective(agent, csets, inputs, ev)
-        result = replay_sweep(len(csets), bounds, objective)
+        result = replay_sweep(
+            bounds, objective.objectives, objective.lazy, objective.resolve
+        )
         best = materialise_winner(agent, csets, result)
         stats = result.stats(bounds is not None)
         tracer = get_tracer()

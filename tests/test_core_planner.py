@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,8 @@ from repro.core.planner import (
     _balance_reference,
     balance_divisible_work,
     balance_divisible_work_batched,
+    balance_prefix_exact_batched,
+    ordered_sum,
 )
 from repro.core.resources import ResourcePool
 
@@ -204,6 +208,26 @@ class TestFastBalanceEquivalence:
         self._assert_identical(ref, fast)
 
 
+class TestOrderedSum:
+    """The scalar balance adds left to right, as the batched ``cumsum``."""
+
+    RATES = [0.37, 1.9, 0.011]  # a compensated sum rounds these differently
+
+    def test_plain_left_to_right(self):
+        assert ordered_sum(self.RATES) == (0.37 + 1.9) + 0.011
+        assert ordered_sum(self.RATES) != math.fsum(self.RATES)
+        assert ordered_sum([]) == 0.0
+
+    def test_batched_balance_matches_reference(self):
+        ref = _balance_reference(self.RATES, [0.0] * 3, 1.0, [None] * 3)
+        batched = balance_prefix_exact_batched(
+            np.array([self.RATES]), np.zeros((1, 3)), np.array([1.0])
+        )
+        assert not batched.needs_reference[0]
+        assert batched.makespans[0] == 1.0 / ((0.37 + 1.9) + 0.011)
+        assert batched.allocations[0].tolist() == ref.allocations
+
+
 class TestBatchedBalance:
     """The batched water-filler must agree with per-set scalar calls."""
 
@@ -212,10 +236,7 @@ class TestBatchedBalance:
         sub = balance_divisible_work(
             [rates[i] for i in idx], [costs[i] for i in idx], total
         )
-        alloc = [0.0] * len(rates)
-        for j, i in enumerate(idx):
-            alloc[i] = sub.allocations[j]
-        return sub.makespan, alloc
+        return sub.makespan
 
     @given(
         rates=st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=2, max_size=6),
@@ -229,12 +250,11 @@ class TestBatchedBalance:
         members = [bool(mask_bits & (1 << i)) for i in range(n)]
         if not any(members):
             members[0] = True
-        batched = balance_divisible_work_batched(
+        makespans = balance_divisible_work_batched(
             rates, costs, total, [members]
         )
-        makespan, alloc = self._scalar_uncapped(rates, costs, total, members)
-        assert batched.makespans[0] == pytest.approx(makespan, rel=1e-12)
-        assert list(batched.allocations[0]) == pytest.approx(alloc, rel=1e-9, abs=1e-9)
+        makespan = self._scalar_uncapped(rates, costs, total, members)
+        assert makespans[0] == pytest.approx(makespan, rel=1e-12)
 
     def test_many_sets_at_once(self):
         rates = [10.0, 20.0, 30.0, 40.0]
@@ -246,27 +266,22 @@ class TestBatchedBalance:
             [False, False, False, True],
         ]
         out = balance_divisible_work_batched(rates, costs, 500.0, sets)
-        assert out.makespans.shape == (4,)
+        assert out.shape == (4,)
         for row, members in enumerate(sets):
-            makespan, _ = self._scalar_uncapped(rates, costs, 500.0, members)
-            assert out.makespans[row] == pytest.approx(makespan, rel=1e-12)
-            # Allocations outside the set stay zero.
-            for i, m in enumerate(members):
-                if not m:
-                    assert out.allocations[row, i] == 0.0
-                    assert not out.active[row, i]
+            makespan = self._scalar_uncapped(rates, costs, 500.0, members)
+            assert out[row] == pytest.approx(makespan, rel=1e-12)
 
     def test_empty_set_gets_inf(self):
         out = balance_divisible_work_batched(
             [10.0, 20.0], [0.0, 0.0], 100.0, [[False, False], [True, False]]
         )
-        assert out.makespans[0] == float("inf")
-        assert np.isfinite(out.makespans[1])
+        assert out[0] == float("inf")
+        assert np.isfinite(out[1])
 
     def test_default_members_is_full_universe(self):
         out = balance_divisible_work_batched([10.0, 10.0], [0.0, 0.0], 100.0)
-        assert out.makespans.shape == (1,)
-        assert out.makespans[0] == pytest.approx(5.0)
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(5.0)
 
     def test_superset_never_slower(self):
         """Monotonicity that makes subset pruning admissible."""
@@ -276,7 +291,7 @@ class TestBatchedBalance:
             rates, costs, 1000.0,
             [[True, True, True], [True, True, False], [True, False, False]],
         )
-        assert out.makespans[0] <= out.makespans[1] <= out.makespans[2]
+        assert out[0] <= out[1] <= out[2]
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

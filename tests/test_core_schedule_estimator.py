@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.estimator import (
@@ -19,6 +23,8 @@ from repro.core.hat import (
 from repro.core.infopool import InformationPool
 from repro.core.resources import ResourcePool
 from repro.core.schedule import Allocation, Schedule
+from repro.core.selector import member_masks_over
+from repro.core.sweep import BatchedObjective
 from repro.core.userspec import UserSpecification
 
 
@@ -141,3 +147,106 @@ class TestEstimators:
     def test_factory_unknown(self):
         with pytest.raises(ValueError):
             make_estimator("karma")
+
+
+class TestEstimatorArrayHooks:
+    """The array hooks score a whole candidate space with the floats of the
+    Schedule-based objective and of the per-set bound formula."""
+
+    @staticmethod
+    def _world(testbed):
+        names = ResourcePool(testbed.topology).machine_names()
+        rates = {names[0]: 0.37, names[1]: 1.9, names[3]: 0.011, "elsewhere": 5.0}
+        spec = UserSpecification(
+            performance_metric="cost", cost_per_cpu_second=rates
+        )
+        return names, rates, _info(testbed, spec)
+
+    @staticmethod
+    def _estimators():
+        return (
+            ExecutionTimeEstimator(),
+            SpeedupEstimator(baseline=37.5),
+            CostEstimator(time_weight=0.3),
+        )
+
+    def test_objectives_equal_the_schedule_objective(self, testbed):
+        names, _, info = self._world(testbed)
+        rng = np.random.default_rng(5)
+        kept = rng.random((64, len(names))) < 0.5
+        kept[~kept.any(axis=1), 2] = True
+        predicted = rng.uniform(0.1, 500.0, size=64)
+        for est in self._estimators():
+            got = est.objectives_from_predictions(predicted, kept, names, info)
+            for p, row, obj in zip(predicted, kept, got):
+                machines = [nm for nm, k in zip(names, row) if k]
+                expected = est.objective(_schedule(float(p), machines), info)
+                assert obj == expected, type(est).__name__
+
+    def test_cost_rate_sum_is_plain_left_to_right(self, testbed):
+        # A compensated sum (math.fsum, or sum() from Python 3.12 on) of
+        # these rates rounds differently from plain left-to-right addition;
+        # the scalar objective must add them exactly as the cumsum hook does.
+        names, rates, info = self._world(testbed)
+        machines = [names[0], names[1], names[3]]
+        plain = (0.37 + 1.9) + 0.011
+        assert plain != math.fsum(rates[m] for m in machines)
+        est = CostEstimator(time_weight=0.3)
+        sched = _schedule(100.0, machines)
+        assert est.metric_value(sched, info) == 100.0 * plain
+        kept = np.array([[nm in machines for nm in names]])
+        (obj,) = est.objectives_from_predictions(
+            np.array([100.0]), kept, names, info
+        )
+        assert obj == est.objective(sched, info) == 100.0 * plain + 0.3 * 100.0
+
+    def test_bounds_equal_the_per_set_formula(self, testbed):
+        names, rates, info = self._world(testbed)
+        rng = np.random.default_rng(9)
+        csets = [()] + [
+            tuple(nm for nm in names if rng.random() < 0.4) for _ in range(63)
+        ]
+        time_lbs = rng.uniform(0.1, 500.0, size=64)
+        time_lbs[::7] = np.inf  # no usable member: inf * a zero rate is NaN
+
+        def cost(t, rset, est):
+            if not rset:
+                return est.time_weight * t
+            return t * min(rates.get(m, 0.0) for m in rset) + est.time_weight * t
+
+        formulas = (
+            lambda t, rset, est: t,
+            lambda t, rset, est: t / 37.5,
+            cost,
+        )
+        mask = member_masks_over(csets, names)
+        for est, formula in zip(self._estimators(), formulas):
+            expected = np.array([
+                formula(float(t), rset, est) for t, rset in zip(time_lbs, csets)
+            ])
+            for member_mask in (None, mask):
+                got = est.objective_lower_bounds(time_lbs, csets, info, member_mask)
+                assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_speedup_baseline_stays_lazy_without_certified_rows(self):
+        calls = []
+        est = SpeedupEstimator(baseline=lambda info: calls.append(info) or 40.0)
+        agent = SimpleNamespace(estimator=est, info="info", planner=None)
+        inputs = SimpleNamespace(rank_names=("a", "b"))
+        csets = [("a",), ("b",), ("a", "b")]
+        ev = SimpleNamespace(
+            feasible=np.zeros(3, dtype=bool),
+            fallback=np.array([True, False, True]),
+            predicted=np.full(3, np.inf),
+            kept=np.zeros((3, 2), dtype=bool),
+        )
+        objective = BatchedObjective(agent, csets, inputs, ev)
+        assert calls == []  # nothing certified, nothing scored
+        assert objective.lazy.tolist() == [True, False, True]
+        assert objective.objectives.tolist() == [np.inf] * 3
+
+        ev.feasible[1], ev.fallback[1], ev.predicted[1] = True, False, 20.0
+        ev.kept[1, 1] = True
+        objective = BatchedObjective(agent, csets, inputs, ev)
+        assert calls == ["info"]
+        assert objective.objectives.tolist() == [np.inf, 0.5, np.inf]

@@ -5,7 +5,8 @@ independent scalar evaluations: the batch is an optimisation, never a
 semantic.  Hypothesis drives the kernels with synthetic pools and checks:
 
 - **batch-order invariance** — permuting the candidate rows (or the jobs
-  of a batch) permutes the results bitwise, nothing else;
+  of a batch) permutes the results bitwise, nothing else, and chunking
+  (with it, batch plan continuation) changes nothing;
 - **conservation** — integerised strip rows sum exactly to the grid size
   for every row the kernel certifies as exact, with every positive-area
   member keeping at least one row;
@@ -17,11 +18,15 @@ semantic.  Hypothesis drives the kernels with synthetic pools and checks:
 
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.jacobi.apples as apples
 from repro.core.planner import balance_prefix_exact_batched
 from repro.jacobi.apples import (
     StripBatchInputs,
@@ -70,6 +75,22 @@ def synthetic_inputs(draw, min_machines: int = 2, max_machines: int = 5):
     )
 
 
+def dead_links(max_machines: int = 5):
+    """A few machine pairs whose link is down (possibly none)."""
+    machine = st.integers(0, max_machines - 1)
+    return st.lists(st.tuples(machine, machine), max_size=2)
+
+
+def _kill_links(inputs: StripBatchInputs, dead) -> StripBatchInputs:
+    """``inputs`` with the listed links down (infinite transfer time)."""
+    n = len(inputs.rank_names)
+    pair = inputs.pair.copy()
+    for a, b in dead:
+        if a < n and b < n and a != b:
+            pair[a, b] = pair[b, a] = np.inf
+    return replace(inputs, pair=pair)
+
+
 def _all_masks(n: int) -> np.ndarray:
     """Every non-empty subset of ``n`` machines, as mask rows."""
     subsets = np.arange(1, 2**n)
@@ -114,16 +135,113 @@ class TestBatchOrderInvariance:
             ok = one.feasible & ~one.fallback
             assert np.array_equal(one.predicted[ok], two.predicted[ok])
 
-    @given(inputs=synthetic_inputs(), chunk=st.integers(1, 7))
-    @settings(max_examples=20, deadline=None)
-    def test_chunking_is_invisible(self, inputs, chunk):
+    @given(
+        inputs=synthetic_inputs(),
+        chunk=st.integers(1, 7),
+        subset_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        dead=dead_links(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunking_is_invisible(self, inputs, chunk, subset_seed, dead):
+        """Chunk boundaries never change a result — nor, therefore, does
+        batch plan continuation, which only links rows of one chunk: with
+        ``chunk_rows=1`` no row can continue into another.  Random subsets
+        of the exhaustive masks leave some shrunk sets without a row to
+        continue into, and dead links force member drops."""
+        inputs = _kill_links(inputs, dead)
         masks = _all_masks(len(inputs.rank_names))
+        if subset_seed is not None:
+            keep = np.random.default_rng(subset_seed).random(len(masks)) < 0.5
+            keep[-1] = True
+            masks = masks[keep]
         whole = evaluate_strip_batch([(inputs, masks)])[0]
-        pieces = evaluate_strip_batch([(inputs, masks)], chunk_rows=chunk)[0]
-        np.testing.assert_array_equal(whole.feasible, pieces.feasible)
-        np.testing.assert_array_equal(whole.fallback, pieces.fallback)
-        ok = whole.feasible & ~whole.fallback
-        assert np.array_equal(whole.predicted[ok], pieces.predicted[ok])
+        for rows in (1, chunk):
+            pieces = evaluate_strip_batch([(inputs, masks)], chunk_rows=rows)[0]
+            np.testing.assert_array_equal(whole.feasible, pieces.feasible)
+            np.testing.assert_array_equal(whole.fallback, pieces.fallback)
+            np.testing.assert_array_equal(whole.kept, pieces.kept)
+            assert np.array_equal(whole.predicted, pieces.predicted)
+
+
+class TestBatchPlanContinuation:
+    @given(
+        inputs=synthetic_inputs(),
+        cap=st.one_of(st.none(), st.integers(1, 4)),
+        dead=dead_links(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exhaustive_spaces_need_one_pass(self, inputs, cap, dead):
+        """Every shrunk set of an exhaustive (or size-capped) space starts
+        a row of its own, so the drop/re-balance fixpoint ends after a
+        single balancing pass."""
+        inputs = _kill_links(inputs, dead)
+        masks = _all_masks(len(inputs.rank_names))
+        if cap is not None:
+            masks = masks[masks.sum(axis=1) <= cap]
+        with mock.patch.object(
+            apples, "balance_prefix_exact_batched",
+            wraps=apples.balance_prefix_exact_batched,
+        ) as balance:
+            evaluate_strip_batch([(inputs, masks)])
+        assert balance.call_count <= 1
+
+    @given(
+        inputs=synthetic_inputs(),
+        bound=st.integers(1, 3),
+        dead=dead_links(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_continuation_counts_toward_the_pass_bound(self, inputs, bound, dead):
+        """Under a tight structural pass bound, a continued row is
+        surrendered exactly when iterating it would have run out of
+        passes: continuation never rescues a row the bound would stop."""
+        inputs = _kill_links(inputs, dead)
+        masks = _all_masks(len(inputs.rank_names))
+        with mock.patch.object(apples, "_MAX_BATCH_PASSES", bound):
+            whole = evaluate_strip_batch([(inputs, masks)])[0]
+            alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+        np.testing.assert_array_equal(whole.fallback, alone.fallback)
+        np.testing.assert_array_equal(whole.feasible, alone.feasible)
+        np.testing.assert_array_equal(whole.kept, alone.kept)
+        assert np.array_equal(whole.predicted, alone.predicted)
+
+    def test_shrinking_rows_continue_into_their_subsets(self):
+        """A chatty member is dropped by the balance; its row takes the
+        outcome of the row that starts from the kept members."""
+        rates = np.array([1e6, 1e6, 1e3])
+        pair = np.full((3, 3), 1e-4)
+        pair[2, :] = 2.0  # machine 2's border exchange is slow
+        np.fill_diagonal(pair, 0.0)
+        problem = JacobiProblem(n=400, iterations=10)
+        inputs = StripBatchInputs(
+            planner=JacobiPlanner(problem),
+            rank_names=("m0", "m1", "m2"),
+            rates=rates,
+            caps=np.full(3, 1e12),
+            avail_mb=np.full(3, 1e6),
+            pair=pair,
+            sync_overhead_s=0.0,
+            total_points=float(problem.total_points),
+            grid_n=problem.n,
+            bytes_per_point=16.0,
+            iterations=problem.iterations,
+            risk_aversion=0.0,
+            risks=np.zeros(3),
+            account_memory=True,
+        )
+        masks = np.array([[True, True, True], [True, True, False]])
+        with mock.patch.object(
+            apples, "balance_prefix_exact_batched",
+            wraps=apples.balance_prefix_exact_batched,
+        ) as balance:
+            whole = evaluate_strip_batch([(inputs, masks)])[0]
+        assert balance.call_count == 1  # row 0 never re-balances
+        alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+        assert whole.feasible.all() and not whole.fallback.any()
+        np.testing.assert_array_equal(whole.kept[0], [True, True, False])
+        assert whole.predicted[0] == whole.predicted[1]
+        np.testing.assert_array_equal(whole.kept, alone.kept)
+        assert np.array_equal(whole.predicted, alone.predicted)
 
 
 def _pad(inputs: StripBatchInputs, n: int) -> StripBatchInputs:

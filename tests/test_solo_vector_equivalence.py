@@ -12,9 +12,10 @@ planners without a batch surface take in production) and ``vector``
 
 - winner resource set, allocations, predicted time, objective — across
   all three arms (the reference loop is the ground truth);
-- evaluation order (the ``core.incumbent`` event sequence), pruned rows
-  and :class:`PruningStats` — between the two bounded arms, which share
-  the seeded sweep (the reference loop is unbounded by design);
+- evaluation order (the ``core.incumbent`` event sequence), pruned rows,
+  per-row objectives and bounds, and :class:`PruningStats` — between the
+  two bounded arms, which share the seeded sweep (the reference loop is
+  unbounded by design);
 - the vector arm really took the tensor path (``decision.vectorised``)
   and the scalar arm really did not.
 
@@ -29,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.coordinator as coordinator
+from repro.core.resources import ResourcePool
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
@@ -82,6 +84,11 @@ def _pruned_rows(decision):
     return tuple(ev.pruned for ev in decision.evaluations)
 
 
+def _row_scores(decision):
+    """Per-candidate objective and bound, as the rows report them."""
+    return [(ev.objective, ev.lower_bound) for ev in decision.evaluations]
+
+
 def _assert_equivalent(testbed, nws, problem, userspec=None, account_memory=True):
     ref, _ = _decide(testbed, nws, problem, "reference", userspec, account_memory)
     scalar, scalar_inc = _decide(
@@ -101,6 +108,8 @@ def _assert_equivalent(testbed, nws, problem, userspec=None, account_memory=True
     assert vector_inc == scalar_inc
     assert _pruned_rows(vector) == _pruned_rows(scalar)
     assert vector.pruning == scalar.pruning
+    # Array scoring equals the Schedule-based objective, row for row.
+    assert _row_scores(vector) == _row_scores(scalar)
     return ref, scalar, vector
 
 
@@ -116,18 +125,24 @@ def _assert_equivalent(testbed, nws, problem, userspec=None, account_memory=True
     iterations=st.integers(min_value=10, max_value=60),
     max_machines=st.one_of(st.none(), st.integers(min_value=2, max_value=6)),
     account_memory=st.booleans(),
+    cost_metric=st.booleans(),
 )
 def test_property_random_pools_and_specs(
-    bed_name, tb_seed, nws_seed, n, iterations, max_machines, account_memory
+    bed_name, tb_seed, nws_seed, n, iterations, max_machines, account_memory,
+    cost_metric,
 ):
     testbed = BUILDERS[bed_name](seed=tb_seed)
     nws = NetworkWeatherService.for_testbed(testbed, seed=nws_seed)
     nws.warmup(600.0)
     problem = JacobiProblem(n=n, iterations=iterations)
-    userspec = (
-        UserSpecification() if max_machines is None
-        else UserSpecification(max_machines=max_machines)
-    )
+    spec = {} if max_machines is None else {"max_machines": max_machines}
+    if cost_metric:  # unequal rates, one machine left free
+        names = ResourcePool(testbed.topology).machine_names()
+        spec.update(
+            performance_metric="cost",
+            cost_per_cpu_second={m: 0.013 * (k + 1) for k, m in enumerate(names[1:])},
+        )
+    userspec = UserSpecification(**spec)
     _, _, vector = _assert_equivalent(
         testbed, nws, problem, userspec, account_memory
     )
@@ -181,7 +196,8 @@ def test_multi_family_configuration_declines_to_vectorise():
 def test_vector_rows_expose_winner_schedule():
     """`evaluations` rows from the tensor path keep the explain() contract:
     the winner row holds the materialised schedule, pruned rows hold
-    their bound, and certified rows carry a finite objective."""
+    their bound, and certified rows carry a finite objective.  The rows
+    are built from the sweep's arrays on first read and then cached."""
     testbed = sdsc_pcl_testbed(seed=1996)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)
     nws.warmup(600.0)
@@ -189,7 +205,10 @@ def test_vector_rows_expose_winner_schedule():
         testbed, nws, JacobiProblem(n=600, iterations=20), "vector"
     )
     assert decision.vectorised
+    assert callable(decision.rows)  # nothing built until first read
     rows = decision.evaluations
+    assert decision.evaluations is rows  # built once, same rows every read
+    assert len(rows) == decision.pruning.candidates
     winners = [ev for ev in rows if ev.schedule is decision.best]
     assert len(winners) == 1
     assert winners[0].objective == decision.best_objective
