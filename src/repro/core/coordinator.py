@@ -12,36 +12,43 @@ Jacobi2D prototype (§5):
 
 Everything the Coordinator knows comes from the shared Information Pool.
 
-``schedule()`` brackets the candidate loop with
-:meth:`~repro.core.infopool.InformationPool.begin_decision` — one forecast
-snapshot shared by every evaluation — and, when the Planner/Estimator pair
-exposes admissible lower bounds, skips candidate sets whose bound cannot
-beat the incumbent.  Bounds are *admissible* (never above the true
-objective) and pruning only fires when the bound exceeds the incumbent by
-a relative epsilon, so the chosen schedule is bit-identical to the
-exhaustive loop of :meth:`AppLeSAgent.schedule_reference`; pruned rows
-stay in ``evaluations`` (objective ``inf``) and the counts are reported in
-:class:`PruningStats`.
+Steps 2–3 are one pipeline of two public steps, and every decision entry
+point runs it:
 
-Vectorised solo decision: when the Planner opts in through
-``batch_planner(info)`` (the strip planner's ``batch_inputs`` /
-``lower_bounds`` surface) and the Estimator exposes
-``objectives_from_predictions``, ``schedule()`` stacks *all* candidate
-sets into one membership-mask matrix, evaluates them in a single
-:func:`~repro.jacobi.apples.evaluate_strip_batch` call (a one-job batch),
-scores the whole objective array at once, and replays the
-incumbent/pruning order over it with the canonical
-:func:`~repro.core.sweep.replay_sweep` — a prefix-min scan, with only the
-surrendered rows planned one by one.  The batched kernels replicate the
-scalar planner's float semantics operation-for-operation and surrender
-any row they cannot certify back to the scalar planner, the winner is
-materialised by the scalar planner and cross-checked, and the sweep
-control flow is shared with the scalar loop — so
-:class:`ScheduleDecision`, :class:`PruningStats`, and the obs event
-stream are bit-identical to the bounded scalar loop.  The per-candidate
-``ScheduleDecision.evaluations`` rows are built from the sweep's arrays
-on first read.  Planners with no batch surface take that scalar loop
-(:meth:`AppLeSAgent._schedule_loop`) as their production path.
+- :meth:`AppLeSAgent.stage` runs inside a decision scope
+  (:meth:`~repro.core.infopool.InformationPool.decision_scope`: one
+  forecast snapshot shared by every evaluation).  It takes admissible
+  objective lower bounds when the Planner/Estimator pair exposes them and,
+  when the Planner resolves a batch planner (``batch_planner(info)``) and
+  the Estimator has ``objectives_from_predictions``, the membership-mask
+  job that :func:`~repro.jacobi.apples.evaluate_strip_batch` takes.
+- :meth:`AppLeSAgent.decide` scores the candidates with
+  :class:`~repro.core.sweep.BatchedObjective`, replays the
+  incumbent/pruning order with :func:`~repro.core.sweep.replay_sweep` and
+  picks the winner.  Without a batched evaluation every row is lazy: the
+  sweep plans and estimates each candidate it does not prune.  With one,
+  only the rows the batched core surrendered are planned one by one, and
+  the winner is re-planned by the scalar planner and cross-checked
+  (:func:`~repro.core.sweep.materialise_winner`).
+
+:meth:`AppLeSAgent.schedule` stages, evaluates a one-job batch when the
+configuration batches, and decides.  The scheduling service
+(:mod:`repro.service.core`) stages many configurations under one
+snapshot, evaluates all their jobs in one call and decides each.  The
+oracle, :meth:`AppLeSAgent.schedule_reference`, decides with no bounds,
+no batch and no decision scope.
+
+Bounds are *admissible* (never above the true objective) and pruning only
+fires when the bound exceeds the incumbent by a relative epsilon, so the
+chosen schedule is bit-identical to the oracle's exhaustive loop; pruned
+rows stay in ``evaluations`` (objective ``inf``) and the counts are
+reported in :class:`PruningStats`.  The batched kernels replicate the
+scalar planner's float semantics operation-for-operation and surrender any
+row they cannot certify, so :class:`ScheduleDecision`,
+:class:`PruningStats` and the ``core.decision`` span are the same whether
+or not a decision batched.  The per-candidate
+``ScheduleDecision.evaluations`` rows are built from the sweep's arrays on
+first read.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from repro.obs.trace import get_tracer
 __all__ = [
     "AppLeSAgent",
     "ScheduleDecision",
+    "StagedDecision",
     "CandidateEvaluation",
     "PruningStats",
     "record_pruning_stats",
@@ -83,9 +91,8 @@ def record_pruning_stats(metrics: Any, stats: "PruningStats") -> None:
 
     The counters feed the ROADMAP "selector learning" direction: candidate
     generators need the pruned/planned history that used to vanish after
-    ``ScheduleDecision.explain()``.  Called by the Coordinator and by the
-    scheduling service's sweep replay, so solo and batched decisions land
-    in the same instruments.
+    ``ScheduleDecision.explain()``.  Called by :meth:`AppLeSAgent.decide`,
+    so solo and service decisions land in the same instruments.
     """
     metrics.counter("core.decisions").inc()
     metrics.counter("core.candidates").inc(stats.candidates)
@@ -103,10 +110,10 @@ class CandidateEvaluation:
     (``lower_bound`` > incumbent objective); their schedule is None and the
     objective ``inf``, mirroring an infeasible row for ranking purposes.
 
-    The vectorised solo path scores most candidates straight from the
-    batched prediction without materialising their Schedules, so a
-    feasible row may carry ``schedule=None`` with a finite objective (the
-    winner's Schedule is always materialised).
+    A batched decision scores most candidates straight from the batched
+    prediction without materialising their Schedules, so a feasible row
+    may carry ``schedule=None`` with a finite objective (the winner's
+    Schedule is always materialised).
     """
 
     resource_set: tuple[str, ...]
@@ -136,8 +143,9 @@ class ScheduleDecision:
     pruning:
         Candidate-search statistics.
     vectorised:
-        Whether the one-shot candidate tensor sweep answered this decision
-        (False on the scalar loop and the reference oracle).
+        Whether a batched evaluation scored this decision's candidates
+        (False when the sweep planned every row itself, as the reference
+        oracle does).
     rows:
         The :attr:`evaluations` rows, or a zero-argument callable that
         builds them; :attr:`evaluations` calls it on first read.
@@ -216,6 +224,22 @@ class ScheduleDecision:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class StagedDecision:
+    """What :meth:`AppLeSAgent.stage` prepares for one decision.
+
+    ``csets`` are the candidate resource sets and ``bounds`` their
+    admissible objective lower bounds (``None`` disables pruning).  ``job``
+    is the ``(StripBatchInputs, rank-space masks)`` pair
+    :func:`~repro.jacobi.apples.evaluate_strip_batch` takes, or ``None``
+    when the configuration does not batch.
+    """
+
+    csets: list[tuple[str, ...]]
+    bounds: np.ndarray | None
+    job: tuple[Any, np.ndarray] | None
+
+
 def _candidate_rows(
     objective: BatchedObjective,
     bounds: np.ndarray | None,
@@ -225,9 +249,9 @@ def _candidate_rows(
     """Per-candidate rows of a decision, in candidate order.
 
     Pruned rows carry their bound; evaluated rows carry their objective
-    and, where the scalar planner ran for them (every row of the scalar
-    loop, surrendered rows of the vectorised sweep), their schedule.  The
-    winner row holds the chosen schedule.
+    and, where the scalar planner ran for them (every row of a decision
+    without a batched evaluation, surrendered rows of one with it), their
+    schedule.  The winner row holds the chosen schedule.
     """
     objectives = objective.objectives.tolist()
     lower = bounds.tolist() if bounds is not None else None
@@ -289,27 +313,19 @@ class AppLeSAgent:
         ----------
         snapshot:
             Optional pre-taken :class:`~repro.nws.snapshot.ForecastSnapshot`
-            for the decision scope — the scheduling service passes one
-            snapshot to every agent of a batch so forecast queries are
-            shared.  Snapshots are pure caches, so the decision is
-            bit-identical to taking a fresh one.
+            for the decision scope.  Snapshots are pure caches, so the
+            decision is bit-identical to taking a fresh one.
         """
-        candidate_sets = self._candidate_sets()
-        begin = getattr(self.planner, "begin_decision", None)
-        end = getattr(self.planner, "end_decision", None)
+        candidate_sets = self.candidate_sets()
         with self.info.decision_scope(snapshot):
-            if begin is not None:
-                begin(self.info)
-            try:
-                if hasattr(self.estimator, "objectives_from_predictions"):
-                    bp = resolve_batch_planner(self.planner, self.info)
-                    if bp is not None:
-                        return self._schedule_vectorised(candidate_sets, bp)
-                bounds = objective_bounds(self, self.planner, candidate_sets)
-                return self._schedule_loop(candidate_sets, bounds)
-            finally:
-                if end is not None:
-                    end(self.info)
+            staged = self.stage(candidate_sets)
+            ev = None
+            if staged.job is not None:
+                # Deferred import: repro.jacobi builds on repro.core.
+                from repro.jacobi.apples import evaluate_strip_batch
+
+                (ev,) = evaluate_strip_batch([staged.job])
+            return self.decide(staged, ev)
 
     def schedule_reference(self) -> ScheduleDecision:
         """The decision oracle: the seed exhaustive loop.
@@ -319,9 +335,13 @@ class AppLeSAgent:
         from the pool.  :meth:`schedule` must choose the same schedule
         with the same objective; the differential tests hold it to that.
         """
-        return self._schedule_loop(self._candidate_sets(), None)
+        return self.decide(StagedDecision(self.candidate_sets(), None, None), None)
 
-    def _candidate_sets(self) -> list[tuple[str, ...]]:
+    def candidate_sets(self) -> list[tuple[str, ...]]:
+        """Blueprint step 1: the Resource Selector's candidate sets.
+
+        Raises ``RuntimeError`` when the selector produced none.
+        """
         candidate_sets = self.selector.candidate_sets(self.info)
         if not candidate_sets:
             raise RuntimeError(
@@ -330,38 +350,90 @@ class AppLeSAgent:
             )
         return candidate_sets
 
-    def _schedule_loop(
-        self,
-        candidate_sets: list[tuple[str, ...]],
-        bounds: np.ndarray | None,
-    ) -> ScheduleDecision:
+    def stage(self, candidate_sets: list[tuple[str, ...]]) -> StagedDecision:
+        """Take one decision's bounds and batch job; call inside its scope.
+
+        A configuration batches when the Planner resolves a batch planner
+        and the Estimator scores batched predictions
+        (``objectives_from_predictions``).  Then one membership matrix over
+        the pool's machine names feeds both the bounds and the batch job,
+        whose masks are permuted to the batch inputs' locality-rank order.
+        """
+        info = self.info
+        batch_planner = resolve_batch_planner(self.planner, info)
+        if batch_planner is None or not hasattr(
+            self.estimator, "objectives_from_predictions"
+        ):
+            bounds = objective_bounds(self, self.planner, candidate_sets)
+            return StagedDecision(candidate_sets, bounds, None)
+        names = info.pool.machine_names()
+        name_masks = member_masks_over(candidate_sets, names)
+        bounds = objective_bounds(
+            self, batch_planner, candidate_sets, member_mask=name_masks
+        )
+        inputs = batch_planner.batch_inputs(info)
+        name_index = {m: k for k, m in enumerate(names)}
+        perm = np.array([name_index[m] for m in inputs.rank_names])
+        return StagedDecision(
+            candidate_sets, bounds, (inputs, name_masks[:, perm])
+        )
+
+    def decide(self, staged: StagedDecision, ev: Any | None) -> ScheduleDecision:
+        """Blueprint steps 2–3 over a staged decision: score, sweep, choose.
+
+        ``ev`` is the job's :class:`~repro.jacobi.apples.StripBatchEvaluation`,
+        or ``None`` to plan and estimate every row the sweep reaches.  Runs
+        inside the scope :meth:`stage` ran in (the oracle runs outside any
+        scope), so lazily planned rows share its snapshot and memos.
+        Raises ``RuntimeError`` when no candidate is feasible.
+        """
+        csets, bounds = staged.csets, staged.bounds
+        info = self.info
+        metric = info.userspec.performance_metric
         # Observability (repro.obs): the span/metric calls below only read
         # decision state, never influence it — tracing on/off is
         # bit-identical.  When tracing is off they hit the no-op tracer.
         tracer = get_tracer()
         traced = tracer.enabled
-        nws = self.info.pool.nws
+        nws = info.pool.nws
         t_dec = float(nws.now) if nws is not None else None
         with tracer.span(
             "core.decision",
             layer="core",
             t=t_dec,
-            metric=self.info.userspec.performance_metric,
-            candidates=len(candidate_sets),
+            metric=metric,
+            candidates=len(csets),
             bounded=bounds is not None,
         ) as span:
-            decision = self._candidate_sweep(
-                candidate_sets, bounds, span if traced else None, t_dec
+            inputs = staged.job[0] if ev is not None else None
+            objective = BatchedObjective(self, csets, inputs, ev)
+            result = replay_sweep(
+                bounds, objective.objectives, objective.lazy, objective.resolve,
+                self._incumbent_hook(span if traced else None, t_dec),
             )
+            if ev is None and result.best_idx >= 0:
+                # The sweep planned the winner itself.
+                best = objective.schedules[result.best_idx]
+            else:
+                # Re-plans and cross-checks a batched winner; raises when
+                # nothing is feasible.
+                best = materialise_winner(self, csets, result)
+            stats = result.stats(bounds is not None)
             if traced:
-                stats = decision.pruning
                 span.attrs.update(
-                    best_objective=decision.best_objective,
+                    best_objective=result.best_objective,
                     planned=stats.planned,
                     pruned=stats.pruned,
                 )
                 record_pruning_stats(tracer.metrics, stats)
-        return decision
+        return ScheduleDecision(
+            best=best,
+            best_objective=result.best_objective,
+            metric=metric,
+            pruning=stats,
+            vectorised=ev is not None,
+            rows=partial(_candidate_rows, objective, bounds, result, best),
+        )
 
     @staticmethod
     def _incumbent_hook(span: Any | None, t_dec: float | None):
@@ -382,97 +454,6 @@ class AppLeSAgent:
                 span.event("core.incumbent", t=t_dec, idx=idx, objective=obj)
 
         return on_incumbent
-
-    def _candidate_sweep(
-        self,
-        candidate_sets: list[tuple[str, ...]],
-        bounds: np.ndarray | None,
-        span: Any | None,
-        t_dec: float | None,
-    ) -> ScheduleDecision:
-        # Nothing precomputed: every row is lazy, planned and estimated
-        # one at a time as the sweep reaches it.
-        objective = BatchedObjective(self, candidate_sets)
-        result = replay_sweep(
-            bounds, objective.objectives, objective.lazy, objective.resolve,
-            self._incumbent_hook(span, t_dec),
-        )
-        if result.best_idx < 0:
-            raise RuntimeError(
-                f"no feasible schedule across {len(candidate_sets)} candidate resource sets"
-            )
-        best = objective.schedules[result.best_idx]
-        return ScheduleDecision(
-            best=best,
-            best_objective=result.best_objective,
-            metric=self.info.userspec.performance_metric,
-            pruning=result.stats(bounds is not None),
-            rows=partial(_candidate_rows, objective, bounds, result, best),
-        )
-
-    def _schedule_vectorised(
-        self, candidate_sets: list[tuple[str, ...]], batch_planner: Any
-    ) -> ScheduleDecision:
-        """One-shot candidate tensor sweep: the whole decision in one batch.
-
-        Stacks every candidate set into a membership-mask matrix, evaluates
-        all of them in a single one-job ``evaluate_strip_batch`` call,
-        scores the objective array, then replays the canonical sweep over
-        it.  Rows the batched core surrendered are planned by the scalar
-        planner when the sweep reaches them unpruned; the winner is
-        materialised by the scalar planner and cross-checked.  Runs inside
-        the decision scope ``schedule()`` already opened, so all
-        snapshot/model/plan memos are shared with any scalar fallbacks.
-        """
-        # Deferred import: repro.jacobi builds on repro.core.
-        from repro.jacobi.apples import evaluate_strip_batch
-
-        info = self.info
-        names = info.pool.machine_names()
-        name_masks = member_masks_over(candidate_sets, names)
-        bounds = objective_bounds(
-            self, batch_planner, candidate_sets, member_mask=name_masks
-        )
-        inputs = batch_planner.batch_inputs(info)
-        name_index = {m: k for k, m in enumerate(names)}
-        perm = np.array([name_index[m] for m in inputs.rank_names])
-        (ev,) = evaluate_strip_batch([(inputs, name_masks[:, perm])])
-
-        tracer = get_tracer()
-        traced = tracer.enabled
-        nws = info.pool.nws
-        t_dec = float(nws.now) if nws is not None else None
-        with tracer.span(
-            "core.decision",
-            layer="core",
-            t=t_dec,
-            metric=info.userspec.performance_metric,
-            candidates=len(candidate_sets),
-            bounded=bounds is not None,
-        ) as span:
-            objective = BatchedObjective(self, candidate_sets, inputs, ev)
-            result = replay_sweep(
-                bounds, objective.objectives, objective.lazy, objective.resolve,
-                self._incumbent_hook(span if traced else None, t_dec),
-            )
-            best = materialise_winner(self, candidate_sets, result)
-            stats = result.stats(bounds is not None)
-            decision = ScheduleDecision(
-                best=best,
-                best_objective=result.best_objective,
-                metric=info.userspec.performance_metric,
-                pruning=stats,
-                vectorised=True,
-                rows=partial(_candidate_rows, objective, bounds, result, best),
-            )
-            if traced:
-                span.attrs.update(
-                    best_objective=decision.best_objective,
-                    planned=stats.planned,
-                    pruned=stats.pruned,
-                )
-                record_pruning_stats(tracer.metrics, stats)
-        return decision
 
     def run(self, t0: float = 0.0) -> tuple[ScheduleDecision, Any]:
         """Blueprint steps 1–4: schedule, then actuate the winner at ``t0``."""

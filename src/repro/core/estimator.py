@@ -44,7 +44,8 @@ class PerformanceEstimator(Protocol):
     - ``objectives_from_predictions(predicted, kept, names, info) ->
       ndarray`` — the objective of each batched plan from its predicted
       time and kept-member mask over ``names`` (the strip order), used by
-      the vectorised sweep.  Estimators without it take the scalar loop.
+      batched decisions.  Without it a decision does not batch, and its
+      sweep plans every row it reaches.
     """
 
     def objective(self, schedule: Schedule, info: InformationPool) -> float:

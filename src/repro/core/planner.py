@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.infopool import InformationPool
 from repro.core.schedule import Schedule
+from repro.core.selector import member_masks_over
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -73,16 +74,12 @@ def ordered_sum(values: Iterable[float]) -> float:
 class Planner(Protocol):
     """Protocol all application planners implement.
 
-    Planners may additionally offer two *optional* fast-path hooks the
+    Planners may additionally offer an *optional* fast-path hook the
     Coordinator probes for (see :mod:`repro.core.coordinator`):
-
-    - ``lower_bounds(candidate_sets, info) -> Sequence[float]`` — an
-      admissible (never over-estimating) lower bound on the predicted
-      time of the best schedule this planner could produce on each
-      candidate set, computed vectorized for the whole list at once;
-    - ``begin_decision(info)`` / ``end_decision(info)`` — bracket one
-      Coordinator decision so the planner can set up / drop per-decision
-      memoisation.
+    ``lower_bounds(candidate_sets, info) -> Sequence[float]``, an
+    admissible (never over-estimating) lower bound on the predicted time
+    of the best schedule this planner could produce on each candidate set,
+    computed vectorized for the whole list at once.
     """
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
@@ -602,15 +599,9 @@ class TimeBalancedPlanner:
         """
         task = self._task(info)
         names = info.pool.machine_names()
-        index = {name: j for j, name in enumerate(names)}
         rates = np.array([self._rate(name, task, info) for name in names])
         usable = rates > 0.0
-        mask = np.zeros((len(candidate_sets), len(names)), dtype=bool)
-        for i, rset in enumerate(candidate_sets):
-            for name in rset:
-                j = index.get(name)
-                if j is not None and usable[j]:
-                    mask[i, j] = True
+        mask = member_masks_over(candidate_sets, names) & usable[None, :]
         safe_rates = np.where(usable, rates, 1.0)
         total = info.hat.structure.total_units
         makespans = balance_divisible_work_batched(

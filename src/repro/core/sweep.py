@@ -3,29 +3,30 @@
 One scheduling decision is, at its core, a *sweep* over candidate resource
 sets: evaluate each set's objective, keep the best, and — when admissible
 lower bounds are available — skip sets whose bound cannot beat the
-incumbent.  Before this module, the sweep existed twice: once inside
-``AppLeSAgent._candidate_sweep`` (planning candidates one at a time) and
-once inside ``SchedulingService._sweep`` (replaying precomputed batched
-objectives).  Both replicas had to agree decision-for-decision; now they
-*are* one implementation.
+incumbent.  This module holds the sweep's parts;
+:meth:`~repro.core.coordinator.AppLeSAgent.decide` is their one caller,
+for solo decisions, service decisions and the reference oracle alike.
 
 :func:`replay_sweep` is the pure control flow — the seed-candidate choice,
 the incumbent updates (strict minimum, ties to the earlier index), and the
 pruning predicate with its relative epsilon.  It reads an objective array
-plus a mask of *lazy* rows resolved through a callback, so the same code
-drives
+plus a mask of *lazy* rows resolved through a callback, which
+:class:`BatchedObjective` supplies:
 
-- the Coordinator's scalar loop (every row lazy: resolving one plans and
-  estimates that candidate),
-- the Coordinator's vectorised solo fast path and the scheduling
-  service's batched core (objectives scored from a precomputed
-  :class:`~repro.jacobi.apples.StripBatchEvaluation` by
-  :class:`BatchedObjective`; only surrendered rows are lazy).
+- without a batched evaluation every row is lazy: resolving one plans and
+  estimates that candidate;
+- with a precomputed :class:`~repro.jacobi.apples.StripBatchEvaluation`
+  the certified rows are scored up front and only surrendered rows are
+  lazy.
 
 Between lazy rows the replay is a prefix-min scan in NumPy, so a sweep
 over thousands of precomputed objectives costs a few array passes.
+:func:`materialise_winner` re-plans a batched winner and cross-checks it;
+:func:`objective_bounds` and :func:`resolve_batch_planner` are what
+:meth:`~repro.core.coordinator.AppLeSAgent.stage` asks the Planner and
+Estimator.
 
-Because every consumer replays the identical incumbent/pruning order, the
+Because every decision replays the identical incumbent/pruning order, the
 chosen schedule, the :class:`PruningStats`, and the ``core.incumbent``
 observability events are bit-identical across entry points — the
 regression suite pins this.
@@ -158,7 +159,8 @@ def replay_sweep(
     infeasible).  Rows flagged in ``lazy`` carry no value yet: each one the
     sweep does not prune is resolved through ``resolve(i)`` in evaluation
     order (the seed first, then index order) and its value written back
-    into ``objectives``.  The scalar loop marks every row lazy.
+    into ``objectives``.  A decision without a batched evaluation marks
+    every row lazy.
     ``on_incumbent(idx, objective, seeded)`` fires on every incumbent
     improvement, in evaluation order — the hook behind the
     ``core.incumbent`` observability events.
@@ -271,7 +273,7 @@ class BatchedObjective:
     - remaining rows mirror ``plan() is None`` (objective ``inf``).
 
     Without an evaluation (``ev=None``) nothing is precomputed and every
-    row is lazy — the Coordinator's scalar loop.
+    row is lazy: the sweep plans each row it reaches.
     """
 
     __slots__ = ("_agent", "csets", "objectives", "lazy", "schedules")
@@ -310,11 +312,11 @@ class BatchedObjective:
 def materialise_winner(agent: Any, csets: Sequence, result: SweepResult) -> Any:
     """Plan the sweep winner with the scalar planner and cross-check it.
 
-    The vectorised paths never answer with a number the scalar path would
-    not have produced: the winner's schedule is materialised by the real
-    planner and its objective compared against the batched prediction — a
-    divergence raises instead of answering wrong.  Raises ``RuntimeError``
-    when the sweep found no feasible candidate at all.
+    A batched decision never answers with a number the scalar planner
+    would not have produced: the winner's schedule is materialised by the
+    real planner and its objective compared against the batched prediction
+    — a divergence raises instead of answering wrong.  Raises
+    ``RuntimeError`` when the sweep found no feasible candidate at all.
     """
     if result.best_idx < 0:
         raise RuntimeError(
@@ -335,9 +337,9 @@ def resolve_batch_planner(planner: Any, info: Any) -> Any | None:
     Planners opt in by exposing ``batch_planner(info)`` — returning an
     object with the ``batch_inputs``/``lower_bounds`` batching surface
     (usually themselves; dispatchers return their single active family).
-    Used identically by the Coordinator's vectorised solo path and the
-    scheduling service's batched core, so "which configurations vectorise"
-    has exactly one answer.
+    Its one caller, :meth:`~repro.core.coordinator.AppLeSAgent.stage`,
+    serves solo and service decisions alike, so "which configurations
+    batch" has exactly one answer.
     """
     hook = getattr(planner, "batch_planner", None)
     if hook is None:
@@ -357,8 +359,8 @@ def objective_bounds(
     (``lower_bounds``) and the estimator's mapping from time bounds to
     objective bounds (``objective_lower_bounds``); without either, pruning
     is disabled for the decision.  ``member_mask`` optionally supplies the
-    ``(m, n)`` membership matrix over ``info.pool.machine_names()`` that
-    the batched callers already built; the scalar loop passes none.
+    ``(m, n)`` membership matrix over ``info.pool.machine_names()`` that a
+    batching configuration's staging already built; others pass none.
     """
     estimator_bounds = getattr(agent.estimator, "objective_lower_bounds", None)
     planner_bounds = getattr(planner, "lower_bounds", None)

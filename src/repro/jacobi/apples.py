@@ -144,22 +144,10 @@ def _availability_risk(machines: Sequence[str], info: InformationPool) -> float:
     """Worst relative availability-forecast error across ``machines``.
 
     A barrier step is the max over members, so a set's volatility exposure
-    is its worst member's ``error / availability``.  Reads the decision
-    snapshot when one is active (identical values, no per-call NWS query).
+    is its worst member's ``error / availability`` (see
+    :func:`_member_risks`), and 0.0 for a set with no available member.
     """
-    cache = info.decision_cache
-    snap = cache.snapshot if cache is not None else None
-    worst = 0.0
-    for m in machines:
-        if snap is not None and m in snap.availability:
-            avail = snap.availability[m]
-            err = snap.availability_error[m]
-        else:
-            avail = info.pool.predicted_availability(m)
-            err = info.pool.predicted_availability_error(m)
-        if avail > 0:
-            worst = max(worst, err / max(avail, 0.05))
-    return worst
+    return max([0.0, *_member_risks(machines, info)])
 
 
 def _member_risks(names: Sequence[str], info: InformationPool) -> list[float]:
@@ -251,9 +239,6 @@ class JacobiPlanner:
         # A barrier step is the max over members, so a set's exposure is its
         # worst member's relative forecast error.
         self.risk_aversion = risk_aversion
-
-    def _risk(self, machines: Sequence[str], info: InformationPool) -> float:
-        return _availability_risk(machines, info)
 
     def _model(self, info: InformationPool) -> StripCostModel:
         """The cost model — memoised per decision, snapshot-backed.
@@ -432,9 +417,8 @@ class JacobiPlanner:
         schedule = schedule_from_strip_partition(
             partition, self.problem, model, "apples-strip"
         )
-        schedule.predicted_time *= 1.0 + self.risk_aversion * self._risk(
-            partition.machines, info
-        )
+        risk = _availability_risk(partition.machines, info)
+        schedule.predicted_time *= 1.0 + self.risk_aversion * risk
         _finish(schedule)
         return schedule
 
@@ -517,14 +501,6 @@ class StripBatchInputs:
     risks: np.ndarray  # (n,) member availability risks
     account_memory: bool
 
-    def member_mask(self, resource_set: Sequence[str]) -> np.ndarray:
-        """Rank-space member mask for one candidate set (usable members)."""
-        return member_masks_over([resource_set], self.rank_names)[0]
-
-    def member_masks(self, candidate_sets: Sequence[Sequence[str]]) -> np.ndarray:
-        """Rank-space member masks for many candidate sets, ``(m, n)``."""
-        return member_masks_over(candidate_sets, self.rank_names)
-
 
 @dataclass(frozen=True)
 class StripBatchEvaluation:
@@ -578,56 +554,33 @@ def evaluate_strip_batch(
         if len(inputs.rank_names) != n or masks.shape[1] != n:
             raise ValueError("all jobs must share one machine universe size")
 
-    if len(jobs) == 1:
-        # Single-job lane (the Coordinator's vectorised solo decision):
-        # no cross-job stacking — per-job arrays are viewed with a length-1
-        # leading axis instead of copied through np.stack, and the row→job
-        # map is all zeros.  Same arrays, same floats, less batching tax.
-        inputs, masks = jobs[0]
-        job_rates = inputs.rates[None]
-        job_caps = (
+    job_rates = np.stack([inputs.rates for inputs, _ in jobs])
+    job_caps = np.stack(
+        [
             inputs.caps if inputs.caps is not None else np.full(n, np.inf)
-        )[None]
-        job_avail = inputs.avail_mb[None]
-        job_pair = inputs.pair[None]
-        job_risks = inputs.risks[None]
-        job_sync = np.array([inputs.sync_overhead_s])
-        job_total = np.array([inputs.total_points])
-        job_grid = np.array([inputs.grid_n], dtype=np.int64)
-        job_bytes = np.array([inputs.bytes_per_point])
-        job_iters = np.array([float(inputs.iterations)])
-        job_ra = np.array([inputs.risk_aversion])
-        job_memory = np.array([inputs.account_memory])
-        all_masks = np.asarray(masks, dtype=bool)
-        job_of = np.zeros(len(all_masks), dtype=np.int64)
-    else:
-        job_rates = np.stack([inputs.rates for inputs, _ in jobs])
-        job_caps = np.stack(
-            [
-                inputs.caps if inputs.caps is not None else np.full(n, np.inf)
-                for inputs, _ in jobs
-            ]
-        )
-        job_avail = np.stack([inputs.avail_mb for inputs, _ in jobs])
-        job_pair = np.stack([inputs.pair for inputs, _ in jobs])
-        job_risks = np.stack([inputs.risks for inputs, _ in jobs])
-        job_sync = np.array([inputs.sync_overhead_s for inputs, _ in jobs])
-        job_total = np.array([inputs.total_points for inputs, _ in jobs])
-        job_grid = np.array([inputs.grid_n for inputs, _ in jobs], dtype=np.int64)
-        job_bytes = np.array([inputs.bytes_per_point for inputs, _ in jobs])
-        job_iters = np.array([float(inputs.iterations) for inputs, _ in jobs])
-        job_ra = np.array([inputs.risk_aversion for inputs, _ in jobs])
-        job_memory = np.array([inputs.account_memory for inputs, _ in jobs])
+            for inputs, _ in jobs
+        ]
+    )
+    job_avail = np.stack([inputs.avail_mb for inputs, _ in jobs])
+    job_pair = np.stack([inputs.pair for inputs, _ in jobs])
+    job_risks = np.stack([inputs.risks for inputs, _ in jobs])
+    job_sync = np.array([inputs.sync_overhead_s for inputs, _ in jobs])
+    job_total = np.array([inputs.total_points for inputs, _ in jobs])
+    job_grid = np.array([inputs.grid_n for inputs, _ in jobs], dtype=np.int64)
+    job_bytes = np.array([inputs.bytes_per_point for inputs, _ in jobs])
+    job_iters = np.array([float(inputs.iterations) for inputs, _ in jobs])
+    job_ra = np.array([inputs.risk_aversion for inputs, _ in jobs])
+    job_memory = np.array([inputs.account_memory for inputs, _ in jobs])
 
-        all_masks = np.concatenate(
-            [np.asarray(masks, dtype=bool) for _, masks in jobs]
-        )
-        job_of = np.concatenate(
-            [
-                np.full(len(masks), j, dtype=np.int64)
-                for j, (_, masks) in enumerate(jobs)
-            ]
-        )
+    all_masks = np.concatenate(
+        [np.asarray(masks, dtype=bool) for _, masks in jobs]
+    )
+    job_of = np.concatenate(
+        [
+            np.full(len(masks), j, dtype=np.int64)
+            for j, (_, masks) in enumerate(jobs)
+        ]
+    )
 
     total_rows = all_masks.shape[0]
     feasible = np.zeros(total_rows, dtype=bool)

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nws)
     from repro.core.resources import ResourcePool
 
@@ -103,19 +101,6 @@ class ForecastSnapshot:
             value = self.pool.predicted_speed_conservative(name, sigmas)
             self._conservative[key] = value
         return value
-
-    def rates_vector(
-        self, machines: Sequence[str], flop_per_unit: float, sigmas: float = 1.0
-    ) -> np.ndarray:
-        """Conservative point rates (units/s) for ``machines`` as an array.
-
-        The vector form the batched balancer and the pruning bounds
-        consume: ``conservative_speed / flop_per_unit`` per machine.
-        """
-        return np.array(
-            [self.conservative_speed(m, sigmas) / flop_per_unit for m in machines],
-            dtype=float,
-        )
 
     # -- pairwise quantities --------------------------------------------------
     def bandwidth(self, a: str, b: str, flows: int = 1) -> float:

@@ -5,26 +5,29 @@ same Network Weather Service at the same instants (§3: contention is
 *experienced*, not negotiated).  Answering each agent separately repeats
 the same forecast queries, cost models, and candidate evaluations; the
 :class:`SchedulingService` accepts a batch of :class:`DecisionRequest`\\ s
-and answers them through one vectorised evaluation core instead.
+and answers them through one batched evaluation instead.
 
 Bit-identity contract
 ---------------------
 Every answer equals — float for float, count for count — what the
-request's own agent would have decided alone:
+request's own agent would have decided alone, because the service runs
+the agent's own decision pipeline
+(:meth:`~repro.core.coordinator.AppLeSAgent.stage` and
+:meth:`~repro.core.coordinator.AppLeSAgent.decide`) and changes only what
+is shared:
 
 - one :class:`~repro.nws.snapshot.ForecastSnapshot` per decision instant
   is shared across the batch (snapshots are pure caches, so shared and
   private snapshots yield the same values);
-- all candidate sets of all requests are evaluated at once by
-  :func:`~repro.jacobi.apples.evaluate_strip_batch`, whose kernels
-  replicate the scalar planner's float semantics operation-for-operation
-  and *surrender* (flag for scalar planning) any row they cannot certify;
-- the Coordinator's prune-and-choose sweep is replayed per request with
-  the precomputed objectives, reproducing the incumbent/pruning sequence
-  and the winner's identity exactly;
-- the winning schedule is materialised by the scalar planner, and its
-  objective is checked against the batched prediction — a divergence
-  raises instead of answering wrong.
+- the candidate sets of every configuration that batches are evaluated
+  in one :func:`~repro.jacobi.apples.evaluate_strip_batch` call, whose
+  kernels replicate the scalar planner's float semantics
+  operation-for-operation and *surrender* (flag for scalar planning) any
+  row they cannot certify;
+- each configuration is then decided by ``agent.decide`` — the same
+  sweep, winner cross-check and ``core.decision`` span as a solo
+  ``schedule()``.  A configuration that does not batch is decided the
+  same way, its sweep planning every row it does not prune.
 
 The differential tests hold every answer equal to a sequential loop of
 solo :meth:`~repro.core.coordinator.AppLeSAgent.schedule_reference` calls.
@@ -33,8 +36,8 @@ Cross-call reuse (the always-on daemon's amortisation)
 ------------------------------------------------------
 A service constructed with ``reuse=True`` keeps everything derived from
 one *pool state* — the :class:`~repro.nws.snapshot.ForecastSnapshot`, the
-per-configuration staging (candidate sets, membership matrices, pruning
-bounds, batch inputs), the per-configuration
+per-configuration :class:`~repro.core.coordinator.StagedDecision`
+(candidate sets, pruning bounds, batch job), the per-configuration
 :class:`~repro.core.infopool.DecisionCache` memos, and whole answers —
 alive across ``decide()`` calls, invalidating the lot the moment
 :attr:`ForecastSnapshot.stale` turns true (the NWS advanced, so the pool
@@ -48,43 +51,21 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.coordinator import AppLeSAgent, record_pruning_stats
-from repro.core.sweep import (
-    BatchedObjective,
-    materialise_winner,
-    objective_bounds,
-    replay_sweep,
-    resolve_batch_planner,
-)
-from repro.obs.trace import get_tracer
-from repro.core.resources import ResourcePool
-from repro.core.selector import ResourceSelector, member_masks_over
 import numpy as np
 
-from repro.jacobi.apples import (
-    JacobiPlanner,
-    evaluate_strip_batch,
-    make_jacobi_agent,
-)
+from repro.core.coordinator import AppLeSAgent
+from repro.core.resources import ResourcePool
+from repro.core.selector import ResourceSelector
+# Not called here: perfbench/layers.py rebinds these names on this module
+# and fails on a missing one.
+from repro.core.sweep import materialise_winner, objective_bounds, replay_sweep  # noqa: F401
+from repro.jacobi.apples import evaluate_strip_batch, make_jacobi_agent
 from repro.nws.service import NetworkWeatherService
+from repro.obs.trace import get_tracer
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
 
 __all__ = ["SchedulingService"]
-
-
-class _Staged:
-    """Per-configuration staging for one pool state (pure snapshot functions)."""
-
-    __slots__ = ("agent", "planner", "csets", "bounds", "inputs", "perm_masks")
-
-    def __init__(self, agent, planner, csets, bounds, inputs, perm_masks) -> None:
-        self.agent = agent
-        self.planner = planner
-        self.csets = csets
-        self.bounds = bounds
-        self.inputs = inputs
-        self.perm_masks = perm_masks
 
 
 class _PoolState:
@@ -92,8 +73,9 @@ class _PoolState:
 
     Valid exactly while ``snapshot.stale`` is false; the service drops the
     whole object the moment the NWS advances.  ``answers`` memoises whole
-    decisions per request configuration, ``staged`` the batch-evaluation
-    inputs, and ``decisions`` the per-configuration
+    decisions per request configuration, ``staged`` the agent and its
+    :class:`~repro.core.coordinator.StagedDecision`, and ``decisions`` the
+    per-configuration
     :class:`~repro.core.infopool.DecisionCache` (planner/estimator memos).
     """
 
@@ -177,19 +159,6 @@ class SchedulingService:
                 self._decide_group(requests, group, at, answers)
         return [a for a in answers if a is not None]
 
-    @staticmethod
-    def _count_solo(tracer, vectorised: bool) -> None:
-        """Count one solo ``schedule()`` answer by the path that made it.
-
-        ``service.solo_vectorised`` vs ``service.solo_scalar``: every
-        decision the service answers through a single agent (the
-        scalar-config fallback) lands in one of the two, so the daemon's
-        obs stream shows exactly how many decisions the one-shot tensor
-        sweep served.
-        """
-        name = "service.solo_vectorised" if vectorised else "service.solo_scalar"
-        tracer.metrics.counter(name).inc()
-
     # -- internals --------------------------------------------------------
     def _advance(self, at: float) -> None:
         if self.nws is None:
@@ -239,19 +208,8 @@ class SchedulingService:
             self._state = state
         return state
 
-    @staticmethod
-    def _strip_planner(agent: AppLeSAgent) -> JacobiPlanner | None:
-        """The single active strip planner, when the config is batchable.
-
-        Resolved through the same ``batch_planner`` hook the Coordinator's
-        vectorised solo path uses, so "which configurations vectorise" has
-        exactly one answer across solo and batched entry points.
-        """
-        planner = resolve_batch_planner(agent.planner, agent.info)
-        return planner if isinstance(planner, JacobiPlanner) else None
-
     def _decide_group(self, requests, group, at, answers) -> None:
-        """Answer one instant's requests through the batched core."""
+        """Answer one instant's requests: stage, batch-evaluate, decide."""
         # One snapshot for the whole instant: every agent's pool wraps the
         # same topology and NWS, so forecasts read through this snapshot
         # are the same floats each agent's private snapshot would return.
@@ -266,10 +224,9 @@ class SchedulingService:
             configs.setdefault(requests[i].config_key(), []).append(i)
 
         # Phase A: per unique config, build the agent, enumerate candidate
-        # sets (outside the decision, like schedule()), take bounds and
-        # rank-space batch inputs inside a shared-snapshot decision scope.
-        staged = []  # (indices, config key, _Staged)
-        jobs = []
+        # sets (outside the decision, like schedule()) and stage them
+        # inside a shared-snapshot decision scope.
+        pending = []  # (indices, config key, agent, StagedDecision)
         for key, idxs in configs.items():
             answer = state.answers.get(key)
             if answer is not None:
@@ -281,62 +238,27 @@ class SchedulingService:
                 for i in idxs:
                     answers[i] = answer
                 continue
-            st = state.staged.get(key)
-            if st is None:
+            entry = state.staged.get(key)
+            if entry is None:
                 agent = self._agent(requests[idxs[0]], key)
-                planner = self._strip_planner(agent)
-                batchable = planner is not None and hasattr(
-                    agent.estimator, "objectives_from_predictions"
-                )
-                if not batchable:
-                    # Sequential answer under the shared snapshot — still
-                    # one solo decision, bit-identical by snapshot purity.
-                    # The agent's own vectorised path may still engage here
-                    # (a batch planner other than the strip planner the
-                    # service core takes); count whichever path answered.
-                    if tracer.enabled:
-                        tracer.metrics.counter("service.scalar_configs").inc()
-                    decision = agent.schedule(snapshot=snapshot)
-                    if tracer.enabled:
-                        self._count_solo(tracer, decision.vectorised)
-                    answer = ServiceAnswer.from_decision(decision, at=at)
-                    state.answers[key] = answer
-                    for i in idxs:
-                        answers[i] = answer
-                    continue
-                csets = agent.selector.candidate_sets(agent.info)
-                if not csets:
-                    raise RuntimeError(
-                        "Resource Selector produced no candidate sets "
-                        "(User Specification too restrictive?)"
-                    )
-                # One membership matrix per request, shared by the bounds
-                # computation and the batched evaluator (pool-name order
-                # here, permuted to locality-rank order below).
-                names = agent.info.pool.machine_names()
-                name_masks = member_masks_over(csets, names)
+                csets = agent.candidate_sets()
                 with agent.info.decision_scope(
                     snapshot, reuse=state.decisions.get(key)
                 ) as cache:
                     state.decisions[key] = cache
-                    bounds = objective_bounds(
-                        agent, planner, csets, member_mask=name_masks
-                    )
-                    inputs = planner.batch_inputs(agent.info)
-                name_index = {m: k for k, m in enumerate(names)}
-                perm = np.array([name_index[m] for m in inputs.rank_names])
-                st = _Staged(
-                    agent, planner, csets, bounds, inputs, name_masks[:, perm]
-                )
-                state.staged[key] = st
+                    entry = state.staged[key] = (agent, agent.stage(csets))
             elif tracer.enabled:
                 tracer.metrics.counter("service.reuse.staged_hits").inc()
-            staged.append((idxs, key, st))
-            jobs.append((st.inputs, st.perm_masks))
+            agent, staged = entry
+            if tracer.enabled and staged.job is None:
+                tracer.metrics.counter("service.scalar_configs").inc()
+            pending.append((idxs, key, agent, staged))
 
-        # Phase B: one vectorised evaluation over every candidate set of
-        # every staged request, then per-request sweep replays.
-        evaluations = evaluate_strip_batch(jobs)
+        # Phase B: one batched evaluation over every candidate set of every
+        # configuration that batches, then one decision per configuration.
+        evaluations = evaluate_strip_batch(
+            [staged.job for *_, staged in pending if staged.job is not None]
+        )
         if tracer.enabled and evaluations:
             surrendered = sum(
                 int(np.count_nonzero(ev.fallback)) for ev in evaluations
@@ -354,63 +276,21 @@ class SchedulingService:
                 configs=len(evaluations), rows=total_rows,
                 surrendered=surrendered,
             )
-        for (idxs, key, st), ev in zip(staged, evaluations):
-            agent = st.agent
+        batched = iter(evaluations)
+        for idxs, key, agent, staged in pending:
+            ev = next(batched) if staged.job is not None else None
             with agent.info.decision_scope(
                 snapshot, reuse=state.decisions.get(key)
             ) as cache:
                 state.decisions[key] = cache
-                begin = getattr(agent.planner, "begin_decision", None)
-                end = getattr(agent.planner, "end_decision", None)
-                if begin is not None:
-                    begin(agent.info)
-                try:
-                    answer = self._sweep(
-                        agent, st.csets, st.bounds, st.inputs, ev, at
-                    )
-                finally:
-                    if end is not None:
-                        end(agent.info)
-            state.answers[key] = answer
+                decision = agent.decide(staged, ev)
+            answer = state.answers[key] = ServiceAnswer.from_decision(decision, at)
             if tracer.enabled:
-                # Each batched config is one solo decision answered by the
-                # vectorised core — same instrument as the scalar branch.
-                self._count_solo(tracer, True)
+                # Every decision is counted by how it was scored, so the
+                # obs stream shows how many the batched core served.
+                tracer.metrics.counter(
+                    "service.solo_vectorised" if decision.vectorised
+                    else "service.solo_scalar"
+                ).inc()
             for i in idxs:
                 answers[i] = answer
-
-    def _sweep(self, agent, csets, bounds, inputs, ev, at) -> ServiceAnswer:
-        """Replay the Coordinator's prune-and-choose loop on batched results.
-
-        One call into the canonical sweep core
-        (:mod:`repro.core.sweep`): a :class:`BatchedObjective` scores every
-        candidate from the batched evaluation at once (surrendered rows
-        stay lazy, planned by the scalar planner inside the same decision
-        scope), :func:`replay_sweep` reproduces the seed/incumbent/pruning
-        sequence, and :func:`materialise_winner` plans and cross-checks
-        the winner — the identical code path the vectorised solo
-        ``schedule()`` runs, so solo and batched answers cannot drift.
-        """
-        objective = BatchedObjective(agent, csets, inputs, ev)
-        result = replay_sweep(
-            bounds, objective.objectives, objective.lazy, objective.resolve
-        )
-        best = materialise_winner(agent, csets, result)
-        stats = result.stats(bounds is not None)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Batched decisions land in the same instruments as solo ones —
-            # one pruning history regardless of which path answered.
-            record_pruning_stats(tracer.metrics, stats)
-            tracer.event(
-                "service.decision", layer="service", t=at,
-                candidates=stats.candidates, pruned=stats.pruned,
-                best_objective=result.best_objective,
-            )
-        return ServiceAnswer(
-            best=best,
-            best_objective=result.best_objective,
-            metric=agent.info.userspec.performance_metric,
-            pruning=stats,
-            at=at,
-        )

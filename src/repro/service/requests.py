@@ -92,7 +92,7 @@ class ServiceAnswer:
 
     @classmethod
     def from_decision(cls, decision: ScheduleDecision, at: float) -> "ServiceAnswer":
-        """Wrap a full Coordinator decision (the sequential/oracle path)."""
+        """Wrap a Coordinator decision; the service answers through it."""
         return cls(
             best=decision.best,
             best_objective=decision.best_objective,
@@ -110,15 +110,6 @@ class ServiceAnswer:
     def predicted_time(self) -> float:
         """The chosen schedule's risk-adjusted predicted time."""
         return self.best.predicted_time
-
-    @property
-    def strip_rows(self) -> tuple[int, ...]:
-        """Grid rows per strip of the chosen partition (when strip-shaped)."""
-        partition = self.best.metadata.get("partition")
-        strips = getattr(partition, "strips", None)
-        if strips is None:
-            return ()
-        return tuple(s.row_count for s in strips)
 
     @property
     def evaluations_planned(self) -> int:

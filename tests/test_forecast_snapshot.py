@@ -67,17 +67,6 @@ def test_snapshot_without_nws(testbed):
         assert snap.availability_error[name] == 0.0
 
 
-def test_rates_vector(pool):
-    problem = JacobiProblem(n=400, iterations=10)
-    snap = pool.snapshot()
-    names = pool.machine_names()
-    rates = snap.rates_vector(names, problem.flop_per_point)
-    assert rates.shape == (len(names),)
-    for j, name in enumerate(names):
-        expected = pool.predicted_speed_conservative(name, 1.0) / problem.flop_per_point
-        assert rates[j] == expected
-
-
 def test_snapshot_subset_capture(pool):
     names = pool.machine_names()[:3]
     snap = pool.snapshot(names)

@@ -14,7 +14,11 @@ must also reproduce, and the decision oracle
 decision scope.  Batch contents are mixed on purpose: several problem
 sizes, user specifications (including a different metric and a machine
 cap), memory-blind requests, and duplicated configurations that exercise
-the service's dedup.
+the service's dedup.  A request weighing two decomposition families does
+not batch: its sweep plans every row it does not prune.  Mixed batches
+that carry one check that route against both solo loops, and a traced
+batch checks that every configuration emits the same ``core.decision``
+span as a solo decision.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
+from repro.obs.trace import tracing
 from repro.service import DecisionRequest, SchedulingService, ServiceAnswer
 from repro.sim import casa_testbed, nile_testbed, sdsc_pcl_testbed, sdsc_pcl_with_sp2
 
@@ -224,3 +229,73 @@ def test_past_instant_rejected():
     service = SchedulingService(testbed, nws)
     with pytest.raises(ValueError):
         service.decide([DecisionRequest(problem=JacobiProblem(n=600, iterations=10), at=100.0)])
+
+
+# -- configurations that do not batch ------------------------------------
+TWO_FAMILIES = UserSpecification(decomposition_preference=("strip", "blocked"))
+
+
+def _with_two_families(batch: int) -> list[DecisionRequest]:
+    """A mixed batch plus one request the batched evaluation cannot take."""
+    return _requests(batch) + [
+        DecisionRequest(
+            problem=JacobiProblem(n=700, iterations=30),
+            userspec=TWO_FAMILIES,
+            at=AT,
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", list(TESTBED_BUILDERS))
+def test_two_family_config_in_mixed_batch(name):
+    """The request that does not batch, decided among ones that do,
+    matches solo ``schedule()`` and the oracle float for float."""
+    requests = _with_two_families(3)
+    answers = _service_answers(name, *SEEDS[1], requests)
+    for reference in (False, True):
+        decisions = _solo_decisions(name, *SEEDS[1], requests, reference)
+        for answer, decision in zip(answers, decisions, strict=True):
+            _assert_identical(answer, decision, stats=not reference)
+
+
+# -- a service decision traces like a solo one ---------------------------
+SPAN_ATTRS = ("candidates", "bounded", "metric", "planned", "pruned",
+              "best_objective")
+
+
+def _decision_traces(records):
+    """Per ``core.decision`` span: its outcome attributes and incumbents."""
+    traces = []
+    for span in records:
+        if span["kind"] != "span" or span["name"] != "core.decision":
+            continue
+        incumbents = [
+            (r["fields"]["idx"], r["fields"]["objective"],
+             r["fields"].get("seeded", False))
+            for r in records
+            if r["kind"] == "event" and r["name"] == "core.incumbent"
+            and r["span"] == span["id"]
+        ]
+        traces.append(({k: span["attrs"][k] for k in SPAN_ATTRS}, incumbents))
+    return traces
+
+
+def test_service_decision_traces_like_solo():
+    """Every configuration of a traced service batch, batched or not,
+    yields the ``core.decision`` span a traced solo ``schedule()`` of the
+    same request yields: same outcome attributes, same incumbent events."""
+    problem = JacobiProblem(n=600, iterations=40)
+    specs = [_userspec(0), _userspec(1), _userspec(2), TWO_FAMILIES]
+    requests = [DecisionRequest(problem=problem, userspec=s, at=AT) for s in specs]
+    with tracing() as tr:
+        _service_answers("sdsc_pcl", *SEEDS[0], requests)
+    batched = _decision_traces(tr.records())
+    solo = []
+    for request in requests:
+        with tracing() as tr:
+            _solo_decisions("sdsc_pcl", *SEEDS[0], [request])
+        solo += _decision_traces(tr.records())
+    assert len(batched) == len(requests)
+    assert batched == solo
+    # The two-family request did not batch, yet its sweep was bounded.
+    assert batched[-1][0]["bounded"] and batched[-1][1]

@@ -1,14 +1,17 @@
-"""Differential suite: vectorised solo decision ≡ bounded scalar loop ≡ oracle.
+"""Differential suite: batched solo decision ≡ unbatched decision ≡ oracle.
 
-The one-shot tensor sweep (``AppLeSAgent._schedule_vectorised``) claims to
-change *nothing observable* about a solo decision.  These tests run each
-arm explicitly over agents sharing one world, so all three read the same
-forecasts — ``reference`` (:meth:`AppLeSAgent.schedule_reference`, the
-decision oracle), ``scalar`` (``schedule()`` with
+A solo ``schedule()`` whose configuration batches evaluates every
+candidate set in one ``evaluate_strip_batch`` call before
+``AppLeSAgent.decide`` sweeps them; that batch claims to change *nothing
+observable* about the decision.  These tests run each arm explicitly over
+agents sharing one world, so all three read the same forecasts —
+``reference`` (:meth:`AppLeSAgent.schedule_reference`, the decision
+oracle), ``scalar`` (``schedule()`` with
 ``repro.core.coordinator.resolve_batch_planner`` patched to find no batch
-planner, which routes Jacobi agents to the bounded scalar loop that
-planners without a batch surface take in production) and ``vector``
-(plain ``schedule()``) — and assert bit-identity:
+planner, so ``AppLeSAgent.stage`` stages no batch job and the bounded
+sweep plans every row it reaches, as for planners without a batch surface
+in production) and ``vector`` (plain ``schedule()``) — and assert
+bit-identity:
 
 - winner resource set, allocations, predicted time, objective — across
   all three arms (the reference loop is the ground truth);
@@ -16,8 +19,8 @@ planners without a batch surface take in production) and ``vector``
   per-row objectives and bounds, and :class:`PruningStats` — between the
   two bounded arms, which share the seeded sweep (the reference loop is
   unbounded by design);
-- the vector arm really took the tensor path (``decision.vectorised``)
-  and the scalar arm really did not.
+- the vector arm really was batched (``decision.vectorised``) and the
+  scalar arm really was not.
 
 A Hypothesis property drives random pools, seeds, problem shapes and user
 specifications through the same oracle.
