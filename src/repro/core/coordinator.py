@@ -316,9 +316,8 @@ class AppLeSAgent:
             for the decision scope.  Snapshots are pure caches, so the
             decision is bit-identical to taking a fresh one.
         """
-        candidate_sets = self.candidate_sets()
         with self.info.decision_scope(snapshot):
-            staged = self.stage(candidate_sets)
+            staged = self.stage(self.candidate_sets())
             ev = None
             if staged.job is not None:
                 # Deferred import: repro.jacobi builds on repro.core.

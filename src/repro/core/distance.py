@@ -61,7 +61,9 @@ def set_diameter(pool: ResourcePool, machines: list[str], coupling_bytes: float)
     """Largest pairwise logical distance within a machine set.
 
     The Resource Selector prefers candidate sets with small diameter when
-    the application is communication-coupled.
+    the application is communication-coupled.  It reads the same
+    distances from a forecast snapshot's pair table in one array pass;
+    this per-pair loop is the reference its order is tested against.
     """
     if len(machines) < 2:
         return 0.0

@@ -12,16 +12,22 @@ non-empty subset is generated (the paper's Jacobi prototype considered
 "all subsets" of its eight hosts).  Larger pools fall back to a greedy
 ladder: machines ranked by predicted deliverable speed, then locality-
 tightened prefixes per site.
+
+For a communication-coupled application, a list of at most 1024 sets is
+then stably sorted by (logical diameter, size), so tight sets come first.
+The diameters are read from one pair table of the forecast snapshot
+(:meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix`), a masked
+maximum per set, and the order is one ``np.lexsort``.  Larger lists, and
+uncoupled applications, keep enumeration order.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.distance import set_diameter
 from repro.core.infopool import InformationPool
 from repro.obs.trace import get_tracer
 
@@ -65,6 +71,45 @@ def member_masks_over(
     known = cols >= 0
     masks[rows[known], cols[known]] = True
     return masks
+
+
+def _tight_first(
+    sets: list[tuple[str, ...]],
+    feasible: Sequence[str],
+    info: InformationPool,
+    coupling: float,
+) -> list[tuple[str, ...]]:
+    """``sets`` stably sorted by (logical diameter, size).
+
+    A set's diameter is its largest pairwise logical distance
+    (:func:`repro.core.distance.set_diameter`, the oracle the tests sort
+    by), read from one pair table of the forecast snapshot — the open
+    decision's, else a fresh one — instead of re-queried per set.  Each
+    member pair ``p < q`` in the tuple's own order reads ``D[t_p, t_q]``
+    and an ``fmax`` reduction from ``0.0`` takes their maximum: exactly
+    the running ``max()`` of the oracle, since a maximum never rounds.
+    ``np.lexsort`` is stable, like ``list.sort``, so ties keep
+    enumeration order.  Members must be ``feasible`` machines.
+    """
+    cache = info.decision_cache
+    snapshot = cache.snapshot if cache is not None else info.pool.snapshot(feasible)
+    dist = snapshot.transfer_matrix(feasible, coupling)
+    index = {m: j for j, m in enumerate(feasible)}
+    count = len(sets)
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=count)
+    width = int(sizes.max())
+    # Member positions, tuple order, left-aligned: slot k of row i holds
+    # the k-th member of sets[i]; slots past its size stay 0 (masked).
+    members = np.zeros((count, width), dtype=np.int64)
+    slots = np.arange(width)[None, :] < sizes[:, None]
+    members[slots] = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(sets)),
+        dtype=np.int64, count=int(sizes.sum()),
+    )
+    p, q = np.triu_indices(width, k=1)
+    pairs = np.where(slots[:, q], dist[members[:, p], members[:, q]], 0.0)
+    diameters = np.fmax.reduce(pairs, axis=1, initial=0.0)
+    return list(map(sets.__getitem__, np.lexsort((sizes, diameters)).tolist()))
 
 
 class ResourceSelector:
@@ -137,9 +182,14 @@ class ResourceSelector:
     def candidate_sets(self, info: InformationPool) -> list[tuple[str, ...]]:
         """Prioritised candidate resource sets for the Coordinator.
 
-        Ordering: smaller logical diameter first within a size class, sizes
-        interleaved so both small tight sets and large aggregates appear
-        early; truncated at ``max_sets``.
+        Ordering: the base enumeration (exhaustive or greedy ladder) with
+        any :meth:`_extra_sets` appended.  When the application is coupled
+        (stencil or pipeline traffic) and there are at most 1024 sets, the
+        whole list is then stably sorted by (logical diameter, size):
+        tightest sets first, smaller sets first among equal diameters,
+        enumeration order among full ties.  Otherwise enumeration order is
+        kept.  Truncated at ``max_sets``.  Inside a decision scope the
+        distances come from the scope's forecast snapshot.
         """
         feasible = self.feasible_machines(info)
         if not feasible:
@@ -174,9 +224,11 @@ class ResourceSelector:
 
         coupling = self._coupling_bytes(info)
         if coupling > 0.0 and len(sets) <= 1024:
-            # Prioritise tight sets; expensive for huge enumerations, so only
-            # applied when the candidate list is modest.
-            sets.sort(key=lambda s: (set_diameter(info.pool, list(s), coupling), len(s)))
+            # Coupled applications try tight sets first.  The 1024-set gate
+            # is part of the order's definition, not a cost cut-off: larger
+            # enumerations keep enumeration order, and their bounds' pruning
+            # statistics depend on it.
+            sets = _tight_first(sets, feasible, info, coupling)
         sets = sets[: self.max_sets]
         tracer = get_tracer()
         if tracer.enabled:
@@ -209,13 +261,10 @@ class ResourceSelector:
         return 0.0
 
     def _exhaustive(self, feasible: Sequence[str], max_machines: int) -> list[tuple[str, ...]]:
-        sets: list[tuple[str, ...]] = []
-        for size in range(1, max_machines + 1):
-            for combo in combinations(feasible, size):
-                sets.append(combo)
-                if len(sets) >= self.max_sets:
-                    return sets
-        return sets
+        subsets = chain.from_iterable(
+            combinations(feasible, size) for size in range(1, max_machines + 1)
+        )
+        return list(islice(subsets, self.max_sets))
 
     def _greedy(
         self, feasible: Sequence[str], info: InformationPool, max_machines: int

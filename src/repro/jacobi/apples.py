@@ -319,12 +319,12 @@ class JacobiPlanner:
         single_lb = np.where(mask, single[None, :], np.inf).min(axis=1)
 
         # Multi-machine relaxation: per-set per-member border-cost floors.
-        # The pairwise matrix is shared with batch_inputs via the model's
-        # memo; only member columns are read below (mask excludes unusable
-        # machines), so the diagonal is the single entry that differs from
-        # a neighbour cost — a machine is never its own strip neighbour,
-        # and an inf diagonal keeps singleton members on the singleton
-        # relaxation exactly as the original per-pair loop did.
+        # The pairwise matrix is the snapshot's pair table, shared with
+        # batch_inputs; only member columns are read below (mask excludes
+        # unusable machines), so the diagonal is the single entry that
+        # differs from a neighbour cost — a machine is never its own strip
+        # neighbour, and an inf diagonal keeps singleton members on the
+        # singleton relaxation exactly as the original per-pair loop did.
         pair = model.comm_cost_matrix(names).copy()
         np.fill_diagonal(pair, np.inf)
         # floors[i, m] = min border exchange from m to any other member of

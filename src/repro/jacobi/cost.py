@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "strip_comm_seconds",
     "StripCostModel",
-    "pairwise_transfer_matrix",
     "batched_neighbor_comm_costs",
 ]
 
@@ -101,7 +100,6 @@ class StripCostModel:
         self._rate_memo: dict[str, float] = {}
         self._ptime_memo: dict[str, float] = {}
         self._cap_memo: dict[str, float] = {}
-        self._pair_memo: dict[tuple[str, ...], np.ndarray] = {}
         if conservatism_sigmas < 0:
             raise ValueError("conservatism_sigmas must be >= 0")
         self.conservatism_sigmas = conservatism_sigmas
@@ -246,48 +244,28 @@ class StripCostModel:
 
     # -- batched kernels ---------------------------------------------------
     def comm_cost_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Border-exchange seconds between every machine pair of ``names``.
+        """``(n, n)`` matrix of one-border transfer seconds between machines.
 
-        See :func:`pairwise_transfer_matrix`; this binds the model's own
-        exchange volume and transfer source (snapshot memo when present).
-        Memoised per name order while frozen at a snapshot — the strip
-        planner's pruning bounds and batch inputs both gather from it, so
-        one decision builds each matrix once.  Callers must treat the
-        returned array as read-only (copy before mutating).
+        Entry ``[i, j]`` is exactly ``self._transfer_time(names[i],
+        names[j], exchange)`` — the term :meth:`comm_costs` charges for a
+        strip neighbour — so any neighbour cost a scalar plan would compute
+        can be *gathered* from this matrix instead of re-queried: the
+        batched evaluation core of the scheduling service indexes it with
+        the neighbour structure of thousands of candidate strip orders at
+        once.  Dead links appear as ``inf``, mirroring the scalar path.
+        The diagonal is zero; a machine is never its own strip neighbour.
+
+        The matrix is the read-only
+        :meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix` of the
+        model's snapshot, shared by the strip planner's pruning bounds and
+        batch inputs across every configuration at that pool state (copy
+        before mutating); a model without one reads a fresh snapshot of
+        the pool, which by the snapshot's contract holds the same values.
         """
-        if self.snapshot is None:
-            return pairwise_transfer_matrix(self, names)
-        key = tuple(names)
-        pair = self._pair_memo.get(key)
-        if pair is None:
-            pair = pairwise_transfer_matrix(self, names)
-            self._pair_memo[key] = pair
-        return pair
-
-
-def pairwise_transfer_matrix(
-    model: StripCostModel, names: Sequence[str]
-) -> np.ndarray:
-    """``(n, n)`` matrix of one-border transfer seconds between machines.
-
-    Entry ``[i, j]`` is exactly ``model._transfer_time(names[i], names[j],
-    exchange)`` — the term :meth:`StripCostModel.comm_costs` charges for a
-    strip neighbour — so any neighbour cost a scalar plan would compute can
-    be *gathered* from this matrix instead of re-queried: the batched
-    evaluation core of the scheduling service indexes it with the neighbour
-    structure of thousands of candidate strip orders at once.  Dead links
-    appear as ``inf``, mirroring the scalar path.  The diagonal is zero; a
-    machine is never its own strip neighbour.
-    """
-    names = list(names)
-    n = len(names)
-    exchange = model.problem.border_exchange_bytes()
-    pair = np.zeros((n, n), dtype=float)
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i != j:
-                pair[i, j] = model._transfer_time(a, b, exchange)
-    return pair
+        snapshot = self.snapshot
+        if snapshot is None:
+            snapshot = self.pool.snapshot(list(names))
+        return snapshot.transfer_matrix(names, self.problem.border_exchange_bytes())
 
 
 def batched_neighbor_comm_costs(
@@ -302,7 +280,7 @@ def batched_neighbor_comm_costs(
     Parameters
     ----------
     pair:
-        ``(n, n)`` transfer matrix (:func:`pairwise_transfer_matrix`), or a
+        ``(n, n)`` transfer matrix (:meth:`StripCostModel.comm_cost_matrix`), or a
         ``(J, n, n)`` stack of them when rows mix requests with different
         exchange volumes — select per row with ``row_pair``.
     order_idx:

@@ -13,12 +13,17 @@ across all candidate evaluations instead of re-deriving per candidate.
 Machine quantities (speed, availability, forecast error) are captured
 eagerly; pairwise quantities (bandwidth, transfer time) and derived
 quantities (conservative speeds at a given sigma) are memoised on first
-use, because the pair space is quadratic and most decisions touch only a
-fraction of it.
+use.  Array consumers — the Resource Selector's candidate order, the
+strip planner's bounds and batch inputs — read whole pair tables
+(:meth:`ForecastSnapshot.transfer_matrix`): one latency and one bandwidth
+table over the captured machines (widened on demand for any other pool
+machine), taken once, then one read-only transfer-time table per name
+order and message size.
 
-Every value is obtained by calling the pool's own prediction interface, so
-a snapshot is *bit-identical* to issuing the underlying queries directly —
-it is a cache, never an approximation.  That property is what lets the
+Every value is obtained by calling the pool's own prediction interface,
+or by repeating its arithmetic elementwise, so a snapshot is
+*bit-identical* to issuing the underlying queries directly — it is a
+cache, never an approximation.  That property is what lets the
 fast scheduling path (see :mod:`repro.core.coordinator`) promise decisions
 identical to the reference implementation.
 
@@ -31,6 +36,8 @@ call, which is the intended lifetime.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nws)
     from repro.core.resources import ResourcePool
@@ -63,6 +70,9 @@ class ForecastSnapshot:
         "_conservative",
         "_bandwidth",
         "_transfer",
+        "_index",
+        "_links",
+        "_matrices",
     )
 
     def __init__(self, pool: "ResourcePool", machines: Sequence[str] | None = None) -> None:
@@ -82,6 +92,12 @@ class ForecastSnapshot:
         self._conservative: dict[tuple[str, float], float] = {}
         self._bandwidth: dict[tuple[str, str, int], float] = {}
         self._transfer: dict[tuple[str, str, float, int], float] = {}
+        # Pair tables (see transfer_matrix): latency and bandwidth over
+        # ``machines`` (and any name asked for later), then one read-only
+        # table per (name order, nbytes).
+        self._index = {n: i for i, n in enumerate(self.machines)}
+        self._links: tuple[np.ndarray, np.ndarray] | None = None
+        self._matrices: dict[tuple[tuple[str, ...], float], np.ndarray] = {}
 
     # -- freshness ------------------------------------------------------------
     @property
@@ -120,6 +136,64 @@ class ForecastSnapshot:
             value = self.pool.predicted_transfer_time(a, b, nbytes, flows)
             self._transfer[key] = value
         return value
+
+    def transfer_matrix(self, names: Sequence[str], nbytes: float) -> np.ndarray:
+        """Read-only ``(n, n)`` table of :meth:`transfer_time` over ``names``.
+
+        Entry ``[i, j]`` is ``self.transfer_time(names[i], names[j],
+        nbytes)`` bit for bit: ``0.0`` on the diagonal and for
+        ``nbytes <= 0``, ``inf`` across a dead link (bandwidth ``<= 0``),
+        otherwise path latency plus ``nbytes`` over the bandwidth — the
+        same two IEEE operations, elementwise.  One latency and one
+        bandwidth table over :attr:`machines` are taken on first use and
+        every ``(names, nbytes)`` table is gathered from them and
+        memoised, so a repeated call returns the same array and every
+        pair is queried once per snapshot, whatever the name order.  Like
+        the pairwise queries, it serves any pool machine: a name the
+        snapshot did not capture widens the link tables.
+        """
+        key = (tuple(names), nbytes)
+        table = self._matrices.get(key)
+        if table is None:
+            n = len(key[0])
+            if nbytes <= 0:
+                table = np.zeros((n, n))
+            else:
+                latency, bandwidth = self._link_tables(key[0])
+                idx = [self._index[name] for name in key[0]]
+                sub = np.ix_(idx, idx)
+                bw = bandwidth[sub]
+                dead = bw <= 0.0
+                same = np.equal.outer(idx, idx)
+                table = latency[sub] + nbytes / np.where(dead | same, 1.0, bw)
+                table[dead] = np.inf
+                table[same] = 0.0
+            table.flags.writeable = False
+            self._matrices[key] = table
+        return table
+
+    def _link_tables(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Path latency and :meth:`bandwidth` between every indexed pair.
+
+        The index starts as :attr:`machines`; ``names`` outside it are
+        appended and the tables rebuilt over the wider index.
+        """
+        missing = [name for name in dict.fromkeys(names) if name not in self._index]
+        if self._links is None or missing:
+            everyone = [*self._index, *missing]
+            n = len(everyone)
+            latency = np.zeros((n, n))
+            bandwidth = np.full((n, n), np.inf)
+            path_latency = self.pool.topology.path_latency
+            for i, a in enumerate(everyone):
+                for j, b in enumerate(everyone):
+                    if i != j:
+                        bw = bandwidth[i, j] = self.bandwidth(a, b)
+                        if bw > 0.0:
+                            latency[i, j] = path_latency(a, b)
+            self._index = {name: i for i, name in enumerate(everyone)}
+            self._links = (latency, bandwidth)
+        return self._links
 
     def export_forecasts(self) -> dict[str, dict[str, float]]:
         """The eagerly-captured machine forecasts as plain serialisable data.

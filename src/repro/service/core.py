@@ -223,9 +223,9 @@ class SchedulingService:
         for i in group:
             configs.setdefault(requests[i].config_key(), []).append(i)
 
-        # Phase A: per unique config, build the agent, enumerate candidate
-        # sets (outside the decision, like schedule()) and stage them
-        # inside a shared-snapshot decision scope.
+        # Phase A: per unique config, build the agent, then enumerate and
+        # stage its candidate sets inside a shared-snapshot decision scope
+        # (like schedule()), so every configuration reads one pair table.
         pending = []  # (indices, config key, agent, StagedDecision)
         for key, idxs in configs.items():
             answer = state.answers.get(key)
@@ -241,12 +241,12 @@ class SchedulingService:
             entry = state.staged.get(key)
             if entry is None:
                 agent = self._agent(requests[idxs[0]], key)
-                csets = agent.candidate_sets()
                 with agent.info.decision_scope(
                     snapshot, reuse=state.decisions.get(key)
                 ) as cache:
                     state.decisions[key] = cache
-                    entry = state.staged[key] = (agent, agent.stage(csets))
+                    staged = agent.stage(agent.candidate_sets())
+                    entry = state.staged[key] = (agent, staged)
             elif tracer.enabled:
                 tracer.metrics.counter("service.reuse.staged_hits").inc()
             agent, staged = entry

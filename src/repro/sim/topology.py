@@ -34,7 +34,9 @@ class Topology:
 
     def __init__(self) -> None:
         self.hosts: dict[str, Host] = {}
-        self._nodes: set[str] = set()
+        # Vertex -> registration index: path sums run from the
+        # earlier-registered end (see :meth:`path_latency`).
+        self._nodes: dict[str, int] = {}
         # adjacency: node -> list of (neighbor, link)
         self._adj: dict[str, list[tuple[str, Link]]] = {}
         self.links: dict[str, Link] = {}
@@ -57,7 +59,7 @@ class Topology:
     def _add_node(self, name: str) -> None:
         if not name:
             raise ValueError("node name must be non-empty")
-        self._nodes.add(name)
+        self._nodes.setdefault(name, len(self._nodes))
         self._adj.setdefault(name, [])
 
     def connect(self, a: str, b: str, link: Link) -> None:
@@ -151,11 +153,17 @@ class Topology:
 
         Cached per pair (latencies are construction-time constants, so the
         sum never changes while the topology stands; ``connect`` clears it).
+        Both directions sum the route that starts at the earlier-registered
+        end: float addition is not associative, so summing whichever
+        direction happened to be asked first would make the value depend
+        on query history.
         """
         cached = self._latency_cache.get((a, b))
         if cached is not None:
             return cached
-        latency = sum(link.latency_s for link in self.route(a, b))
+        order = self._nodes
+        first, second = (b, a) if order.get(b, -1) < order.get(a, -1) else (a, b)
+        latency = sum(link.latency_s for link in self.route(first, second))
         self._latency_cache[(a, b)] = latency
         self._latency_cache[(b, a)] = latency
         return latency

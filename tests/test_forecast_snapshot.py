@@ -8,11 +8,19 @@ repeated NWS queries.
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.infopool import DecisionCache, InformationPool
 from repro.core.resources import ResourcePool
+from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
+from repro.sim.host import Host
+from repro.sim.link import Link
+from repro.sim.load import ConstantLoad
+from repro.sim.topology import Topology
 
 
 @pytest.fixture()
@@ -89,3 +97,62 @@ def test_begin_end_decision_lifecycle(pool):
     assert not cache2.memo
     info.end_decision()
     assert info.decision_cache is None
+
+
+class TestTransferMatrix:
+    """The pair table: every entry is the pool's own transfer time."""
+
+    # inf: the diagonal must still be 0.0, not inf / inf.
+    NBYTES = (0.0, JacobiProblem(n=400).border_exchange_bytes(), 1e9, np.inf)
+
+    @pytest.mark.parametrize("order_seed", [0, 1, 2])
+    @pytest.mark.parametrize("nbytes", NBYTES)
+    def test_entries_match_pool_bit_for_bit(self, pool, order_seed, nbytes):
+        names = pool.machine_names()
+        random.Random(order_seed).shuffle(names)
+        table = pool.snapshot().transfer_matrix(names, nbytes)
+        assert table.shape == (len(names), len(names))
+        for i, a in enumerate(names):
+            assert table[i, i] == 0.0
+            for j, b in enumerate(names):
+                assert table[i, j] == pool.predicted_transfer_time(a, b, nbytes)
+
+    def test_dead_link_is_inf(self):
+        topo = Topology()
+        topo.add_host(Host("near", speed_mflops=20.0))
+        topo.add_host(Host("far", speed_mflops=40.0))
+        topo.connect("near", "far",
+                     Link("dead", bandwidth_mbit=10.0, load=ConstantLoad(0.0)))
+        pool = ResourcePool(topo)
+        table = pool.snapshot().transfer_matrix(["far", "near"], 1e9)
+        assert np.array_equal(table, [[0.0, np.inf], [np.inf, 0.0]])
+        assert pool.predicted_transfer_time("near", "far", 1e9) == np.inf
+
+    def test_read_only_and_memoised(self, pool):
+        snap = pool.snapshot()
+        names = pool.machine_names()
+        table = snap.transfer_matrix(names, 1e9)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1] = 0.0
+        assert snap.transfer_matrix(list(names), 1e9) is table
+        assert snap.transfer_matrix(names[::-1], 1e9) is not table
+
+    def test_uncaptured_machines_are_served(self, pool):
+        names = pool.machine_names()
+        random.Random(3).shuffle(names)
+        snap = pool.snapshot(names[:2])
+        captured = snap.transfer_matrix(names[:2], 1e9)
+        # Uncaptured names widen the link tables; earlier tables stay valid.
+        for order in (names[1:], names, names[:2]):
+            table = snap.transfer_matrix(order, 1e9)
+            for i, a in enumerate(order):
+                for j, b in enumerate(order):
+                    assert table[i, j] == pool.predicted_transfer_time(a, b, 1e9)
+        assert snap.transfer_matrix(names[:2], 1e9) is captured
+
+    def test_schedule_with_a_subset_snapshot(self, testbed, warmed_nws):
+        agent = make_jacobi_agent(testbed, JacobiProblem(n=1000), warmed_nws)
+        pool = agent.info.pool
+        subset = pool.snapshot(pool.machine_names()[:2])
+        assert agent.schedule(snapshot=subset) == agent.schedule()

@@ -78,6 +78,23 @@ class TestStripCostModel:
             max(model.machine_time(part, m) for m in part.machines)
         )
 
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_comm_cost_matrix_is_the_scalar_transfer_time(
+        self, testbed, warmed_nws, snapshot
+    ):
+        info, problem = _info(testbed, warmed_nws)
+        pool = info.pool
+        model = StripCostModel(
+            pool, problem, snapshot=pool.snapshot() if snapshot else None
+        )
+        names = pool.machine_names()[::-1]
+        pair = model.comm_cost_matrix(names)
+        exchange = problem.border_exchange_bytes()
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                assert pair[i, j] == model._transfer_time(a, b, exchange)
+        assert not pair.flags.writeable
+
 
 class TestLocalityOrder:
     def test_groups_by_segment(self, testbed):

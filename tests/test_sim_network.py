@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.sim.host import Host
 from repro.sim.link import MBIT, Link, SharedSegment
 from repro.sim.load import ConstantLoad
+from repro.sim.testbeds import sdsc_pcl_testbed, sdsc_pcl_with_sp2
 from repro.sim.topology import RouteError, Topology
 
 
@@ -121,6 +122,20 @@ class TestTopology:
     def test_path_latency_sums(self):
         topo = self.build()
         assert topo.path_latency("a", "c") == pytest.approx(0.006)
+
+    @pytest.mark.parametrize("build", [sdsc_pcl_testbed, sdsc_pcl_with_sp2])
+    def test_path_latency_independent_of_query_order(self, build):
+        # Float sums depend on order: both directions must sum the same
+        # route, whichever direction a fresh topology is asked first.
+        names = build(seed=1996).host_names
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                forward = build(seed=1996).topology
+                backward = build(seed=1996).topology
+                first = forward.path_latency(a, b)
+                assert backward.path_latency(b, a) == first
+                assert forward.path_latency(b, a) == first
+                assert backward.path_latency(a, b) == first
 
     def test_transfer_time(self):
         topo = self.build()
