@@ -21,6 +21,7 @@ from repro.core.actuator import Actuator, RecordingActuator
 from repro.core.coordinator import (
     AppLeSAgent,
     CandidateEvaluation,
+    NoFeasibleCandidate,
     PruningStats,
     ScheduleDecision,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "AppLeSAgent",
     "ScheduleDecision",
     "CandidateEvaluation",
+    "NoFeasibleCandidate",
     "PruningStats",
     "Actuator",
     "RecordingActuator",

@@ -67,6 +67,7 @@ from repro.core.schedule import Schedule
 from repro.core.selector import ResourceSelector, member_masks_over
 from repro.core.sweep import (
     BatchedObjective,
+    NoFeasibleCandidate,
     PruningStats,
     SweepResult,
     materialise_winner,
@@ -81,6 +82,7 @@ __all__ = [
     "ScheduleDecision",
     "StagedDecision",
     "CandidateEvaluation",
+    "NoFeasibleCandidate",
     "PruningStats",
     "record_pruning_stats",
 ]
@@ -305,9 +307,9 @@ class AppLeSAgent:
     def schedule(self, snapshot: Any | None = None) -> ScheduleDecision:
         """Run blueprint steps 1–3: select, plan, estimate, choose.
 
-        Raises ``RuntimeError`` when no candidate resource set yields a
-        feasible schedule (e.g. the User Specification filtered everything
-        out).
+        Raises :class:`~repro.core.sweep.NoFeasibleCandidate` (a
+        ``RuntimeError``) when no candidate resource set yields a feasible
+        schedule (e.g. the User Specification filtered everything out).
 
         Parameters
         ----------
@@ -339,11 +341,12 @@ class AppLeSAgent:
     def candidate_sets(self) -> list[tuple[str, ...]]:
         """Blueprint step 1: the Resource Selector's candidate sets.
 
-        Raises ``RuntimeError`` when the selector produced none.
+        Raises :class:`~repro.core.sweep.NoFeasibleCandidate` when the
+        selector produced none.
         """
         candidate_sets = self.selector.candidate_sets(self.info)
         if not candidate_sets:
-            raise RuntimeError(
+            raise NoFeasibleCandidate(
                 "Resource Selector produced no candidate sets "
                 "(User Specification too restrictive?)"
             )
@@ -384,7 +387,8 @@ class AppLeSAgent:
         or ``None`` to plan and estimate every row the sweep reaches.  Runs
         inside the scope :meth:`stage` ran in (the oracle runs outside any
         scope), so lazily planned rows share its snapshot and memos.
-        Raises ``RuntimeError`` when no candidate is feasible.
+        Raises :class:`~repro.core.sweep.NoFeasibleCandidate` when no
+        candidate is feasible.
         """
         csets, bounds = staged.csets, staged.bounds
         info = self.info

@@ -40,6 +40,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "NoFeasibleCandidate",
     "PRUNE_RELATIVE_EPS",
     "PruningStats",
     "SweepResult",
@@ -58,6 +59,16 @@ __all__ = [
 PRUNE_RELATIVE_EPS = 1e-12
 
 _INF = float("inf")
+
+
+class NoFeasibleCandidate(RuntimeError):
+    """A decision with nothing to answer: the Resource Selector produced
+    no candidate sets, or none of them yields a feasible schedule.
+
+    Both are legitimate outcomes of a restrictive User Specification, not
+    defects; callers that probe many filters (the reservation expander)
+    catch this and let every other ``RuntimeError`` propagate.
+    """
 
 
 @dataclass(frozen=True)
@@ -316,10 +327,11 @@ def materialise_winner(agent: Any, csets: Sequence, result: SweepResult) -> Any:
     would not have produced: the winner's schedule is materialised by the
     real planner and its objective compared against the batched prediction
     — a divergence raises instead of answering wrong.  Raises
-    ``RuntimeError`` when the sweep found no feasible candidate at all.
+    :class:`NoFeasibleCandidate` when the sweep found no feasible
+    candidate at all.
     """
     if result.best_idx < 0:
-        raise RuntimeError(
+        raise NoFeasibleCandidate(
             f"no feasible schedule across {len(csets)} candidate resource sets"
         )
     best = agent.planner.plan(csets[result.best_idx], agent.info)

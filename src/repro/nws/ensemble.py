@@ -75,37 +75,63 @@ class AdaptiveEnsemble:
         if not (0.0 < decay <= 1.0):
             raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.decay = decay
-        # Discounted squared-error and weight per member.
-        self._err: dict[str, float] = {n: 0.0 for n in names}
-        self._weight: dict[str, float] = {n: 0.0 for n in names}
-        self._pending: dict[str, float] | None = None
+        self._index = {n: i for i, n in enumerate(names)}
+        # Discounted squared error per member, in member order.  Every
+        # member is scored on every update, so all share one discounted
+        # weight.
+        self._err = [0.0] * len(names)
+        self._weight = 0.0
+        # Each member's staged prediction for the next update to score.
+        self._pending: list[float] | None = None
         self.observations = 0
-        # The forecast is a pure function of ensemble state, which changes
-        # only in update() — planners query it far more often than sensors
-        # sample, so memoise it between updates.
+        # The winner of the latest update, chosen inside update(): index,
+        # predicted value and error estimate.  forecast() wraps it in a
+        # Forecast on first query and memoises that until the next update.
+        self.best_index = 0
+        self.best_value = 0.0
+        self.best_error = 0.0
         self._cached_forecast: Forecast | None = None
 
     def update(self, value: float) -> None:
-        """Score outstanding predictions against ``value``, then refit members."""
+        """Score outstanding predictions against ``value``, refit members,
+        and choose the new best member (:meth:`best_member`'s rule)."""
         value = float(value)
-        if self._pending is not None:
-            for name, predicted in self._pending.items():
-                err = (predicted - value) ** 2
-                self._err[name] = self.decay * self._err[name] + err
-                self._weight[name] = self.decay * self._weight[name] + 1.0
-        for member in self.members:
+        members = self.members
+        pending = self._pending
+        if pending is not None:
+            decay = self.decay
+            self._err = [
+                decay * err + (predicted - value) ** 2
+                for err, predicted in zip(self._err, pending)
+            ]
+            self._weight = decay * self._weight + 1.0
+        for member in members:
             member.update(value)
         self.observations += 1
         # Stage each member's next prediction for scoring on the next update.
-        self._pending = {m.name: m.forecast() for m in self.members}
+        self._pending = pending = [m.forecast() for m in members]
+        weight = self._weight
+        if weight > 0:
+            # min() keeps the first of equal values and index() finds the
+            # first equal one: first-listed wins ties, as in best_member().
+            mses = [err / weight for err in self._err]
+            mse = min(mses)
+            best = mses.index(mse)
+            self.best_error = math.sqrt(mse) if math.isfinite(mse) else 0.0
+        else:
+            best = 0
+            self.best_error = 0.0
+        self.best_index = best
+        self.best_value = pending[best]
         self._cached_forecast = None
 
     def mse(self, name: str) -> float:
         """Discounted mean squared error of member ``name`` (inf if unscored)."""
-        if name not in self._err:
+        i = self._index.get(name)
+        if i is None:
             raise KeyError(f"no forecaster named {name!r}")
-        w = self._weight[name]
-        return self._err[name] / w if w > 0 else math.inf
+        w = self._weight
+        return self._err[i] / w if w > 0 else math.inf
 
     def best_member(self) -> Forecaster:
         """The member with the lowest discounted MSE (first-listed wins ties,
@@ -122,18 +148,15 @@ class AdaptiveEnsemble:
         """Predict the next measurement using the current best member."""
         if self.observations == 0:
             raise RuntimeError("ensemble: forecast requested before any update")
-        if self._cached_forecast is not None:
-            return self._cached_forecast
-        best = self.best_member()
-        mse = self.mse(best.name)
-        result = Forecast(
-            value=best.forecast(),
-            error=math.sqrt(mse) if math.isfinite(mse) else 0.0,
-            method=best.name,
-            observations=self.observations,
-        )
-        self._cached_forecast = result
-        return result
+        cached = self._cached_forecast
+        if cached is None:
+            cached = self._cached_forecast = Forecast(
+                value=self.best_value,
+                error=self.best_error,
+                method=self.members[self.best_index].name,
+                observations=self.observations,
+            )
+        return cached
 
     def leaderboard(self) -> list[tuple[str, float]]:
         """All members with their discounted MSE, best first."""

@@ -38,6 +38,11 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self._values)
 
+    @property
+    def maxlen(self) -> int:
+        """How many measurements the series retains."""
+        return self._values.maxlen
+
     def __iter__(self) -> Iterator[tuple[float, float]]:
         return iter(zip(self._times, self._values))
 

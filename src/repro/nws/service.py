@@ -6,6 +6,14 @@ query :meth:`cpu_forecast`, :meth:`path_bandwidth_forecast` and
 :meth:`path_latency` when planning.  Until a sensor has data, queries fall
 back to *nominal* values — exactly the degradation mode of a real system
 whose monitors have not warmed up.
+
+The clock can also move back: :meth:`rewind_to` returns every sensor to
+the newest sample of its bounded forecast history at or before the
+instant (see :mod:`repro.nws.sensors`), so a rewound service answers
+every query exactly as a fresh one built from the same seeds and
+advanced straight there, without measuring any sample twice.  A rewind
+behind the retained history (the sensors' ``series.maxlen`` samples)
+raises ``ValueError``; the caller then rebuilds from seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from repro.obs.trace import get_tracer
 from repro.sim.testbeds import Testbed
 from repro.sim.topology import Topology
 from repro.util.rng import RngStream
-from repro.util.validation import check_nonnegative
+from repro.util.validation import check_finite, check_nonnegative
 
 __all__ = ["NetworkWeatherService"]
 
@@ -57,12 +65,13 @@ class NetworkWeatherService:
             for name, link in topology.links.items()
         }
         self.now = 0.0
-        # Monotone counter bumped on every advance_to(); snapshot holders
-        # (repro.nws.snapshot) use it to detect that their view went stale.
+        # Monotone counter bumped on every advance_to() and rewind_to();
+        # snapshot holders (repro.nws.snapshot) use it to detect that their
+        # view went stale.
         self.epoch = 0
-        # Between advance_to() calls every sensor's state is frozen, so
-        # forecast queries are pure; planners issue thousands of them per
-        # schedule.  Caches are invalidated whenever time advances.
+        # Between clock moves every sensor's state is frozen, so forecast
+        # queries are pure; planners issue thousands of them per schedule.
+        # Caches are invalidated whenever the clock moves.
         self._cpu_cache: dict[str, Forecast] = {}
         self._path_bw_cache: dict[tuple[str, str, int], float] = {}
         self._latency_cache: dict[tuple[str, str], float] = {}
@@ -74,8 +83,12 @@ class NetworkWeatherService:
 
     # -- time ----------------------------------------------------------------
     def advance_to(self, t: float) -> None:
-        """Take all sensor measurements due up to simulated time ``t``."""
-        check_nonnegative("t", t)
+        """Take all sensor measurements due up to simulated time ``t``.
+
+        After a :meth:`rewind_to`, samples already recorded are crossed
+        without measuring; only those beyond the newest one are taken.
+        """
+        check_finite("t", check_nonnegative("t", t))
         if t < self.now:
             raise ValueError(f"cannot advance backwards: {t} < {self.now}")
         tracer = get_tracer()
@@ -83,13 +96,41 @@ class NetworkWeatherService:
             "nws.advance", layer="nws", t=self.now,
             sensors=len(self.cpu_sensors) + len(self.link_sensors),
         ) as span:
-            for sensor in self.cpu_sensors.values():
-                sensor.advance_to(t)
-            for sensor in self.link_sensors.values():
+            for sensor in self._sensors():
                 sensor.advance_to(t)
             if tracer.enabled:
                 span.set_end(t)
                 tracer.metrics.counter("nws.advances").inc()
+        self._move(t)
+
+    def rewind_to(self, t: float) -> None:
+        """Move the clock back to ``t`` (``0 <= t <= now``) over the history.
+
+        Every query then answers as a fresh service built from the same
+        seeds and advanced straight to ``t``.  Raises ``ValueError`` —
+        leaving every sensor and the clock untouched — when ``t`` is not
+        finite, lies outside ``[0, now]``, or precedes some sensor's
+        retained history.
+        """
+        check_finite("t", check_nonnegative("t", t))
+        if t > self.now:
+            raise ValueError(f"cannot rewind forwards: {t} > {self.now}")
+        sensors = self._sensors()
+        # Check every sensor before moving any: a refused rewind is a no-op.
+        start = max((s.history_start for s in sensors), default=0.0)
+        if t < start:
+            raise ValueError(
+                f"cannot rewind to {t}: the retained forecast history "
+                f"starts at {start}"
+            )
+        for sensor in sensors:
+            sensor.rewind_to(t)
+        self._move(t)
+
+    def _sensors(self) -> list[CpuSensor | LinkSensor]:
+        return [*self.cpu_sensors.values(), *self.link_sensors.values()]
+
+    def _move(self, t: float) -> None:
         self.now = t
         self.epoch += 1
         self._cpu_cache.clear()

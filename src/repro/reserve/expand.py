@@ -18,26 +18,26 @@ raises instead of booking wrong: the booking's evidence is checkable by
 code that imports no scheduler machinery, which is what lets repair prove
 its results later.
 
-Worlds are pure functions of their seeds (the :mod:`repro.sim.warmcache`
-argument), so when a candidate instant precedes the expander's NWS clock
-the expander simply rebuilds its world and replays forward — deciding "in
-the past" is exact, never approximate.  To make rewinds cheap the
-expander checkpoints (deep-copies) the world at spaced instants and
-restores the nearest one instead of rebuilding from scratch: a restored
-state advanced to ``t`` is bit-identical to a fresh build advanced
-straight to ``t`` — the warm-cache argument again.  An expander with
-``max_checkpoints = 0`` stores none and always rebuilds from seeds, which
-is the oracle the repair tests compare against.
+Deciding "in the past" is exact, never approximate.  Candidate instants
+move backwards between expansions, so the expander keeps one world and
+rewinds its NWS (:meth:`~repro.nws.service.NetworkWeatherService.rewind_to`):
+every sensor answers from its recorded forecast history exactly as a
+fresh world built from the same seeds and advanced straight to the
+instant would, and no sample is measured twice.  The testbed itself needs
+no rewinding — its load processes are pure functions of ``(seed, time)``
+(the :mod:`repro.sim.warmcache` argument).  A rewind behind the sensors'
+retained history falls back to rebuilding the world from seeds, which is
+also the oracle the repair tests compare against.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.arena.instances import ArenaInstance, build_world, capture_instance
 from repro.arena.verifier import verify_allocation
+from repro.core.sweep import NoFeasibleCandidate
 from repro.nws.service import NetworkWeatherService
 from repro.obs.trace import get_tracer
 from repro.reserve.ledger import Booking, ReservationLedger
@@ -53,10 +53,14 @@ class ExpandStats:
     """Work counters — the repair-vs-replan currency.
 
     ``decisions`` counts calls into ``SchedulingService.decide`` (each one
-    a full candidate-set sweep); ``rebuilds`` counts world reconstructions
-    forced by rewinding the clock.  Repair's whole value proposition is
-    that its ``decisions`` stays O(affected bookings) while a re-plan pays
-    O(all bookings).
+    a full candidate-set sweep).  ``rebuilds`` counts clock rewinds: every
+    candidate instant behind the world's clock.  ``restores`` counts the
+    rewinds the NWS history served at the requested instant, with no
+    from-seeds build; the others either rebuilt the world from seeds (the
+    instant lies behind the retained history) or asked for an instant
+    before the warm-up horizon, which no world can decide at.  Repair's
+    whole value proposition is that its ``decisions`` stays O(affected
+    bookings) while a re-plan pays O(all bookings).
     """
 
     expansions: int = 0
@@ -122,15 +126,8 @@ class Expander:
         self._testbed: Testbed | None = None
         self._nws: NetworkWeatherService | None = None
         self._service: SchedulingService | None = None
-        # Pristine deep-copies of (testbed, nws) at spaced instants,
-        # restored instead of rebuilding on a clock rewind.
-        self._checkpoints: list[tuple[float, tuple]] = []
-
-    #: Minimum sim-seconds between stored world checkpoints, and how many
-    #: are kept (the horizon coverage of checkpoint restores; 0 turns
-    #: every rewind into a rebuild from seeds).
-    checkpoint_every = 900.0
-    max_checkpoints = 16
+        # The NWS clock right after a build: the warm-up horizon.
+        self._horizon = 0.0
 
     # -- world management ---------------------------------------------------
     @property
@@ -146,53 +143,31 @@ class Expander:
         else:
             assert self._factory is not None
             self._testbed, self._nws = self._factory()
+        self._horizon = self._nws.now
         self._service = SchedulingService(self._testbed, self._nws, reuse=True)
-
-    def _maybe_checkpoint(self) -> None:
-        """Store a pristine copy of the world at its current clock."""
-        if self._nws is None:
-            return
-        if len(self._checkpoints) >= self.max_checkpoints:
-            return
-        now = self._nws.now
-        if self._checkpoints and now - self._checkpoints[-1][0] < self.checkpoint_every:
-            return
-        if self._checkpoints and now <= self._checkpoints[-1][0]:
-            return
-        self._checkpoints.append(
-            (now, copy.deepcopy((self._testbed, self._nws)))
-        )
-
-    def _restore(self, at: float) -> bool:
-        """Restore the latest checkpoint at or before ``at``; False = none."""
-        best = None
-        for now, state in self._checkpoints:
-            if now <= at:
-                best = state
-            else:
-                break
-        if best is None:
-            return False
-        self._testbed, self._nws = copy.deepcopy(best)
-        self._service = SchedulingService(self._testbed, self._nws, reuse=True)
-        self.stats.restores += 1
-        return True
 
     def _ensure(self, at: float) -> bool:
         """Make the world able to decide at ``at``; False = unreachable.
 
-        Rewinds restore the nearest stored checkpoint or, with none at or
-        before ``at``, rebuild exactly from seeds, and replay forward; an
-        instant before the world's warm-up horizon stays unreachable —
-        there is no forecast state there to decide from.
+        The world is built on first use.  An instant behind the NWS clock
+        rewinds it over the sensors' forecast history — the service and
+        its agents stay, since a rewind makes the service's pool state
+        stale — or, behind the retained history, rebuilds the world from
+        seeds.  An instant before the warm-up horizon stays unreachable
+        (there is no forecast state there to decide from); the clock then
+        rests at the horizon.
         """
         if self._nws is None:
             self._build()
-            self._maybe_checkpoint()
         elif at < self._nws.now:
             self.stats.rebuilds += 1
-            if not self._restore(at):
+            try:
+                self._nws.rewind_to(max(at, self._horizon))
+            except ValueError:
                 self._build()
+            else:
+                if at >= self._horizon:
+                    self.stats.restores += 1
         assert self._nws is not None
         return at >= self._nws.now
 
@@ -250,7 +225,6 @@ class Expander:
                     request, occurrence, ledger, at, deadline,
                     max_machines, accessible,
                 )
-                self._maybe_checkpoint()
                 if candidate is not None:
                     candidates.append(candidate)
             if not candidates:
@@ -302,9 +276,9 @@ class Expander:
             tracer.metrics.counter("reserve.decisions").inc()
         try:
             answer = self._service.decide([dreq])[0]
-        except RuntimeError:
-            # The selector produced no candidate sets under this filter —
-            # a legitimately empty instant, not an error.
+        except NoFeasibleCandidate:
+            # No candidate set, or no feasible one, under this filter — a
+            # legitimately empty instant, not an error.
             return None
         duration = answer.predicted_time
         if at + duration > deadline:

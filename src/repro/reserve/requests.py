@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.userspec import UserSpecification
 from repro.jacobi.grid import JacobiProblem
 from repro.service.requests import DecisionRequest
+from repro.util.validation import check_finite
 
 __all__ = [
     "REQUEST_SCHEMA",
@@ -94,6 +95,14 @@ class ReservationRequest:
         """Structural sanity; every violation is a ``ValueError``."""
         if not self.request_id:
             raise ValueError("request_id must be non-empty")
+        # Non-finite instants would reach the NWS clock (which refuses
+        # them) or make an endless candidate geometry; reject them here.
+        check_finite("earliest_start", self.earliest_start)
+        check_finite("deadline", self.deadline)
+        check_finite("repeat_period_s", self.repeat_period_s)
+        for start, end in self.preferred_windows:
+            check_finite("preferred window start", start)
+            check_finite("preferred window end", end)
         if self.earliest_start < 0.0:
             raise ValueError("earliest_start must be >= 0")
         if self.deadline <= self.earliest_start:

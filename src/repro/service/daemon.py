@@ -16,9 +16,9 @@ Three mechanisms carry the load story:
   A request that would overflow its queue is *shed* — the ticket resolves
   at once with :data:`DaemonReply.status` ``"shed"`` — rather than
   silently blocking the caller.  Requests behind the shard's simulated
-  clock (the shared NWS cannot rewind) or submitted after shutdown are
-  *rejected* with an explanatory reason.  Saturation is an explicit,
-  observable answer, never a hang.
+  clock (the shard's shared NWS only moves forward) or submitted after
+  shutdown are *rejected* with an explanatory reason.  Saturation is an
+  explicit, observable answer, never a hang.
 
 - **Adaptive micro-batching.**  Batch ≥ 32 is where the vectorised
   service core earns its ~5× decisions/sec, so the :class:`MicroBatcher`

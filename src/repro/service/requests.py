@@ -19,6 +19,7 @@ from repro.core.coordinator import PruningStats, ScheduleDecision
 from repro.core.schedule import Schedule
 from repro.core.userspec import UserSpecification
 from repro.jacobi.grid import JacobiProblem
+from repro.util.validation import check_finite
 
 __all__ = ["DecisionRequest", "ServiceAnswer"]
 
@@ -50,13 +51,17 @@ class DecisionRequest:
         default).
     at:
         Simulated time of the decision.  The service advances the shared
-        NWS monotonically; requests are answered grouped by instant.
+        NWS monotonically; requests are answered grouped by instant.  A
+        non-finite instant is rejected at construction (``ValueError``).
     """
 
     problem: JacobiProblem
     userspec: UserSpecification = field(default_factory=UserSpecification)
     account_memory: bool = True
     at: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_finite("at", self.at)
 
     def config_key(self) -> Hashable:
         """Agents are interchangeable across requests with equal keys.

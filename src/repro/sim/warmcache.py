@@ -11,8 +11,11 @@ Because every load process and sensor stream is a deterministic function of
 bit-identical to a fresh one built and advanced straight to ``t1``.  That
 makes warmed state safely reusable: this module keeps a small LRU of
 ``(builder, seed, warmup)``-keyed pairs and hands them out as long as the
-requested instant is not in the cached service's past (the NWS cannot
-rewind; a rewind request rebuilds from scratch).
+requested instant is not in the cached service's past.  A request behind
+the cached clock rebuilds from scratch even though the NWS can rewind
+(:meth:`~repro.nws.service.NetworkWeatherService.rewind_to`): the cache
+hands the same live objects to several callers, and rewinding one
+caller's service would move the clock under every other holder.
 
 Only experiments that never *mutate* their testbed may use the cache;
 drivers that inject load (e.g. the multi-application experiment) must keep

@@ -6,11 +6,13 @@ with a clear message instead of deep inside a simulation loop.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable
 
 __all__ = [
     "check_positive",
     "check_nonnegative",
+    "check_finite",
     "check_fraction",
     "check_type",
     "check_in",
@@ -30,6 +32,14 @@ def check_nonnegative(name: str, value: float) -> float:
     v = float(value)
     if not v >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return v
+
+
+def check_finite(name: str, value: float) -> float:
+    """Require a finite ``value`` (NaN and ±inf fail); return it as float."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return v
 
 

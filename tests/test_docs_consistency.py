@@ -153,11 +153,11 @@ class TestSoloVectorDocumented:
         the production path equal to it."""
         text = (ROOT / "DESIGN.md").read_text()
         for needle in ("schedule_reference", "_balance_reference",
-                       "simulate_iterations_reference", "max_checkpoints",
+                       "simulate_iterations_reference", "rebuild_on_every_rewind",
                        "test_solo_vector_equivalence", "test_core_planner",
                        "test_execution_equivalence",
                        "test_ensemble_equivalence", "test_reserve_repair",
-                       "test_perf_fastpaths"):
+                       "test_nws_rewind", "test_perf_fastpaths"):
             assert needle in text, f"DESIGN.md does not name {needle}"
 
 

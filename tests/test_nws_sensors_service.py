@@ -114,6 +114,25 @@ class TestNetworkWeatherService:
             nws.advance_to(float("nan"))
         assert (nws.now, nws.epoch) == (100.0, 1)
 
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_instant_rejected(self, testbed, t):
+        # An infinite instant used to loop forever taking samples.
+        nws = NetworkWeatherService.for_testbed(testbed)
+        nws.advance_to(100.0)
+        with pytest.raises(ValueError):
+            nws.advance_to(t)
+        with pytest.raises(ValueError):
+            nws.rewind_to(t)
+        assert (nws.now, nws.epoch) == (100.0, 1)
+
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_decision_request_rejects_non_finite_instant(self, t):
+        from repro.jacobi.grid import JacobiProblem
+        from repro.service.requests import DecisionRequest
+
+        with pytest.raises(ValueError, match="at must be finite"):
+            DecisionRequest(problem=JacobiProblem(n=100, iterations=1), at=t)
+
     def test_unknown_resource_raises(self, warmed_nws):
         with pytest.raises(KeyError):
             warmed_nws.cpu_forecast("nonesuch")

@@ -20,7 +20,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.nws.ensemble import AdaptiveEnsemble
+from repro.nws.ensemble import AdaptiveEnsemble, Forecast
 from repro.nws.forecasters import (
     AdaptiveWindowMean,
     MedianWindow,
@@ -158,16 +158,23 @@ class TestEnsembleMemoisation:
         assert ens.forecast().value == first.value
 
     def test_memoised_equals_unmemoised(self):
-        # Dropping the memo before every query recomputes the forecast
-        # from the members; memoisation must add no difference at all.
+        # update() picks the winner inside its scoring loop and forecast()
+        # memoises it; both must equal the forecast recomputed from the
+        # members by best_member() and mse() after every update.  On the
+        # constant prefix the members tie exactly: the first-listed wins.
         ens = AdaptiveEnsemble()
-        for i, value in enumerate(_series(3)[:400]):
-            if i > 0:
-                memoised = ens.forecast()
-                assert ens.forecast() is memoised
-                ens._cached_forecast = None
-                assert ens.forecast() == memoised
+        for value in [0.5] * 40 + _series(3)[:400]:
             ens.update(value)
+            memoised = ens.forecast()
+            assert ens.forecast() is memoised
+            best = ens.best_member()
+            mse = ens.mse(best.name)
+            assert memoised == Forecast(
+                value=best.forecast(),
+                error=math.sqrt(mse) if math.isfinite(mse) else 0.0,
+                method=best.name,
+                observations=ens.observations,
+            )
 
 
 class TestBulkLoadGeneration:

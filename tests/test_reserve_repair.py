@@ -8,9 +8,9 @@ The repair engine's contract, on small exactly-checkable scenarios over a
   (``is``-identity, not tolerance);
 - the repaired ledger books the same ``(request, occurrence)`` set a
   from-scratch replan books, while spending strictly fewer decisions;
-- the whole pipeline is bit-identical whether the expander restores
-  world checkpoints or (with ``max_checkpoints = 0``) rebuilds every
-  rewound world from seeds.
+- the whole pipeline is bit-identical whether the expander rewinds its
+  world's NWS over the forecast history or (``rebuild_on_every_rewind``)
+  rebuilds every rewound world from seeds.
 """
 
 from __future__ import annotations
@@ -34,6 +34,16 @@ WORLD = {
     "seed": 21,
     "nws_seed": 22,
     "warmup_s": 300.0,
+}
+
+#: The 8-host SDSC/PCL world ``seeded_requests`` workloads are sized for.
+SDSC_WORLD = {
+    "generator": "sdsc",
+    "n_hosts": 8,
+    "n_segments": None,
+    "seed": 1996,
+    "nws_seed": 1997,
+    "warmup_s": 600.0,
 }
 
 
@@ -215,14 +225,29 @@ class TestDifferentialRepair:
         assert repair.booked != ()
 
 
-class TestGateEquivalence:
-    """The expander's checkpoint restores vs the rebuild-from-seeds oracle."""
+def rebuild_on_every_rewind(expander) -> None:
+    """The oracle: every NWS the expander builds refuses to rewind, so each
+    rewind takes the production fallback, a from-seeds rebuild."""
+    build = expander._build
 
-    def _run(self, use_checkpoints: bool):
+    def refuse(t: float) -> None:
+        raise ValueError("oracle: rebuild from seeds")
+
+    def build_refusing() -> None:
+        build()
+        expander._nws.rewind_to = refuse
+
+    expander._build = build_refusing
+
+
+class TestGateEquivalence:
+    """The expander's NWS rewinds vs the rebuild-from-seeds oracle."""
+
+    def _run(self, rewind: bool):
         workload = small_workload(4)
         planner = ReservationPlanner(world=WORLD, label="test")
-        if not use_checkpoints:
-            planner.expander.max_checkpoints = 0
+        if not rewind:
+            rebuild_on_every_rewind(planner.expander)
         outcome = planner.plan(list(workload))
         urgent = ReservationRequest(
             request_id="urgent",
@@ -238,23 +263,24 @@ class TestGateEquivalence:
         )
         return planner, tuple(outcome.ledger.bookings)
 
-    def test_checkpoint_restore_bit_identical_to_rebuilds(self):
-        """Restoring a checkpoint and advancing equals rebuilding from
-        seeds and advancing, bit for bit (the warm-cache argument)."""
-        planner, checkpointed = self._run(use_checkpoints=True)
-        oracle, rebuilt = self._run(use_checkpoints=False)
-        assert checkpointed == rebuilt
+    def test_rewind_bit_identical_to_rebuilds(self):
+        """Rewinding the NWS over its history equals rebuilding from seeds
+        and advancing, bit for bit (the warm-cache argument)."""
+        planner, rewound = self._run(rewind=True)
+        oracle, rebuilt = self._run(rewind=False)
+        assert rewound == rebuilt
         assert planner.expander.stats.restores > 0, (
-            "scenario never exercised the restore path"
+            "scenario never exercised the rewind path"
         )
         assert oracle.expander.stats.restores == 0
         assert oracle.expander.stats.rebuilds > 0
+        assert oracle.expander.stats.rebuilds == planner.expander.stats.rebuilds
 
     def test_fast_path_actually_restores(self, workload):
         planner, outcome = fresh_plan(workload)
         stats = planner.expander.stats
         assert stats.rebuilds > 0, "workload never rewound the clock"
-        assert stats.restores > 0, "rewinds never hit a checkpoint"
+        assert stats.restores > 0, "rewinds never served from the history"
 
 
 class TestErrors:
@@ -281,6 +307,41 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="already registered"):
             planner.register([changed])
+
+    def test_expander_propagates_decision_defects(self, monkeypatch):
+        # Only an empty instant (no candidate set, or no feasible one) is
+        # skipped; a defect such as the batched/scalar cross-check failing
+        # must surface instead of silently dropping the instant.
+        import repro.core.coordinator as coordinator
+        from repro.reserve.expand import Expander
+
+        def diverged(agent, csets, result):
+            raise RuntimeError(
+                "batched objective diverged from the scalar planner for "
+                "candidate () — fast-path defect"
+            )
+
+        monkeypatch.setattr(coordinator, "materialise_winner", diverged)
+        expander = Expander(world=SDSC_WORLD)
+        request = seeded_requests(8, seed=3)[0]
+        with pytest.raises(RuntimeError, match="fast-path defect"):
+            expander.expand(request, 0, ReservationLedger())
+
+    def test_expander_skips_instants_without_a_feasible_candidate(
+        self, monkeypatch
+    ):
+        import repro.core.coordinator as coordinator
+        from repro.core import NoFeasibleCandidate
+        from repro.reserve.expand import Expander
+
+        def nothing(agent, csets, result):
+            raise NoFeasibleCandidate("no feasible schedule")
+
+        monkeypatch.setattr(coordinator, "materialise_winner", nothing)
+        expander = Expander(world=SDSC_WORLD)
+        request = seeded_requests(8, seed=3)[0]
+        assert expander.expand(request, 0, ReservationLedger()) is None
+        assert expander.stats.decisions > 0
 
     def test_expander_requires_exactly_one_world(self):
         from repro.reserve.expand import Expander

@@ -54,6 +54,13 @@ class TestValidation:
             ({"min_machines": 0}, "min_machines"),
             ({"min_machines": 3, "max_machines": 2}, "max_machines"),
             ({"priority": 0}, "priority classes start at 1"),
+            ({"earliest_start": float("nan")}, "earliest_start"),
+            ({"deadline": float("nan")}, "deadline"),
+            ({"deadline": float("inf")}, "deadline"),
+            ({"preferred_windows": ((700.0, float("nan")),)}, "preferred window"),
+            ({"preferred_windows": ((float("-inf"), 700.0),)}, "preferred window"),
+            ({"repeat_period_s": float("nan")}, "repeat_period_s"),
+            ({"repeat_count": 2, "repeat_period_s": float("inf")}, "repeat_period_s"),
         ],
     )
     def test_violations_raise(self, overrides, match):
