@@ -75,23 +75,17 @@ def _score_trial(pname: str, member: int | str, nsamples: int, seed: int) -> tup
     """
     trace = standard_processes(seed)[pname].sample(nsamples)
     if member == "ensemble":
-        ens = AdaptiveEnsemble()
-        predict = lambda: ens.forecast().value  # noqa: E731
-        update = ens.update
         name = "ensemble"
+        staged, _, _ = AdaptiveEnsemble().update_many(trace)
     else:
         forecaster = default_forecaster_family()[member]
-        predict = forecaster.forecast
-        update = forecaster.update
         name = forecaster.name
+        staged = forecaster.update_many(trace)
+    # The forecast staged after each value predicts the next one.
     err = 0.0
-    count = 0
-    for i, value in enumerate(trace):
-        if i > 0:
-            err += (predict() - value) ** 2
-            count += 1
-        update(value)
-    return name, err / count
+    for predicted, value in zip(staged, trace[1:]):
+        err += (predicted - value) ** 2
+    return name, err / (len(trace) - 1)
 
 
 def run_nws_comparison(

@@ -7,14 +7,20 @@ whichever model is currently winning, together with an error estimate.
 "A schedule is only as good as the accuracy of its underlying predictions"
 (§3.6) — the error estimate is what lets a scheduler know how much to trust
 the number.
+
+The ensemble folds measurements in blocks: :meth:`AdaptiveEnsemble.update_many`
+hands a block to every member's ``update_many`` once, then scores the
+block value by value with the per-value arithmetic, so a block and the same
+values one at a time give bit-identical winners and error estimates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from repro.nws.forecasters import Forecaster, default_forecaster_family
+from repro.nws.forecasters import Forecaster, default_forecaster_family, finite_values
 
 __all__ = ["Forecast", "AdaptiveEnsemble", "NOMINAL_FORECAST"]
 
@@ -77,53 +83,75 @@ class AdaptiveEnsemble:
         self.decay = decay
         self._index = {n: i for i, n in enumerate(names)}
         # Discounted squared error per member, in member order.  Every
-        # member is scored on every update, so all share one discounted
+        # member is scored on every value, so all share one discounted
         # weight.
         self._err = [0.0] * len(names)
         self._weight = 0.0
-        # Each member's staged prediction for the next update to score.
-        self._pending: list[float] | None = None
+        # Each member's staged prediction for the next value to score.
+        self._pending: Sequence[float] | None = None
         self.observations = 0
-        # The winner of the latest update, chosen inside update(): index,
-        # predicted value and error estimate.  forecast() wraps it in a
-        # Forecast on first query and memoises that until the next update.
+        # The winner after the latest value, chosen inside update_many():
+        # index, predicted value and error estimate.  forecast() wraps it in
+        # a Forecast on first query and memoises that until the next update.
         self.best_index = 0
         self.best_value = 0.0
         self.best_error = 0.0
         self._cached_forecast: Forecast | None = None
 
-    def update(self, value: float) -> None:
-        """Score outstanding predictions against ``value``, refit members,
-        and choose the new best member (:meth:`best_member`'s rule)."""
-        value = float(value)
-        members = self.members
-        pending = self._pending
-        if pending is not None:
-            decay = self.decay
-            self._err = [
-                decay * err + (predicted - value) ** 2
-                for err, predicted in zip(self._err, pending)
-            ]
-            self._weight = decay * self._weight + 1.0
-        for member in members:
-            member.update(value)
-        self.observations += 1
-        # Stage each member's next prediction for scoring on the next update.
-        self._pending = pending = [m.forecast() for m in members]
-        weight = self._weight
-        if weight > 0:
-            # min() keeps the first of equal values and index() finds the
-            # first equal one: first-listed wins ties, as in best_member().
-            mses = [err / weight for err in self._err]
-            mse = min(mses)
-            best = mses.index(mse)
-            self.best_error = math.sqrt(mse) if math.isfinite(mse) else 0.0
-        else:
-            best = 0
-            self.best_error = 0.0
-        self.best_index = best
-        self.best_value = pending[best]
+    def update_many(
+        self, values: Iterable[float]
+    ) -> tuple[list[float], list[float], list[int]]:
+        """Fold ``values`` in order; after each, the best member's forecast.
+
+        Every member folds the block in one :meth:`Forecaster.update_many`
+        call; then each value scores the predictions staged before it and
+        the winner is chosen by :meth:`best_member`'s rule.  Returns three
+        lists with one entry per value: the winner's forecast, its error
+        estimate and its index in :attr:`members`.  A NaN or infinite
+        value raises ``ValueError`` before any state changes.
+        """
+        values = finite_values("ensemble", values)
+        if not values:
+            return [], [], []
+        decay = self.decay
+        errs, weight, pending = self._err, self._weight, self._pending
+        best_values: list[float] = []
+        best_errors: list[float] = []
+        best_indices: list[int] = []
+        staged = zip(*[member.update_many(values) for member in self.members])
+        for value, row in zip(values, staged):
+            if pending is not None:
+                errs = [
+                    decay * err + (predicted - value) ** 2
+                    for err, predicted in zip(errs, pending)
+                ]
+                weight = decay * weight + 1.0
+            # Each member's prediction for the next value, to score then.
+            pending = row
+            if weight > 0:
+                # min() keeps the first of equal values and index() finds
+                # the first equal one: first-listed wins ties, as in
+                # best_member().
+                mses = [err / weight for err in errs]
+                mse = min(mses)
+                best = mses.index(mse)
+                best_errors.append(math.sqrt(mse) if math.isfinite(mse) else 0.0)
+            else:
+                best = 0
+                best_errors.append(0.0)
+            best_indices.append(best)
+            best_values.append(row[best])
+        self._err, self._weight, self._pending = errs, weight, pending
+        self.observations += len(values)
+        self.best_index = best_indices[-1]
+        self.best_value = best_values[-1]
+        self.best_error = best_errors[-1]
         self._cached_forecast = None
+        return best_values, best_errors, best_indices
+
+    def update(self, value: float) -> None:
+        """Fold one measurement (:meth:`update_many` of one value)."""
+        self.update_many((value,))
 
     def mse(self, name: str) -> float:
         """Discounted mean squared error of member ``name`` (inf if unscored)."""

@@ -87,11 +87,8 @@ def evaluate_forecaster(forecaster: Forecaster, trace: Sequence[float]) -> Backt
     trace = list(trace)
     if len(trace) < 2:
         raise ValueError("backtest needs a trace of at least 2 points")
-    preds: list[float] = []
-    for i, value in enumerate(trace):
-        if i > 0:
-            preds.append(forecaster.forecast())
-        forecaster.update(value)
+    # The forecast staged after each value predicts the next one.
+    preds = forecaster.update_many(trace)[:-1]
     return _score(forecaster.name, preds, trace[1:])
 
 
@@ -112,12 +109,7 @@ def backtest_family(
         raise ValueError("backtest needs a trace of at least 2 points")
     results = [evaluate_forecaster(m, trace) for m in family_factory()]
     if include_ensemble:
-        ens = AdaptiveEnsemble(family_factory())
-        preds: list[float] = []
-        for i, value in enumerate(trace):
-            if i > 0:
-                preds.append(ens.forecast().value)
-            ens.update(value)
-        results.append(_score("ensemble", preds, trace[1:]))
+        best_values, _, _ = AdaptiveEnsemble(family_factory()).update_many(trace)
+        results.append(_score("ensemble", best_values[:-1], trace[1:]))
     results.sort(key=lambda r: r.mse)
     return results

@@ -8,21 +8,31 @@ trimmed means, exponential smoothing with several gains, and autoregressive
 fits — and let an adaptive layer (:mod:`repro.nws.ensemble`) pick among
 them.  All of those predictors are implemented here behind one interface.
 
-Every forecaster is *online*: ``update(value)`` folds in a new measurement,
-``forecast()`` predicts the next one.  ``forecast()`` before any update
-raises ``RuntimeError`` — the ensemble guards against that.
+Every forecaster is *online* and folds measurements in blocks:
+``update_many(values)`` folds a block in order and returns the forecast
+staged after each value; ``update(value)`` folds one and ``forecast()``
+predicts the next.  ``forecast()`` before any update raises
+``RuntimeError`` — the ensemble guards against that — and a NaN or
+infinite value is refused with ``ValueError`` before any state changes.
 
-The windowed predictors are on the simulator's hottest path (the ensemble
-stages every member's forecast on every sensor sample), so each maintains
-incremental state — running sums, a sorted mirror of the window — instead
-of rescanning its buffer per forecast.  The regression tests rescan the
-window buffer themselves as the reference.
+The predictors are on the simulator's hottest path (the ensemble scores
+every member's forecast on every sensor sample), so each folds a block in
+one local-variable loop and maintains incremental state — running sums, a
+sorted mirror of the window — instead of rescanning its buffer per
+forecast.  The loop body is the per-value arithmetic, operation for
+operation (the same ``** 2``, the same builtin ``sum``, the same
+resynchronisation and refit schedule), so any split of a series into
+blocks gives bit-identical forecasts.  The regression tests rescan the
+window buffer themselves as the reference, and keep the per-value
+implementation as the oracle for the blocks.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
+from typing import Iterable
 
 import numpy as np
 
@@ -46,32 +56,72 @@ __all__ = [
 _RESYNC_EVERY = 512
 
 
+class _Finite(list):
+    """A block :func:`finite_values` has already checked and converted."""
+
+    __slots__ = ()
+
+
+def finite_values(name: str, values: Iterable[float]) -> list[float]:
+    """``values`` as floats, refused whole if any is NaN or infinite.
+
+    One such value would poison every later forecast of a running
+    statistic, so the ``ValueError`` (naming ``name``) comes before any
+    state changes.  The returned list passes through unchecked, so the
+    ensemble checks a block once for all its members.
+    """
+    if type(values) is _Finite:
+        return values
+    values = _Finite(map(float, values))
+    if not math.isfinite(sum(values)):  # an overflowing sum is re-checked
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: measurement {value} is not finite")
+    return values
+
+
 class Forecaster:
-    """Interface for online one-step-ahead predictors."""
+    """Interface for online one-step-ahead predictors.
+
+    A subclass implements :meth:`update_many`, folding a block of values
+    in one local-variable loop, checked by :func:`finite_values` and
+    recorded by :meth:`_stage`; :meth:`update` and :meth:`forecast` wrap
+    it.
+    """
 
     #: Human-readable name, set by subclasses.
     name: str = "forecaster"
 
     def __init__(self) -> None:
         self.observations = 0
+        # The forecast staged after the latest value (what forecast() says).
+        self._staged = 0.0
+
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        """Fold ``values`` in order; return the forecast staged after each.
+
+        Raises ``ValueError`` naming the forecaster, before any state
+        changes, if a value is NaN or infinite.
+        """
+        raise NotImplementedError
 
     def update(self, value: float) -> None:
         """Fold one measurement into the model."""
-        self.observations += 1
-        self._update(float(value))
+        self.update_many((value,))
 
     def forecast(self) -> float:
         """Predict the next measurement."""
         if self.observations == 0:
             raise RuntimeError(f"{self.name}: forecast requested before any update")
-        return self._forecast()
+        return self._staged
 
-    # -- subclass hooks ------------------------------------------------------
-    def _update(self, value: float) -> None:
-        raise NotImplementedError
-
-    def _forecast(self) -> float:
-        raise NotImplementedError
+    # -- block bookkeeping -----------------------------------------------------
+    def _stage(self, staged: list[float]) -> list[float]:
+        """Record a folded block whose forecasts are ``staged``."""
+        if staged:
+            self.observations += len(staged)
+            self._staged = staged[-1]
+        return staged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.observations})"
@@ -82,15 +132,9 @@ class LastValue(Forecaster):
 
     name = "last"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._last = 0.0
-
-    def _update(self, value: float) -> None:
-        self._last = value
-
-    def _forecast(self) -> float:
-        return self._last
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        return self._stage(values[:])
 
 
 class RunningMean(Forecaster):
@@ -102,11 +146,16 @@ class RunningMean(Forecaster):
         super().__init__()
         self._sum = 0.0
 
-    def _update(self, value: float) -> None:
-        self._sum += value
-
-    def _forecast(self) -> float:
-        return self._sum / self.observations
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        total, n = self._sum, self.observations
+        staged = []
+        for value in values:
+            total += value
+            n += 1
+            staged.append(total / n)
+        self._sum = total
+        return self._stage(staged)
 
 
 class SlidingWindowMean(Forecaster):
@@ -126,43 +175,30 @@ class SlidingWindowMean(Forecaster):
         self._buf: deque[float] = deque(maxlen=self.window)
         self._sum = 0.0
 
-    def _update(self, value: float) -> None:
-        buf = self._buf
-        if len(buf) == self.window:
-            self._sum -= buf[0]
-        buf.append(value)
-        self._sum += value
-        if self.observations % _RESYNC_EVERY == 0:
-            self._sum = sum(buf)
-
-    def _forecast(self) -> float:
-        return self._sum / len(self._buf)
-
-
-class _SortedWindowMixin:
-    """Window buffer plus an incrementally-maintained sorted mirror.
-
-    Order statistics (median, trimmed mean) over the window become slice
-    reads of ``self._sorted`` instead of per-forecast sorts.
-    """
-
-    def _init_window(self, window: int) -> None:
-        self._buf: deque[float] = deque(maxlen=window)
-        self._sorted: list[float] = []
-
-    def _push(self, value: float) -> None:
-        buf = self._buf
-        if len(buf) == buf.maxlen:
-            evicted = buf[0]
-            del self._sorted[bisect_left(self._sorted, evicted)]
-        buf.append(value)
-        insort(self._sorted, value)
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        buf, window = self._buf, self.window
+        total, n = self._sum, self.observations
+        staged = []
+        for value in values:
+            n += 1
+            if len(buf) == window:
+                total -= buf[0]
+            buf.append(value)
+            total += value
+            if n % _RESYNC_EVERY == 0:
+                total = sum(buf)
+            staged.append(total / len(buf))
+        self._sum = total
+        return self._stage(staged)
 
 
-class MedianWindow(_SortedWindowMixin, Forecaster):
+class MedianWindow(Forecaster):
     """Predict the median of the last ``window`` measurements.
 
-    Robust to the load spikes that wreck mean-based predictors.
+    Robust to the load spikes that wreck mean-based predictors.  A sorted
+    mirror of the window, maintained by bisection, makes the median a
+    slice read instead of a per-forecast sort.
     """
 
     def __init__(self, window: int = 16) -> None:
@@ -170,25 +206,32 @@ class MedianWindow(_SortedWindowMixin, Forecaster):
         check_positive("window", window)
         self.window = int(window)
         self.name = f"median({self.window})"
-        self._init_window(self.window)
+        self._buf: deque[float] = deque(maxlen=self.window)
+        self._sorted: list[float] = []
 
-    def _update(self, value: float) -> None:
-        self._push(value)
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        buf, data, window = self._buf, self._sorted, self.window
+        staged = []
+        for value in values:
+            if len(buf) == window:
+                del data[bisect_left(data, buf[0])]
+            buf.append(value)
+            insort(data, value)
+            m = len(data)
+            half = m // 2
+            if m % 2:
+                staged.append(data[half])
+            else:
+                staged.append((data[half - 1] + data[half]) / 2.0)
+        return self._stage(staged)
 
-    def _forecast(self) -> float:
-        data = self._sorted
-        m = len(data)
-        half = m // 2
-        if m % 2:
-            return data[half]
-        return (data[half - 1] + data[half]) / 2.0
 
-
-class TrimmedMeanWindow(_SortedWindowMixin, Forecaster):
+class TrimmedMeanWindow(Forecaster):
     """Windowed mean after discarding a fraction of each tail.
 
-    The sorted mirror of the window makes the trimmed core a slice instead
-    of a per-forecast sort.
+    The sorted mirror of the window (as in :class:`MedianWindow`) makes
+    the trimmed core a slice instead of a per-forecast sort.
     """
 
     def __init__(self, window: int = 16, trim: float = 0.25) -> None:
@@ -200,17 +243,23 @@ class TrimmedMeanWindow(_SortedWindowMixin, Forecaster):
         self.window = int(window)
         self.trim = trim
         self.name = f"trim_mean({self.window},{trim:g})"
-        self._init_window(self.window)
+        self._buf: deque[float] = deque(maxlen=self.window)
+        self._sorted: list[float] = []
 
-    def _update(self, value: float) -> None:
-        self._push(value)
-
-    def _forecast(self) -> float:
-        data = self._sorted
-        m = len(data)
-        k = int(m * self.trim)
-        core = data[k : m - k] if m > 2 * k else data
-        return sum(core) / len(core)
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        buf, data, window, trim = self._buf, self._sorted, self.window, self.trim
+        staged = []
+        for value in values:
+            if len(buf) == window:
+                del data[bisect_left(data, buf[0])]
+            buf.append(value)
+            insort(data, value)
+            m = len(data)
+            k = int(m * trim)
+            core = data[k : m - k] if m > 2 * k else data
+            staged.append(sum(core) / len(core))
+        return self._stage(staged)
 
 
 class ExponentialSmoothing(Forecaster):
@@ -229,14 +278,21 @@ class ExponentialSmoothing(Forecaster):
         self.name = f"exp_smooth({gain:g})"
         self._state = 0.0
 
-    def _update(self, value: float) -> None:
-        if self.observations == 1:
-            self._state = value
-        else:
-            self._state = (1.0 - self.gain) * self._state + self.gain * value
-
-    def _forecast(self) -> float:
-        return self._state
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        gain = self.gain
+        keep = 1.0 - gain
+        state, n = self._state, self.observations
+        staged = []
+        for value in values:
+            n += 1
+            if n == 1:
+                state = value
+            else:
+                state = keep * state + gain * value
+            staged.append(state)
+        self._state = state
+        return self._stage(staged)
 
 
 class ARForecaster(Forecaster):
@@ -265,12 +321,27 @@ class ARForecaster(Forecaster):
         self._intercept = 0.0
         self._since_fit = 0
 
-    def _update(self, value: float) -> None:
-        self._buf.append(value)
-        self._since_fit += 1
-        if self._since_fit >= self.refit_every and len(self._buf) >= 2 * self.order + 2:
-            self._fit()
-            self._since_fit = 0
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        buf, order, refit_every = self._buf, self.order, self.refit_every
+        min_fit = 2 * order + 2
+        lags = range(-1, -order - 1, -1)  # most recent first
+        since_fit = self._since_fit
+        staged = []
+        for value in values:
+            buf.append(value)
+            since_fit += 1
+            if since_fit >= refit_every and len(buf) >= min_fit:
+                self._fit()
+                since_fit = 0
+            coef = self._coef
+            if coef is None or len(buf) < order:
+                staged.append(float(np.mean(buf)))
+            else:
+                recent = [buf[lag] for lag in lags]
+                staged.append(self._intercept + float(np.dot(coef, recent)))
+        self._since_fit = since_fit
+        return self._stage(staged)
 
     def _fit(self) -> None:
         data = np.asarray(self._buf, dtype=float)
@@ -291,12 +362,6 @@ class ARForecaster(Forecaster):
         self._intercept = float(theta[0])
         self._coef = theta[1:]
 
-    def _forecast(self) -> float:
-        if self._coef is None or len(self._buf) < self.order:
-            return float(np.mean(self._buf))
-        recent = list(self._buf)[-self.order :][::-1]  # most recent first
-        return self._intercept + float(np.dot(self._coef, recent))
-
 
 class AdaptiveWindowMean(Forecaster):
     """Windowed mean whose window size adapts to the series.
@@ -309,7 +374,8 @@ class AdaptiveWindowMean(Forecaster):
 
     One running sum per window size replaces the per-update slice-and-sum
     over every window; sums are resynchronised from the buffer every
-    :data:`_RESYNC_EVERY` updates to bound floating-point drift.
+    :data:`_RESYNC_EVERY` updates to bound floating-point drift.  Every
+    window is scored on every update, so all share one discounted weight.
     """
 
     def __init__(self, windows: tuple[int, ...] = (4, 8, 16, 32), decay: float = 0.95) -> None:
@@ -324,47 +390,59 @@ class AdaptiveWindowMean(Forecaster):
         self.decay = decay
         self.name = f"adapt_mean({','.join(str(w) for w in self.windows)})"
         self._buf: deque[float] = deque(maxlen=max(self.windows))
-        self._err = {w: 0.0 for w in self.windows}
-        self._weight = {w: 0.0 for w in self.windows}
-        self._sums = {w: 0.0 for w in self.windows}
+        # Per window, in window order: discounted squared error, running sum.
+        self._err = [0.0] * len(self.windows)
+        self._sums = [0.0] * len(self.windows)
+        self._weight = 0.0
 
-    def _window_mean(self, w: int) -> float:
-        return self._sums[w] / min(len(self._buf), w)
-
-    def _update(self, value: float) -> None:
-        buf = self._buf
-        if buf:
-            decay = self.decay
-            for w in self.windows:
-                err = (self._window_mean(w) - value) ** 2
-                self._err[w] = decay * self._err[w] + err
-                self._weight[w] = decay * self._weight[w] + 1.0
-        # Each window-w running sum gains the new value and loses the
-        # element that was w-th from the right before the append.
-        length = len(buf)
-        for w in self.windows:
-            if length >= w:
-                self._sums[w] += value - buf[length - w]
-            else:
-                self._sums[w] += value
-        buf.append(value)
-        if self.observations % _RESYNC_EVERY == 0:
-            data = list(buf)
-            for w in self.windows:
-                self._sums[w] = sum(data[-w:])
+    def update_many(self, values: Iterable[float]) -> list[float]:
+        values = finite_values(self.name, values)
+        buf, windows, decay = self._buf, self.windows, self.decay
+        errs, sums, weight = self._err, self._sums, self._weight
+        slots = range(len(windows))
+        n = self.observations
+        staged = []
+        for value in values:
+            length = len(buf)
+            if length:
+                for i in slots:
+                    err = (sums[i] / min(length, windows[i]) - value) ** 2
+                    errs[i] = decay * errs[i] + err
+                weight = decay * weight + 1.0
+            # Each window-w running sum gains the new value and loses the
+            # element that was w-th from the right before the append.
+            for i in slots:
+                w = windows[i]
+                if length >= w:
+                    sums[i] += value - buf[length - w]
+                else:
+                    sums[i] += value
+            buf.append(value)
+            n += 1
+            if n % _RESYNC_EVERY == 0:
+                data = list(buf)
+                for i in slots:
+                    sums[i] = sum(data[-windows[i]:])
+            best = _best_slot(errs, weight)
+            staged.append(sums[best] / min(len(buf), windows[best]))
+        self._weight = weight
+        return self._stage(staged)
 
     def best_window(self) -> int:
         """The window size currently winning (smallest on ties/unscored)."""
-        best, best_mse = self.windows[0], float("inf")
-        for w in self.windows:
-            if self._weight[w] > 0:
-                mse = self._err[w] / self._weight[w]
-                if mse < best_mse:
-                    best, best_mse = w, mse
-        return best
+        return self.windows[_best_slot(self._err, self._weight)]
 
-    def _forecast(self) -> float:
-        return self._window_mean(self.best_window())
+
+def _best_slot(errs: list[float], weight: float) -> int:
+    """Index of the lowest discounted MSE, the first on ties; 0 while
+    unscored (``weight`` 0)."""
+    best, best_mse = 0, math.inf
+    if weight > 0:
+        for i, err in enumerate(errs):
+            mse = err / weight
+            if mse < best_mse:
+                best, best_mse = i, mse
+    return best
 
 
 def default_forecaster_family() -> list[Forecaster]:

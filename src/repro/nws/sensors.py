@@ -7,7 +7,14 @@ simulator's ground truth and add measurement noise, then feed an
 
 Sensors are *pull-driven*: ``advance_to(t)`` takes all measurements due up
 to time ``t``.  This keeps the NWS usable both from plain experiment loops
-and from :class:`~repro.sim.engine.Simulator` processes.
+and from :class:`~repro.sim.engine.Simulator` processes.  The due samples
+are one block: their instants come from the same running sum of periods,
+the ground truth from one :meth:`~repro.sim.load.LoadProcess.availability_many`
+read, the noise from one draw of as many normals, and the ensemble folds
+them in one :meth:`~repro.nws.ensemble.AdaptiveEnsemble.update_many` call.
+Every sample's reading, forecast and error estimate is bit-identical to
+measuring and folding the samples one at a time, so how the clock's moves
+split the samples into blocks never changes an answer.
 
 Every sensor also keeps a bounded *forecast history*: each sample's time
 and the forecast the ensemble reported right after it.  Queries answer
@@ -30,8 +37,9 @@ from repro.nws.ensemble import AdaptiveEnsemble, Forecast
 from repro.nws.series import TimeSeries
 from repro.sim.host import Host
 from repro.sim.link import Link
+from repro.sim.load import LoadProcess
 from repro.util.rng import RngStream
-from repro.util.validation import check_nonnegative, check_positive
+from repro.util.validation import check_finite, check_nonnegative, check_positive
 
 __all__ = ["CpuSensor", "LinkSensor"]
 
@@ -46,11 +54,11 @@ class _PeriodicSensor:
     """
 
     def __init__(self, name: str, period: float, noise_std: float, rng: RngStream) -> None:
-        check_positive("period", period)
-        check_nonnegative("noise_std", noise_std)
         self.name = name
-        self.period = float(period)
-        self.noise_std = float(noise_std)
+        self.period = check_finite("period", check_positive("period", period))
+        self.noise_std = check_finite(
+            "noise_std", check_nonnegative("noise_std", noise_std)
+        )
         self.rng = rng
         self.series = TimeSeries(name)
         self.ensemble = AdaptiveEnsemble()
@@ -70,15 +78,29 @@ class _PeriodicSensor:
         self._at = -1
         self._current: Forecast | None = None
 
-    def _measure(self, t: float) -> float:
+    def _load(self) -> LoadProcess:
+        """The availability process of the measured resource."""
         raise NotImplementedError
+
+    def _measure(self, due: list[float]) -> list[float]:
+        """Noisy readings of the availability at each instant of ``due``,
+        clipped to [0, 1] like real availability fractions.
+
+        The noise is one draw of ``len(due)`` normals: the values, in
+        order, that ``len(due)`` scalar draws would give.
+        """
+        truth = self._load().availability_many(due)
+        noise = self.rng.generator.normal(0.0, self.noise_std, len(due)).tolist()
+        return [min(1.0, max(0.0, a + e)) for a, e in zip(truth, noise)]
 
     def advance_to(self, t: float) -> int:
         """Move the clock forward to ``t``, measuring every sample due in
         ``(frontier, t]``; returns how many were measured.
 
-        Recorded samples between the clock and the frontier are crossed
-        without measuring.  A ``t`` behind the clock leaves it in place.
+        The due samples are measured in one pass and folded into the
+        ensemble as one block.  Recorded samples between the clock and the
+        frontier are crossed without measuring.  A ``t`` behind the clock
+        leaves it in place.
         """
         times = self._times
         at = bisect_right(times, t, self._at + 1) - 1
@@ -87,25 +109,28 @@ class _PeriodicSensor:
             self._current = None
         if at < len(times) - 1:
             return 0
-        taken = 0
-        ensemble = self.ensemble
-        while self._next_sample <= t:
-            ts = self._next_sample
-            value = self._measure(ts)
-            self.series.append(ts, value)
-            ensemble.update(value)
-            times.append(ts)
-            self._values.append(ensemble.best_value)
-            self._errors.append(ensemble.best_error)
-            self._methods.append(ensemble.best_index)
-            self._next_sample += self.period
-            taken += 1
-        if taken:
-            if len(times) >= 2 * self._retain:
-                self._trim()
-            self._at = len(times) - 1
-            self._current = None
-        return taken
+        # The due instants as a running sum of periods (not k * period), so
+        # every split of the samples into blocks gives the same instants.
+        due = []
+        ts, period = self._next_sample, self.period
+        while ts <= t:
+            due.append(ts)
+            ts += period
+        if not due:
+            return 0
+        values = self._measure(due)
+        best_values, best_errors, best_indices = self.ensemble.update_many(values)
+        self.series.extend(due, values)
+        times.extend(due)
+        self._values.extend(best_values)
+        self._errors.extend(best_errors)
+        self._methods.extend(best_indices)
+        self._next_sample = ts
+        if len(times) >= 2 * self._retain:
+            self._trim()
+        self._at = len(times) - 1
+        self._current = None
+        return len(due)
 
     def _trim(self) -> None:
         """Drop the entries beyond the retention bound (amortised)."""
@@ -186,9 +211,8 @@ class CpuSensor(_PeriodicSensor):
         )
         self.host = host
 
-    def _measure(self, t: float) -> float:
-        value = self.host.availability(t) + self.rng.normal(0.0, self.noise_std)
-        return min(1.0, max(0.0, value))
+    def _load(self) -> LoadProcess:
+        return self.host.load
 
 
 class LinkSensor(_PeriodicSensor):
@@ -217,20 +241,30 @@ class LinkSensor(_PeriodicSensor):
         # count; recomputing it per forecast query was a hot-path cost.
         self._nominal_cache: dict[int, float] = {}
 
-    def _measure(self, t: float) -> float:
-        value = self.link.load.availability(t) + self.rng.normal(0.0, self.noise_std)
-        return min(1.0, max(0.0, value))
+    def _load(self) -> LoadProcess:
+        return self.link.load
 
     def forecast_bandwidth(self, flows: int = 1) -> float:
         """Predicted deliverable bytes/s for one of ``flows`` concurrent flows."""
         fraction = min(1.0, max(0.0, self.forecast().value))
-        # Reuse the link's own composition of nominal bandwidth, MAC
-        # efficiency and flow sharing by probing it with availability == 1
-        # and scaling by the forecast fraction.
+        return self.nominal_bandwidth(flows) * fraction
+
+    def nominal_bandwidth(self, flows: int = 1) -> float:
+        """The link's bytes/s for one of ``flows`` concurrent flows at full
+        availability: what a forecast fraction scales, and the answer
+        before the first sample."""
         nominal = self._nominal_cache.get(flows)
         if nominal is None:
-            nominal = self.link.deliverable_bandwidth(t=0.0, flows=flows) / max(
-                self.link.load.availability(0.0), 1e-12
-            )
+            link = self.link
+            probe = link.load.availability(0.0)
+            if probe > 0.0:
+                # The link's own composition of nominal bandwidth, MAC
+                # efficiency and flow sharing, probed at t = 0 and scaled
+                # back to full availability (recorded answers pin this
+                # form, which can sit an ulp off the direct one).
+                nominal = link.deliverable_bandwidth(0.0, flows) / probe
+            else:
+                # A link idle at t = 0 carries no scale to probe.
+                nominal = link.bandwidth_at(1.0, flows)
             self._nominal_cache[flows] = nominal
-        return nominal * fraction
+        return nominal

@@ -1,14 +1,15 @@
 """Bounded measurement time series.
 
-Sensors append ``(time, value)`` pairs; forecasters and diagnostics read
-windows off the tail.  The store is bounded (the real NWS kept a fixed-size
-history per resource) and enforces monotonically non-decreasing timestamps.
+Sensors record ``(time, value)`` pairs a block at a time (``extend``, one
+monotonicity check per block); forecasters and diagnostics read windows off
+the tail.  The store is bounded (the real NWS kept a fixed-size history per
+resource) and enforces monotonically non-decreasing timestamps.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.util.validation import check_positive
 
@@ -27,13 +28,30 @@ class TimeSeries:
 
     def append(self, t: float, value: float) -> None:
         """Record one measurement; timestamps must not decrease."""
-        if self._times and t < self._times[-1]:
-            raise ValueError(
-                f"timestamps must be non-decreasing: {t} < {self._times[-1]}"
-            )
-        self._times.append(float(t))
-        self._values.append(float(value))
-        self.total_observations += 1
+        self.extend((t,), (value,))
+
+    def extend(self, times: Sequence[float], values: Sequence[float]) -> None:
+        """Record a block of measurements, ``times[i]`` with ``values[i]``.
+
+        Timestamps must not decrease, within the block or from the latest
+        recorded one; a block that breaks this is refused whole.
+        """
+        times = list(map(float, times))
+        if len(times) != len(values):
+            raise ValueError(f"{len(times)} timestamps for {len(values)} values")
+        if not times:
+            return
+        last = self._times[-1] if self._times else times[0]
+        if times[0] < last or times != sorted(times):
+            for t in times:
+                if t < last:
+                    raise ValueError(
+                        f"timestamps must be non-decreasing: {t} < {last}"
+                    )
+                last = t
+        self._times.extend(times)
+        self._values.extend(map(float, values))
+        self.total_observations += len(times)
 
     def __len__(self) -> int:
         return len(self._values)

@@ -96,11 +96,14 @@ class NetworkWeatherService:
             "nws.advance", layer="nws", t=self.now,
             sensors=len(self.cpu_sensors) + len(self.link_sensors),
         ) as span:
+            samples = 0
             for sensor in self._sensors():
-                sensor.advance_to(t)
+                samples += sensor.advance_to(t)
             if tracer.enabled:
                 span.set_end(t)
+                span.attrs["samples"] = samples
                 tracer.metrics.counter("nws.advances").inc()
+                tracer.metrics.counter("nws.samples").inc(samples)
         self._move(t)
 
     def rewind_to(self, t: float) -> None:
@@ -199,10 +202,7 @@ class NetworkWeatherService:
                     bws.append(sensor.forecast_bandwidth(flows))
                 else:
                     # Nominal fallback: full availability.
-                    nominal = link.deliverable_bandwidth(0.0, flows) / max(
-                        link.load.availability(0.0), 1e-12
-                    )
-                    bws.append(nominal)
+                    bws.append(sensor.nominal_bandwidth(flows))
             result = min(bws)
         self._path_bw_cache[(a, b, flows)] = result
         return result

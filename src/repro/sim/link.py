@@ -62,9 +62,14 @@ class Link:
 
     def deliverable_bandwidth(self, t: float, flows: int = 1) -> float:
         """Deliverable bytes/s at time ``t`` for one of ``flows`` concurrent flows."""
+        return self.bandwidth_at(self.load.availability(t), flows)
+
+    def bandwidth_at(self, availability: float, flows: int = 1) -> float:
+        """Bytes/s for one of ``flows`` concurrent flows while the link
+        delivers ``availability`` of its nominal capacity."""
         if flows < 1:
             raise ValueError(f"flows must be >= 1, got {flows}")
-        return self.bandwidth_mbit * MBIT * self.load.availability(t) / flows
+        return self.bandwidth_mbit * MBIT * availability / flows
 
     def transfer_time(self, nbytes: float, t: float = 0.0, flows: int = 1) -> float:
         """Seconds to move ``nbytes`` across this link at time ``t``.
@@ -131,10 +136,9 @@ class SharedSegment(Link):
                 f"mac_efficiency must be in (0, 1], got {self.mac_efficiency}"
             )
 
-    def deliverable_bandwidth(self, t: float, flows: int = 1) -> float:
-        """Per-flow deliverable bytes/s including MAC overhead."""
-        base = super().deliverable_bandwidth(t, flows)
-        return base * self.mac_efficiency
+    def bandwidth_at(self, availability: float, flows: int = 1) -> float:
+        """Per-flow bytes/s including MAC overhead."""
+        return super().bandwidth_at(availability, flows) * self.mac_efficiency
 
     def bandwidth_table(self, n: int, flows: int = 1) -> np.ndarray:
         """Per-epoch per-flow deliverable bytes/s including MAC overhead."""

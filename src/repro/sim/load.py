@@ -93,6 +93,26 @@ class LoadProcess:
         self._fill_to(k)
         return self._cache[k]
 
+    def availability_many(self, times: Sequence[float]) -> list[float]:
+        """:meth:`availability` at each of ``times``, in one pass.
+
+        An :func:`epoch_cached` process fills its cache once, up to the
+        latest epoch asked for, and reads each instant's epoch from it —
+        the values the scalar queries would return, since epochs are
+        generated in order either way.  A mutable process answers instant
+        by instant.
+        """
+        if not epoch_cached(self):
+            availability = self.availability
+            return [availability(t) for t in times]
+        epoch_of = self.epoch_of
+        epochs = [epoch_of(t) for t in times]
+        if not epochs:
+            return []
+        self._fill_to(max(epochs))
+        cache = self._cache
+        return [cache[k] for k in epochs]
+
     def mean_availability(self, t0: float, t1: float) -> float:
         """Time-average availability over ``[t0, t1]``.
 

@@ -62,3 +62,29 @@ class TestTimeSeries:
             _ = ts.last_value
         with pytest.raises(IndexError):
             _ = ts.last_time
+
+    def test_extend_records_a_block(self):
+        ts = TimeSeries(maxlen=4)
+        ts.append(0.0, 0.5)
+        ts.extend([1.0, 1.0, 2.0], [0.1, 0.2, 0.3])
+        ts.extend([], [])
+        assert list(ts) == [(0.0, 0.5), (1.0, 0.1), (1.0, 0.2), (2.0, 0.3)]
+        ts.extend((3.0, 4.0), (0.4, 0.6))
+        assert ts.values() == [0.2, 0.3, 0.4, 0.6]
+        assert ts.total_observations == 6
+
+    @pytest.mark.parametrize(
+        "times", [[2.0, 1.5], [0.5, 3.0], [2.0, 4.0, 3.0]],
+        ids=["within", "before-last", "late-in-block"],
+    )
+    def test_extend_refuses_a_decreasing_block_whole(self, times):
+        ts = TimeSeries()
+        ts.append(1.0, 0.5)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            ts.extend(times, [0.0] * len(times))
+        assert list(ts) == [(1.0, 0.5)]
+        assert ts.total_observations == 1
+
+    def test_extend_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            TimeSeries().extend([1.0, 2.0], [0.5])
