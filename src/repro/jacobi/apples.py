@@ -21,7 +21,7 @@ execute the numerics and charge simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,25 +96,51 @@ def batched_locality_orders(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``masks`` is a boolean ``(m, n)`` matrix over a machine universe
     *already sorted by locality rank* (``locality_order`` of the full
     pool).  Because the locality key is a strict total order, the strip
-    order of any subset is simply its members in ascending rank — so one
-    stable argsort that moves members ahead of non-members recovers, for
-    every row at once, exactly what :func:`locality_order` returns for
-    that row's member set.
+    order of any subset is simply its members in ascending rank — so
+    listing each row's members left to right recovers, for every row at
+    once, exactly what :func:`locality_order` returns for that row's
+    member set.
 
     Returns ``(order_idx, counts)``: ``order_idx[i, j]`` is the rank-space
-    machine index of row ``i``'s ``j``-th strip member (slots at and
-    beyond ``counts[i]`` are padding, ascending over the non-members).
+    machine index of row ``i``'s ``j``-th strip member.  The order is only
+    as wide as the widest member set, ``counts.max()``; slots at and beyond
+    ``counts[i]`` are padding and hold 0.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2:
         raise ValueError("masks must be (m, n)")
-    order_idx = np.argsort(~masks, axis=1, kind="stable")
     counts = masks.sum(axis=1)
+    slots = np.arange(counts.max(initial=0)) < counts[:, None]
+    # Row-major order visits each row's members in ascending rank, the
+    # order in which that row's strip slots fill.
+    order_idx = np.zeros(slots.shape, dtype=np.intp)
+    order_idx[slots] = np.nonzero(masks)[1]
     return order_idx, counts
 
 
+def _pool_locality(info: InformationPool) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The pool's machines in locality order, and each machine's rank in it.
+
+    The order reads only static ``site``/``arch``/``name``, so inside a
+    decision it is sorted once per forecast snapshot, as the pair table
+    is: every decision scope and configuration at that pool state shares
+    it.  Outside a decision it is sorted afresh.
+    """
+    pool = info.pool
+    names = tuple(pool.machine_names())
+
+    def build() -> tuple[tuple[str, ...], dict[str, int]]:
+        order = tuple(locality_order(pool, names))
+        return order, {m: i for i, m in enumerate(order)}
+
+    cache = info.decision_cache
+    if cache is None:
+        return build()
+    return cache.snapshot.derived(("locality-order", names), build)
+
+
 def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
-    """``locality_order`` with a per-decision rank memo.
+    """``locality_order`` by the pool's shared locality rank.
 
     The locality key is a *total* order over the pool, so sorting a subset
     by the full-pool rank yields exactly ``locality_order``'s result while
@@ -122,18 +148,9 @@ def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
     decision (or for machines outside the pool) this falls back to the
     direct sort.
     """
-    cache = info.decision_cache
-    if cache is None:
+    if info.decision_cache is None:
         return locality_order(info.pool, machines)
-    rank = cache.memo.get("locality-rank")
-    if rank is None:
-        rank = {
-            m: i
-            for i, m in enumerate(
-                locality_order(info.pool, info.pool.machine_names())
-            )
-        }
-        cache.memo["locality-rank"] = rank
+    _, rank = _pool_locality(info)
     try:
         return sorted(machines, key=rank.__getitem__)
     except KeyError:
@@ -447,7 +464,7 @@ class JacobiPlanner:
             if memo is not None:
                 return memo
         model = self._model(info)
-        rank_names = locality_order(info.pool, info.pool.machine_names())
+        rank_names, _ = _pool_locality(info)
         rates = np.array([model.point_rate(m) for m in rank_names])
         caps = (
             np.array([model.capacity_points(m) for m in rank_names])
@@ -459,7 +476,7 @@ class JacobiPlanner:
         )
         inputs = StripBatchInputs(
             planner=self,
-            rank_names=tuple(rank_names),
+            rank_names=rank_names,
             rates=rates,
             caps=caps,
             avail_mb=avail_mb,
@@ -517,6 +534,13 @@ class StripBatchEvaluation:
     predicted: np.ndarray  # (m,) risk-adjusted predicted time
     kept: np.ndarray  # (m, n) final member mask, rank space
 
+    def rows(self, span: slice) -> "StripBatchEvaluation":
+        """The outcomes of the rows in ``span``, as views."""
+        return StripBatchEvaluation(
+            self.feasible[span], self.fallback[span],
+            self.predicted[span], self.kept[span],
+        )
+
 
 # Structural bound on batched re-plan passes: membership shrinks by at
 # least one machine per pass per row, matching the scalar _MAX_REPLAN.
@@ -534,8 +558,11 @@ def evaluate_strip_batch(
     stacked into one index space and driven through NumPy replicas of the
     scalar plan pipeline — locality orders, neighbour comm costs, the
     drop/re-balance fixpoint, largest-remainder integerisation, and the
-    risk-adjusted step-time prediction — in chunks of ``chunk_rows`` to
-    bound peak memory.
+    risk-adjusted step-time prediction — in chunks of ``chunk_rows``
+    (at least 1) to bound peak memory.  Each fixpoint pass works in
+    strip-order arrays only as wide as the widest member set among its
+    rows, gathers every row's neighbour transfers once, and finalises the
+    rows that converge in it straight from those arrays.
 
     Bit-identity contract: every number produced for a row either equals
     the scalar ``JacobiPlanner.plan`` result for that candidate set
@@ -547,6 +574,8 @@ def evaluate_strip_batch(
     overshoot — is surrendered to the scalar planner rather than
     approximated.
     """
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows!r}")
     if not jobs:
         return []
     n = len(jobs[0][0].rank_names)
@@ -554,24 +583,7 @@ def evaluate_strip_batch(
         if len(inputs.rank_names) != n or masks.shape[1] != n:
             raise ValueError("all jobs must share one machine universe size")
 
-    job_rates = np.stack([inputs.rates for inputs, _ in jobs])
-    job_caps = np.stack(
-        [
-            inputs.caps if inputs.caps is not None else np.full(n, np.inf)
-            for inputs, _ in jobs
-        ]
-    )
-    job_avail = np.stack([inputs.avail_mb for inputs, _ in jobs])
-    job_pair = np.stack([inputs.pair for inputs, _ in jobs])
-    job_risks = np.stack([inputs.risks for inputs, _ in jobs])
-    job_sync = np.array([inputs.sync_overhead_s for inputs, _ in jobs])
-    job_total = np.array([inputs.total_points for inputs, _ in jobs])
-    job_grid = np.array([inputs.grid_n for inputs, _ in jobs], dtype=np.int64)
-    job_bytes = np.array([inputs.bytes_per_point for inputs, _ in jobs])
-    job_iters = np.array([float(inputs.iterations) for inputs, _ in jobs])
-    job_ra = np.array([inputs.risk_aversion for inputs, _ in jobs])
-    job_memory = np.array([inputs.account_memory for inputs, _ in jobs])
-
+    tables = _JobTables.stack([inputs for inputs, _ in jobs])
     all_masks = np.concatenate(
         [np.asarray(masks, dtype=bool) for _, masks in jobs]
     )
@@ -583,48 +595,66 @@ def evaluate_strip_batch(
     )
 
     total_rows = all_masks.shape[0]
-    feasible = np.zeros(total_rows, dtype=bool)
-    fallback = np.zeros(total_rows, dtype=bool)
-    predicted = np.full(total_rows, np.inf)
-    kept_out = np.zeros((total_rows, n), dtype=bool)
-
+    out = StripBatchEvaluation(
+        feasible=np.zeros(total_rows, dtype=bool),
+        fallback=np.zeros(total_rows, dtype=bool),
+        predicted=np.full(total_rows, np.inf),
+        kept=np.zeros((total_rows, n), dtype=bool),
+    )
     for lo in range(0, total_rows, chunk_rows):
-        hi = min(lo + chunk_rows, total_rows)
-        _evaluate_chunk(
-            all_masks[lo:hi],
-            job_of[lo:hi],
-            job_rates,
-            job_caps,
-            job_avail,
-            job_pair,
-            job_risks,
-            job_sync,
-            job_total,
-            job_grid,
-            job_bytes,
-            job_iters,
-            job_ra,
-            job_memory,
-            feasible[lo:hi],
-            fallback[lo:hi],
-            predicted[lo:hi],
-            kept_out[lo:hi],
-        )
+        chunk = slice(lo, lo + chunk_rows)
+        _evaluate_chunk(all_masks[chunk], job_of[chunk], tables, out.rows(chunk))
 
-    results = []
-    start = 0
-    for _, masks in jobs:
-        stop = start + len(masks)
-        results.append(
-            StripBatchEvaluation(
-                feasible=feasible[start:stop],
-                fallback=fallback[start:stop],
-                predicted=predicted[start:stop],
-                kept=kept_out[start:stop],
-            )
+    stops = np.cumsum([len(masks) for _, masks in jobs])
+    return [out.rows(slice(stop - len(masks), stop))
+            for stop, (_, masks) in zip(stops, jobs)]
+
+
+class _JobTables(NamedTuple):
+    """The jobs of one :func:`evaluate_strip_batch` call, stacked per field.
+
+    Per-machine tables are ``(J, n)`` in rank space, read by the flat index
+    ``job * n + machine``; ``pair`` is ``(J, n, n)``; the rest are ``(J,)``.
+    """
+
+    rates: np.ndarray
+    caps: np.ndarray  # inf for memory-blind jobs
+    max_rows: np.ndarray  # caps // grid, NaN where caps is inf
+    avail: np.ndarray
+    risks: np.ndarray
+    pair: np.ndarray
+    sync: np.ndarray
+    total: np.ndarray
+    grid: np.ndarray
+    bytes_per_point: np.ndarray
+    iters: np.ndarray
+    risk_aversion: np.ndarray
+    memory: np.ndarray
+
+    @classmethod
+    def stack(cls, inputs: Sequence[StripBatchInputs]) -> "_JobTables":
+        n = len(inputs[0].rank_names)
+        caps = np.stack(
+            [i.caps if i.caps is not None else np.full(n, np.inf) for i in inputs]
         )
-        start = stop
-    return results
+        grid = np.array([i.grid_n for i in inputs], dtype=np.int64)
+        with np.errstate(invalid="ignore"):  # inf caps on memory-blind jobs
+            max_rows = np.floor_divide(caps, grid[:, None].astype(float))
+        return cls(
+            rates=np.stack([i.rates for i in inputs]),
+            caps=caps,
+            max_rows=max_rows,
+            avail=np.stack([i.avail_mb for i in inputs]),
+            risks=np.stack([i.risks for i in inputs]),
+            pair=np.stack([i.pair for i in inputs]),
+            sync=np.array([i.sync_overhead_s for i in inputs]),
+            total=np.array([i.total_points for i in inputs]),
+            grid=grid,
+            bytes_per_point=np.array([i.bytes_per_point for i in inputs]),
+            iters=np.array([float(i.iterations) for i in inputs]),
+            risk_aversion=np.array([i.risk_aversion for i in inputs]),
+            memory=np.array([i.account_memory for i in inputs]),
+        )
 
 
 def _member_keys(member: np.ndarray, job_of: np.ndarray) -> np.ndarray:
@@ -640,54 +670,18 @@ def _member_keys(member: np.ndarray, job_of: np.ndarray) -> np.ndarray:
     return key.view(np.dtype((np.void, key.shape[1]))).ravel()
 
 
-def _evaluate_chunk(
-    masks,
-    job_of,
-    job_rates,
-    job_caps,
-    job_avail,
-    job_pair,
-    job_risks,
-    job_sync,
-    job_total,
-    job_grid,
-    job_bytes,
-    job_iters,
-    job_ra,
-    job_memory,
-    feasible,
-    fallback,
-    predicted,
-    kept_out,
-):
-    """One chunk of :func:`evaluate_strip_batch` (results written in place)."""
-    member, areas_rank, done, stopped, continues = _fixpoint(
-        masks, job_of, job_rates, job_caps, job_pair, job_sync, job_total,
-        job_memory, fallback,
-    )
-    drows = np.nonzero(done)[0]
-    if drows.size:
-        _finalise_rows(
-            drows,
-            member,
-            areas_rank,
-            job_of,
-            job_rates,
-            job_caps,
-            job_avail,
-            job_pair,
-            job_risks,
-            job_sync,
-            job_grid,
-            job_bytes,
-            job_iters,
-            job_ra,
-            job_memory,
-            feasible,
-            fallback,
-            predicted,
-            kept_out,
-        )
+def _select(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows ``keep`` marks of each array — the arrays themselves, not
+    copies, when it marks every row."""
+    if keep.all():
+        return arrays
+    idx = np.nonzero(keep)[0]
+    return tuple(a[idx] for a in arrays)
+
+
+def _evaluate_chunk(masks, job_of, tables, out):
+    """One chunk of :func:`evaluate_strip_batch` (results written to ``out``)."""
+    stopped, continues = _fixpoint(masks, job_of, tables, out)
 
     # Follow each continuation chain to the row that finished, adding up
     # the passes the chain stands for.
@@ -706,25 +700,13 @@ def _evaluate_chunk(
     passes += stopped[final]
     within = passes <= _MAX_BATCH_PASSES
     src, dst = final[within], crows[within]
-    feasible[dst] = feasible[src]
-    fallback[dst] = fallback[src]
-    predicted[dst] = predicted[src]
-    kept_out[dst] = kept_out[src]
+    for outcome in (out.feasible, out.fallback, out.predicted, out.kept):
+        outcome[dst] = outcome[src]
     # Past the structural bound the row would still have been pending.
-    fallback[crows[~within]] = True
+    out.fallback[crows[~within]] = True
 
 
-def _fixpoint(
-    masks,
-    job_of,
-    job_rates,
-    job_caps,
-    job_pair,
-    job_sync,
-    job_total,
-    job_memory,
-    fallback,
-):
+def _fixpoint(masks, job_of, tables, out):
     """The drop/re-balance fixpoint of one chunk of rows.
 
     Batch plan continuation: from a given member set onward, a row's
@@ -737,25 +719,23 @@ def _fixpoint(
     replace.  On exhaustive candidate spaces every shrunk set is some row's
     start, so the fixpoint ends after one pass.
 
-    Returns ``(member, areas_rank, done, stopped, continues)``: the final
-    members and areas of converged (``done``) rows, the pass in which each
-    row stopped iterating, and the row each continued row takes its outcome
-    from (``-1`` for none).  Surrendered rows are flagged in ``fallback``.
-    A function of its own, so the big per-pass temporaries are freed before
-    the chunk is finalised.
+    Each pass (:func:`_strip_pass`) settles its rows at its own width and
+    hands back the ones that converged, with the strip-order arrays they
+    converged in; its other temporaries are freed when it returns, before
+    :func:`_finalise` writes those rows' outcomes.  Returns ``(stopped,
+    continues)``: the pass in which each row stopped iterating, and the
+    row each continued row takes its outcome from (``-1`` for none).
+    Surrendered rows are flagged in ``out.fallback``.
     """
-    m, n = masks.shape
-    slots = np.arange(n)[None, :]
-    rates_rows = job_rates[job_of]
+    m = masks.shape[0]
     # The scalar plan first filters members predicted to deliver nothing.
-    member = masks & (rates_rows > 0.0)
+    member = masks & (tables.rates > 0.0)[job_of]
     starts = _member_keys(member, job_of)
     by_start = np.argsort(starts, kind="stable")
     sorted_starts = starts[by_start]
+    del starts
 
     pending = np.ones(m, dtype=bool)
-    done = np.zeros(m, dtype=bool)
-    areas_rank = np.zeros((m, n))
     # The pass in which each row stopped iterating; a continued row also
     # names the row whose outcome it takes.
     stopped = np.zeros(m, dtype=np.int64)
@@ -775,193 +755,146 @@ def _fixpoint(
         if rows.size == 0:
             break
         stopped[rows] = npass
-        sub = member[rows]
-        cnt = sub.sum(axis=1)
-        sub_jobs = job_of[rows]
-
-        # Rows whose member list emptied: plan() returns None.
-        empty = cnt == 0
-        if np.any(empty):
-            pending[rows[empty]] = False
-
-        order_idx, _ = batched_locality_orders(sub)
-        valid = slots < cnt[:, None]
-        costs_c = batched_neighbor_comm_costs(
-            job_pair, order_idx, cnt, job_sync[sub_jobs], row_pair=sub_jobs
+        converged = _strip_pass(
+            rows, member, job_of, tables, pending, out.fallback, continue_shrunk
         )
-        rate_c = np.where(
-            valid, np.take_along_axis(job_rates[sub_jobs], order_idx, axis=1), 0.0
-        )
-
-        # Dead links: drop the single worst-cost member and re-derive, or
-        # give up on a singleton — exactly the scalar branch.
-        member_inf = np.isinf(costs_c) & valid
-        has_inf = member_inf.any(axis=1) & ~empty
-        if np.any(has_inf):
-            single = has_inf & (cnt == 1)
-            pending[rows[single]] = False  # plan() returns None
-            multi = has_inf & ~single
-            if np.any(multi):
-                mrows = np.nonzero(multi)[0]
-                # First occurrence of the maximum — Python's max() tie-break.
-                worst = np.argmax(costs_c[mrows], axis=1)
-                drop_rank = order_idx[mrows, worst]
-                member[rows[mrows], drop_rank] = False
-                continue_shrunk(rows[mrows])
-            # Dropping leaves the row pending for the next pass.
-
-        bal = ~has_inf & ~empty
-        if not np.any(bal):
-            continue
-        brows = np.nonzero(bal)[0]
-        res = balance_prefix_exact_batched(
-            rate_c[brows], costs_c[brows], job_total[sub_jobs[brows]]
-        )
-        needs_ref = res.needs_reference.copy()
-
-        # Binding capacities send the scalar path to the reference loop.
-        caps_c = np.take_along_axis(job_caps[sub_jobs[brows]], order_idx[brows], axis=1)
-        mem_rows = job_memory[sub_jobs[brows]]
-        over_cap = (
-            res.active & (res.allocations > caps_c + 1e-9)
-        ).any(axis=1) & mem_rows
-        needs_ref |= over_cap
-
-        gidx = rows[brows]
-        fallback[gidx[needs_ref]] = True
-        pending[gidx[needs_ref]] = False
-
-        ok = ~needs_ref
-        if not np.any(ok):
-            continue
-        orows = np.nonzero(ok)[0]
-        alloc = res.allocations[orows]
-        kept_c = res.active[orows] & (alloc > 0.0)
-        kvalid = valid[brows][orows]
-        none_kept = ~kept_c.any(axis=1)
-        converged = ~(kvalid & ~kept_c).any(axis=1) & ~none_kept
-
-        g2 = gidx[orows]
-        pending[g2[none_kept]] = False  # plan() returns None
-
-        # Non-converged rows shrink to their kept members and re-derive.
-        shrink = ~converged & ~none_kept
-        if np.any(shrink):
-            srows = np.nonzero(shrink)[0]
-            new_member = np.zeros((srows.size, n), dtype=bool)
-            np.put_along_axis(
-                new_member, order_idx[brows][orows][srows], kept_c[srows], axis=1
-            )
-            member[g2[srows]] = new_member
-            continue_shrunk(g2[srows])
-
-        if np.any(converged):
-            crows = np.nonzero(converged)[0]
-            scatter = np.zeros((crows.size, n))
-            np.put_along_axis(
-                scatter, order_idx[brows][orows][crows], alloc[crows], axis=1
-            )
-            areas_rank[g2[crows]] = scatter
-            kept_scatter = np.zeros((crows.size, n), dtype=bool)
-            np.put_along_axis(
-                kept_scatter, order_idx[brows][orows][crows], kept_c[crows], axis=1
-            )
-            member[g2[crows]] = kept_scatter
-            done[g2[crows]] = True
-            pending[g2[crows]] = False
+        if converged is not None:
+            _finalise(*converged, member, tables, out)
     else:
         # Rows still pending after the structural bound: let the scalar
         # planner raise (or converge) exactly as solo would.
-        fallback[pending] = True
+        out.fallback[pending] = True
         pending[:] = False
 
-    return member, areas_rank, done, stopped, continues
+    return stopped, continues
 
 
-def _finalise_rows(
-    drows,
-    member,
-    areas_rank,
-    job_of,
-    job_rates,
-    job_caps,
-    job_avail,
-    job_pair,
-    job_risks,
-    job_sync,
-    job_grid,
-    job_bytes,
-    job_iters,
-    job_ra,
-    job_memory,
-    feasible,
-    fallback,
-    predicted,
-    kept_out,
-):
-    """Integerise converged rows and predict their risk-adjusted times."""
+def _strip_pass(rows, member, job_of, tables, pending, fallback, continue_shrunk):
+    """One drop/re-balance pass over the pending ``rows`` of a chunk.
+
+    Works in strip-order arrays only as wide as the widest member set
+    among ``rows``.  Rows that empty, hit a dead link, surrender or shrink
+    are settled here (``pending``, ``fallback`` and the rank-space
+    ``member`` matrix updated in place).  Returns the rows that converged,
+    as ``(rows, jobs, jn, counts, valid, rates, transfers, areas)`` in
+    strip order — ``jn`` is each slot's flat ``job * n + machine`` index
+    into the job tables — or ``None`` when none did.
+    """
     n = member.shape[1]
-    slots = np.arange(n)[None, :]
-    sub = member[drows]
-    jobs = job_of[drows]
-    order_idx, cnt = batched_locality_orders(sub)
-    valid = slots < cnt[:, None]
-    areas_c = np.where(
-        valid, np.take_along_axis(areas_rank[drows], order_idx, axis=1), 0.0
+    jobs = job_of[rows]
+    order, cnt = batched_locality_orders(member[rows])
+    # Rows whose member list emptied: plan() returns None.
+    empty = cnt == 0
+    pending[rows[empty]] = False
+    if empty.all():
+        return None
+    valid = np.arange(order.shape[1]) < cnt[:, None]
+    costs, transfers = batched_neighbor_comm_costs(
+        tables.pair, order, cnt, tables.sync[jobs], row_pair=jobs
     )
-    grid = job_grid[jobs]
-    rows_int, exact = batched_largest_remainder_rows(grid, areas_c, cnt)
 
+    # Dead links: drop the single worst-cost member and re-derive, or
+    # give up on a singleton — exactly the scalar branch.
+    dead = (np.isinf(costs) & valid).any(axis=1)
+    if dead.any():
+        single = dead & (cnt == 1)
+        pending[rows[single]] = False  # plan() returns None
+        mrows = np.nonzero(dead & ~single)[0]
+        if mrows.size:
+            # First occurrence of the maximum — Python's max() tie-break.
+            worst = np.argmax(costs[mrows], axis=1)
+            member[rows[mrows], order[mrows, worst]] = False
+            continue_shrunk(rows[mrows])
+        # Dropping leaves the row pending for the next pass.
+
+    bal = ~(dead | empty)
+    if not bal.any():
+        return None
+    rows, jobs, order, cnt, valid, costs, transfers = _select(
+        bal, rows, jobs, order, cnt, valid, costs, transfers
+    )
+    jn = jobs[:, None] * n + order
+    rates = np.take(tables.rates, jn)
+    rates[~valid] = 0.0
+    res = balance_prefix_exact_batched(rates, costs, tables.total[jobs])
+    del costs
+
+    # Binding capacities send the scalar path to the reference loop.
+    over_cap = (
+        res.active & (res.allocations > np.take(tables.caps, jn) + 1e-9)
+    ).any(axis=1) & tables.memory[jobs]
+    surrender = res.needs_reference | over_cap
+    fallback[rows[surrender]] = True
+    pending[rows[surrender]] = False
+
+    kept = res.active & (res.allocations > 0.0)
+    settled = ~surrender
+    none_kept = settled & ~kept.any(axis=1)
+    pending[rows[none_kept]] = False  # plan() returns None
+    dropped = valid & ~kept
+    converged = settled & ~none_kept & ~dropped.any(axis=1)
+
+    # Non-converged rows shrink to their kept members and re-derive.
+    shrink = settled & ~none_kept & ~converged
+    if shrink.any():
+        r, s = np.nonzero(dropped & shrink[:, None])
+        member[rows[r], order[r, s]] = False
+        continue_shrunk(rows[shrink])
+
+    if not converged.any():
+        return None
+    pending[rows[converged]] = False
+    return _select(
+        converged, rows, jobs, jn, cnt, valid, rates, transfers, res.allocations
+    )
+
+
+def _finalise(
+    rows, jobs, jn, cnt, valid, rates, transfers, areas, member, tables, out
+):
+    """Integerise rows that converged in one pass and predict their
+    risk-adjusted times, from that pass's strip-order arrays.
+
+    A converged row keeps every member, so its strip order, rates and
+    neighbour transfers are the pass's, and its kept set is its member set.
+    ``rates`` is overwritten with the point times.
+    """
+    grid = tables.grid[jobs]
+    rows_int, exact = batched_largest_remainder_rows(grid, areas, cnt)
     bad = ~exact
     # Row caps (the integer image of memory capacity): the scalar path runs
     # an order-dependent overflow shift when a cap binds — surrender those.
-    caps_c = np.take_along_axis(job_caps[jobs], order_idx, axis=1)
-    mem = job_memory[jobs]
-    with np.errstate(invalid="ignore"):  # inf caps on memory-blind rows
-        max_rows = np.floor_divide(caps_c, grid[:, None].astype(float))
-    bad |= mem & (valid & (rows_int > max_rows)).any(axis=1)
+    mem = tables.memory[jobs]
+    bad |= mem & (valid & (rows_int > np.take(tables.max_rows, jn))).any(axis=1)
 
     area_pts = (rows_int * grid[:, None]).astype(float)
+    del rows_int
     # Paging: rows_int <= max_rows makes every strip fit in real memory, so
     # the scalar slowdown factor is exactly 1.0 — but certify the fits
     # check itself (footprint <= available) rather than assume it.
-    foot_mb = area_pts * job_bytes[jobs][:, None] / 1e6
-    avail_c = np.take_along_axis(job_avail[jobs], order_idx, axis=1)
-    bad |= mem & (valid & (foot_mb > avail_c)).any(axis=1)
+    foot_mb = area_pts * tables.bytes_per_point[jobs][:, None] / 1e6
+    bad |= mem & (valid & (foot_mb > np.take(tables.avail, jn))).any(axis=1)
+    del foot_mb
 
-    rate_c = np.where(
-        valid, np.take_along_axis(job_rates[jobs], order_idx, axis=1), np.inf
-    )
-    with np.errstate(divide="ignore"):
-        p_c = 1.0 / rate_c
-
-    # Neighbour comm per strip: predecessor added before successor, ends
-    # adding exactly 0.0 — StripCostModel.step_time's loop verbatim.
-    prev_idx = np.roll(order_idx, 1, axis=1)
-    next_idx = np.roll(order_idx, -1, axis=1)
-    rp = jobs[:, None]
-    t_prev = job_pair[rp, order_idx, prev_idx]
-    t_next = job_pair[rp, order_idx, next_idx]
-    has_prev = slots > 0
-    has_next = slots < (cnt[:, None] - 1)
-    comm = np.where(valid & has_prev, t_prev, 0.0) + np.where(
-        valid & has_next, t_next, 0.0
-    )
-    times = area_pts * p_c + comm + job_sync[jobs][:, None]
-    step = np.where(valid, times, -np.inf).max(axis=1)
-    pred = step * job_iters[jobs]
-    risks_c = np.where(
-        valid, np.take_along_axis(job_risks[jobs], order_idx, axis=1), 0.0
-    )
-    risk = risks_c.max(axis=1, initial=0.0)
-    pred = pred * (1.0 + job_ra[jobs] * risk)
+    # T_i = A_i * P_i + C_i + sync, StripCostModel.step_time's terms in
+    # its order.  P_i = 1 / rate at member slots only; padding keeps 0.0,
+    # as 1 / inf would.
+    point_time = np.divide(1.0, rates, out=rates, where=valid)
+    times = area_pts
+    times *= point_time
+    times += transfers
+    times += tables.sync[jobs][:, None]
+    step = np.max(times, axis=1, where=valid, initial=-np.inf)
+    pred = step * tables.iters[jobs]
+    risk = np.max(np.take(tables.risks, jn), axis=1, where=valid, initial=0.0)
+    pred = pred * (1.0 + tables.risk_aversion[jobs] * risk)
 
     good = ~bad
-    gd = drows[good]
-    feasible[gd] = True
-    predicted[gd] = pred[good]
-    kept_out[gd] = sub[good]
-    fallback[drows[bad]] = True
+    gd = rows[good]
+    out.feasible[gd] = True
+    out.predicted[gd] = pred[good]
+    out.kept[gd] = member[gd]
+    out.fallback[rows[bad]] = True
 
 
 class _NominalMixin:

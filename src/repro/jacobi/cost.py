@@ -274,7 +274,7 @@ def batched_neighbor_comm_costs(
     counts: np.ndarray,
     sync_overhead_s: float | np.ndarray,
     row_pair: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """``C_i`` for every member of every candidate strip order at once.
 
     Parameters
@@ -284,8 +284,9 @@ def batched_neighbor_comm_costs(
         ``(J, n, n)`` stack of them when rows mix requests with different
         exchange volumes — select per row with ``row_pair``.
     order_idx:
-        ``(m, n)`` machine indices in strip order per row; slots at and
-        beyond ``counts[i]`` are padding (any valid index).
+        ``(m, w)`` machine indices in strip order per row, ``w`` at least
+        the widest member count; slots at and beyond ``counts[i]`` are
+        padding (any valid index).
     counts:
         ``(m,)`` member count per row.
     sync_overhead_s:
@@ -295,33 +296,37 @@ def batched_neighbor_comm_costs(
         ``(m,)`` index into the first axis of a 3-D ``pair``; ignored for
         a single matrix.
 
-    Returns the ``(m, n)`` member costs in strip order, ``inf`` at padding
-    slots so downstream sorts push them past every real member.  Member
-    values are bit-identical to :meth:`StripCostModel.comm_costs`: the
-    predecessor transfer is added before the successor transfer, and ends
-    of the strip add ``0.0`` exactly.
+    Returns ``(costs, transfers)``, both ``(m, w)`` in strip order.
+    ``transfers`` is each member's neighbour border exchange without the
+    sync overhead (``0.0`` at padding slots) — the ``C_i`` term a step-time
+    prediction adds to ``A_i * P_i`` before the sync.  ``costs`` adds the
+    sync overhead, with ``inf`` at padding slots so downstream sorts push
+    them past every real member.  Member values are bit-identical to
+    :meth:`StripCostModel.comm_costs`: the predecessor transfer is added
+    before the successor transfer, and ends of the strip add ``0.0``
+    exactly.  Each of the ``w - 1`` links between neighbouring slots is
+    gathered once per direction, by flat index into ``pair``.
     """
     order_idx = np.asarray(order_idx)
-    m, n = order_idx.shape
+    m, w = order_idx.shape
+    n = pair.shape[-1]
     counts = np.asarray(counts)
-    slots = np.arange(n)[None, :]
+    slots = np.arange(w)[None, :]
     valid = slots < counts[:, None]
-    prev_idx = np.roll(order_idx, 1, axis=1)
-    next_idx = np.roll(order_idx, -1, axis=1)
+    # Flat index of each slot's row of the pair table.
     if pair.ndim == 3:
         if row_pair is None:
             raise ValueError("row_pair is required with a (J, n, n) pair stack")
-        rp = np.asarray(row_pair)[:, None]
-        t_prev = pair[rp, order_idx, prev_idx]
-        t_next = pair[rp, order_idx, next_idx]
+        row = (np.asarray(row_pair, dtype=np.intp)[:, None] * n + order_idx) * n
     else:
-        t_prev = pair[order_idx, prev_idx]
-        t_next = pair[order_idx, next_idx]
-    has_prev = slots > 0
-    has_next = slots < (counts[:, None] - 1)
-    costs = (
-        np.where(valid & has_prev, t_prev, 0.0)
-        + np.where(valid & has_next, t_next, 0.0)
-        + np.asarray(sync_overhead_s, dtype=float).reshape(-1, 1)
-    )
-    return np.where(valid, costs, np.inf)
+        row = order_idx.astype(np.intp) * n
+    flat = pair.reshape(-1)
+    # Link j joins slots j and j + 1; it exists when both are members.
+    link = slots[:, :-1] < (counts[:, None] - 1)
+    transfers = np.zeros((m, w))
+    # Slot j + 1's predecessor term, then slot j's successor term.
+    transfers[:, 1:] = np.where(link, flat[row[:, 1:] + order_idx[:, :-1]], 0.0)
+    transfers[:, :-1] += np.where(link, flat[row[:, :-1] + order_idx[:, 1:]], 0.0)
+    costs = transfers + np.asarray(sync_overhead_s, dtype=float).reshape(-1, 1)
+    costs[~valid] = np.inf
+    return costs, transfers

@@ -18,7 +18,9 @@ strip planner's bounds and batch inputs — read whole pair tables
 (:meth:`ForecastSnapshot.transfer_matrix`): one latency and one bandwidth
 table over the captured machines (widened on demand for any other pool
 machine), taken once, then one read-only transfer-time table per name
-order and message size.
+order and message size.  Other values that are pure functions of the
+pool state, such as the strip planner's locality order, are memoised by
+key (:meth:`ForecastSnapshot.derived`).
 
 Every value is obtained by calling the pool's own prediction interface,
 or by repeating its arithmetic elementwise, so a snapshot is
@@ -35,7 +37,7 @@ call, which is the intended lifetime.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -73,6 +75,7 @@ class ForecastSnapshot:
         "_index",
         "_links",
         "_matrices",
+        "_derived",
     )
 
     def __init__(self, pool: "ResourcePool", machines: Sequence[str] | None = None) -> None:
@@ -98,6 +101,7 @@ class ForecastSnapshot:
         self._index = {n: i for i, n in enumerate(self.machines)}
         self._links: tuple[np.ndarray, np.ndarray] | None = None
         self._matrices: dict[tuple[tuple[str, ...], float], np.ndarray] = {}
+        self._derived: dict[Hashable, Any] = {}
 
     # -- freshness ------------------------------------------------------------
     @property
@@ -171,6 +175,21 @@ class ForecastSnapshot:
             table.flags.writeable = False
             self._matrices[key] = table
         return table
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed on the first call with ``key`` and memoised.
+
+        For values that are pure functions of the pool state this snapshot
+        describes (the strip planner's locality order, say): like the pair
+        tables, they are then shared by every decision scope and every
+        configuration that reads the snapshot.  Callers namespace their
+        keys.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def _link_tables(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Path latency and :meth:`bandwidth` between every indexed pair.

@@ -10,8 +10,11 @@ restored) on exit.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+import repro.jacobi.apples as apples
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
@@ -107,6 +110,32 @@ def test_service_batches_at_two_instants_match_fresh_worlds(fast):
         assert got.machines == want.machines
         assert got.predicted_time == want.predicted_time
         assert got.best_objective == want.best_objective
+
+
+def test_configurations_at_one_pool_state_share_one_locality_order():
+    """The strip planner's locality order reads only static host data, so
+    every configuration of a batch at one instant reads one order, sorted
+    once through the shared forecast snapshot; answers are unchanged."""
+    requests = [
+        DecisionRequest(
+            problem=JacobiProblem(n=n, iterations=20),
+            account_memory=memory,
+            at=300.0,
+        )
+        for n in (600, 900)
+        for memory in (True, False)
+    ]
+    testbed, nws = _world()
+    with mock.patch.object(
+        apples, "locality_order", wraps=apples.locality_order
+    ) as order:
+        got = SchedulingService(testbed, nws).decide(requests)
+    assert order.call_count == 1
+    want = _reference_decide(*_world(), requests)
+    for g, w in zip(got, want, strict=True):
+        assert g.machines == w.machines
+        assert g.predicted_time == w.predicted_time
+        assert g.best_objective == w.best_objective
 
 
 def _info(testbed, nws):
