@@ -17,12 +17,13 @@ point runs it:
 
 - :meth:`AppLeSAgent.stage` runs inside a decision scope
   (:meth:`~repro.core.infopool.InformationPool.decision_scope`: one
-  forecast snapshot shared by every evaluation).  It takes admissible
-  objective lower bounds when the Planner/Estimator pair exposes them and,
-  when the Planner resolves a batch planner (``batch_planner(info)``) and
-  the Estimator has ``objectives_from_predictions``, the membership-mask
-  job that :func:`~repro.jacobi.apples.evaluate_strip_batch` takes.
-- :meth:`AppLeSAgent.decide` scores the candidates with
+  forecast snapshot shared by every evaluation).  When the Planner
+  resolves a batch planner (``batch_planner(info)``) and the Estimator
+  has ``objectives_from_predictions``, it builds the membership-mask job
+  that :func:`~repro.jacobi.apples.evaluate_strip_batch` takes; otherwise
+  it takes admissible objective lower bounds when the pair exposes them.
+- :meth:`AppLeSAgent.decide` maps an evaluation's time bounds through the
+  Estimator's ``objective_lower_bounds``, scores the candidates with
   :class:`~repro.core.sweep.BatchedObjective`, replays the
   incumbent/pruning order with :func:`~repro.core.sweep.replay_sweep` and
   picks the winner.  Without a batched evaluation every row is lazy: the
@@ -230,11 +231,11 @@ class ScheduleDecision:
 class StagedDecision:
     """What :meth:`AppLeSAgent.stage` prepares for one decision.
 
-    ``csets`` are the candidate resource sets and ``bounds`` their
-    admissible objective lower bounds (``None`` disables pruning).  ``job``
-    is the ``(StripBatchInputs, rank-space masks)`` pair
+    ``csets`` are the candidate resource sets.  ``job`` is the
+    ``(StripBatchInputs, rank-space masks)`` pair
     :func:`~repro.jacobi.apples.evaluate_strip_batch` takes, or ``None``
-    when the configuration does not batch.
+    when the configuration does not batch; only then are ``bounds`` the
+    admissible objective lower bounds (``None`` disables pruning).
     """
 
     csets: list[tuple[str, ...]]
@@ -353,13 +354,13 @@ class AppLeSAgent:
         return candidate_sets
 
     def stage(self, candidate_sets: list[tuple[str, ...]]) -> StagedDecision:
-        """Take one decision's bounds and batch job; call inside its scope.
+        """Take one decision's batch job or bounds; call inside its scope.
 
         A configuration batches when the Planner resolves a batch planner
         and the Estimator scores batched predictions
-        (``objectives_from_predictions``).  Then one membership matrix over
-        the pool's machine names feeds both the bounds and the batch job,
-        whose masks are permuted to the batch inputs' locality-rank order.
+        (``objectives_from_predictions``).  Its job's masks are over the
+        batch inputs' locality-rank names; the evaluation computes its
+        bounds.  Any other configuration stages its objective bounds.
         """
         info = self.info
         batch_planner = resolve_batch_planner(self.planner, info)
@@ -368,23 +369,17 @@ class AppLeSAgent:
         ):
             bounds = objective_bounds(self, self.planner, candidate_sets)
             return StagedDecision(candidate_sets, bounds, None)
-        names = info.pool.machine_names()
-        name_masks = member_masks_over(candidate_sets, names)
-        bounds = objective_bounds(
-            self, batch_planner, candidate_sets, member_mask=name_masks
-        )
         inputs = batch_planner.batch_inputs(info)
-        name_index = {m: k for k, m in enumerate(names)}
-        perm = np.array([name_index[m] for m in inputs.rank_names])
-        return StagedDecision(
-            candidate_sets, bounds, (inputs, name_masks[:, perm])
-        )
+        masks = member_masks_over(candidate_sets, inputs.rank_names)
+        return StagedDecision(candidate_sets, None, (inputs, masks))
 
     def decide(self, staged: StagedDecision, ev: Any | None) -> ScheduleDecision:
         """Blueprint steps 2–3 over a staged decision: score, sweep, choose.
 
         ``ev`` is the job's :class:`~repro.jacobi.apples.StripBatchEvaluation`,
-        or ``None`` to plan and estimate every row the sweep reaches.  Runs
+        or ``None`` to plan and estimate every row the sweep reaches; its
+        time bounds are mapped through the Estimator's
+        ``objective_lower_bounds`` (no pruning without that hook).  Runs
         inside the scope :meth:`stage` ran in (the oracle runs outside any
         scope), so lazily planned rows share its snapshot and memos.
         Raises :class:`~repro.core.sweep.NoFeasibleCandidate` when no
@@ -392,6 +387,10 @@ class AppLeSAgent:
         """
         csets, bounds = staged.csets, staged.bounds
         info = self.info
+        to_objective = getattr(self.estimator, "objective_lower_bounds", None)
+        if ev is not None and to_objective is not None:
+            inputs, masks = staged.job
+            bounds = to_objective(ev.bounds, masks, inputs.rank_names, info)
         metric = info.userspec.performance_metric
         # Observability (repro.obs): the span/metric calls below only read
         # decision state, never influence it — tracing on/off is

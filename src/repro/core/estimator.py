@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.infopool import InformationPool
 from repro.core.planner import ordered_sum
 from repro.core.schedule import Schedule
-from repro.core.selector import member_masks_over
 
 __all__ = [
     "PerformanceEstimator",
@@ -36,11 +35,11 @@ class PerformanceEstimator(Protocol):
     whole candidate space at once with the same IEEE operations as the
     Schedule-based :meth:`objective`:
 
-    - ``objective_lower_bounds(time_lbs, candidate_sets, info,
-      member_mask=None) -> ndarray`` — admissible objective bounds given
-      lower bounds on predicted time, one per candidate set, used by the
-      Coordinator's pruning.  Estimators without it disable pruning (never
-      changing any decision).
+    - ``objective_lower_bounds(time_lbs, members, names, info) -> ndarray``
+      — admissible objective bounds given lower bounds on predicted time,
+      one per candidate set, with the sets' ``(m, n)`` membership mask
+      over ``names`` (any order), used by the Coordinator's pruning.
+      Estimators without it disable pruning (never changing any decision).
     - ``objectives_from_predictions(predicted, kept, names, info) ->
       ndarray`` — the objective of each batched plan from its predicted
       time and kept-member mask over ``names`` (the strip order), used by
@@ -71,9 +70,9 @@ class ExecutionTimeEstimator:
     def objective_lower_bounds(
         self,
         time_lbs: np.ndarray,
-        candidate_sets: Sequence[Sequence[str]],
+        members: np.ndarray,
+        names: Sequence[str],
         info: InformationPool,
-        member_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """Objective is the time itself, so the time bounds are the bounds."""
         return time_lbs
@@ -132,9 +131,9 @@ class SpeedupEstimator:
     def objective_lower_bounds(
         self,
         time_lbs: np.ndarray,
-        candidate_sets: Sequence[Sequence[str]],
+        members: np.ndarray,
+        names: Sequence[str],
         info: InformationPool,
-        member_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """Monotone in time: bound / baseline bounds the objective below."""
         return time_lbs / self._baseline_time(info)
@@ -181,25 +180,20 @@ class CostEstimator:
     def objective_lower_bounds(
         self,
         time_lbs: np.ndarray,
-        candidate_sets: Sequence[Sequence[str]],
+        members: np.ndarray,
+        names: Sequence[str],
         info: InformationPool,
-        member_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """Admissible bound: the schedule uses at least one machine of the
         candidate set (possibly fewer after planner drops), so its rate sum
-        is at least the cheapest member's rate.  ``member_mask`` is the
-        sets' membership over ``info.pool.machine_names()`` (built here
-        when the caller has none)."""
-        names = info.pool.machine_names()
-        if member_mask is None:
-            member_mask = member_masks_over(candidate_sets, names)
+        is at least the cheapest member's rate."""
         rates = info.userspec.cost_per_cpu_second
         rate = np.array([rates.get(m, 0.0) for m in names])
-        min_rate = np.where(member_mask, rate, np.inf).min(axis=1)
+        min_rate = np.where(members, rate, np.inf).min(axis=1)
         with np.errstate(invalid="ignore"):  # inf * 0.0, as in Python floats
             weighted = self.time_weight * time_lbs
             bounds = time_lbs * min_rate + weighted
-        return np.where(member_mask.any(axis=1), bounds, weighted)
+        return np.where(members.any(axis=1), bounds, weighted)
 
     def objectives_from_predictions(
         self,

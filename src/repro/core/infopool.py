@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.core.hat import HeterogeneousApplicationTemplate
-from repro.core.resources import ResourcePool
+from repro.core.resources import MachineInfo, ResourcePool
 from repro.core.userspec import UserSpecification
 
 __all__ = ["InformationPool", "DecisionCache"]
@@ -158,6 +158,14 @@ class InformationPool:
     def decision_cache(self) -> DecisionCache | None:
         """The active decision's shared cache (None outside a decision)."""
         return self._decision
+
+    def machine_info(self, name: str) -> MachineInfo:
+        """``pool.machine_info(name)``, from the decision's snapshot
+        inside a decision."""
+        cache = self._decision
+        if cache is None:
+            return self.pool.machine_info(name)
+        return cache.snapshot.machine_info(name)
 
     def register_model(self, name: str, model: Any) -> None:
         """Add or replace a named performance model."""

@@ -28,7 +28,9 @@ the tests as the balancing oracle.
 
 :func:`balance_divisible_work_batched` water-fills **many** candidate
 machine sets over one shared machine universe in a single NumPy call —
-the vector engine behind the Coordinator's candidate pruning bounds.
+the vector engine behind the blocked and divisible planners' pruning
+bounds; :func:`sorted_waterfill`, its prefix selection, also serves the
+strip planner's bounds inside the batched strip kernel.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "balance_divisible_work",
     "balance_divisible_work_batched",
     "balance_prefix_exact_batched",
+    "sorted_waterfill",
     "fractional_time_floor",
     "ordered_sum",
     "TimeBalancedPlanner",
@@ -338,7 +341,7 @@ def _balance_fast(
 def balance_divisible_work_batched(
     rates: Sequence[float] | np.ndarray,
     fixed_costs: Sequence[float] | np.ndarray,
-    total_units: float | Sequence[float] | np.ndarray,
+    total_units: float,
     members: np.ndarray | Sequence[Sequence[bool]] | None = None,
 ) -> np.ndarray:
     """Water-fill many candidate sets over one machine universe at once.
@@ -347,9 +350,9 @@ def balance_divisible_work_batched(
     time-balance ``min max_{i in S', A_i > 0} (A_i / r_i + c_i)`` with the
     drop semantics of :func:`balance_divisible_work` — one vectorized
     NumPy pass (sort by cost, cumulative sums, prefix selection) instead of
-    one solver call per set.  This is the engine behind the Coordinator's
-    pruning bounds: thousands of candidate resource sets bounded in a
-    single call.
+    one solver call per set.  This is the engine behind the blocked and
+    divisible planners' pruning bounds: thousands of candidate resource
+    sets bounded in a single call.
 
     Returns the balanced step time per candidate set, shape ``(m,)``
     (``inf`` for sets with no usable member) — the bounds read nothing
@@ -358,17 +361,12 @@ def balance_divisible_work_batched(
     Parameters
     ----------
     rates / fixed_costs:
-        The machine universe (rates > 0, costs >= 0 for every machine that
-        appears in any set; masked-out entries may hold placeholders).
-        Either may also be a ``(m, n)`` matrix giving per-set per-machine
-        values — the scheduling service stacks the candidate sets of many
-        concurrent requests (different problems, hence different rates)
-        into one call.  A member whose cost is ``inf`` is treated as
+        The machine universe, ``(n,)`` each (rates > 0, costs >= 0 for
+        every machine that appears in any set; masked-out entries may
+        hold placeholders).  A member whose cost is ``inf`` is treated as
         unusable in that set.
     total_units:
-        Work to distribute per set: a scalar ``U > 0`` shared by every
-        set, or a ``(m,)`` vector with one total per set (again, stacked
-        heterogeneous requests).
+        Work to distribute per set, ``U > 0``.
     members:
         Boolean matrix ``(m, n)``; ``None`` balances the full universe as
         a single set.
@@ -379,51 +377,57 @@ def balance_divisible_work_batched(
     """
     r = np.asarray(rates, dtype=float)
     c = np.asarray(fixed_costs, dtype=float)
-    if r.ndim not in (1, 2):
-        raise ValueError("rates must be (n,) or (m, n) over the universe")
-    n = r.shape[-1]
-    if c.ndim not in (1, 2) or c.shape[-1] != n:
-        raise ValueError("fixed_costs must be (n,) or (m, n) over the universe")
+    if r.ndim != 1 or c.shape != r.shape:
+        raise ValueError("rates and fixed_costs must both be (n,) over the universe")
+    n = r.shape[0]
     if members is None:
         mask = np.ones((1, n), dtype=bool)
     else:
         mask = np.asarray(members, dtype=bool)
         if mask.ndim != 2 or mask.shape[1] != n:
             raise ValueError(f"members must have shape (m, {n})")
-    m_rows = mask.shape[0]
-    if c.ndim == 2 and c.shape[0] != m_rows:
-        raise ValueError("2-D fixed_costs must have one row per member set")
-    if r.ndim == 2 and r.shape[0] != m_rows:
-        raise ValueError("2-D rates must have one row per member set")
-    totals = np.asarray(total_units, dtype=float)
-    if totals.ndim not in (0, 1) or (totals.ndim == 1 and totals.size != m_rows):
-        raise ValueError("total_units must be a scalar or one total per set")
-    if totals.size == 0 or np.any(~(totals > 0)):
-        raise ValueError("total_units must be > 0 for every set")
-    used_rates = r if r.ndim == 2 else r[None, :]
-    if np.any((used_rates <= 0) & mask):
+    if not total_units > 0:
+        raise ValueError("total_units must be > 0")
+    if np.any((r <= 0) & mask):
         raise ValueError("every machine used by a set needs rate > 0")
-    used_costs = c if c.ndim == 2 else c[None, :]
-    if np.any((used_costs < 0) & mask):
+    if np.any((c < 0) & mask):
         raise ValueError("every machine used by a set needs fixed cost >= 0")
 
     # Masked-out machines sort last (infinite cost) and contribute nothing.
-    cm = np.where(mask, used_costs, np.inf)
-    rm = np.where(mask, used_rates, 0.0)
+    cm = np.where(mask, c, np.inf)
+    rm = np.where(mask, r, 0.0)
     order = np.argsort(cm, axis=1, kind="stable")
-    cs = np.take_along_axis(cm, order, axis=1)
-    rs = np.take_along_axis(rm, order, axis=1)
-    cum_r = np.cumsum(rs, axis=1)
-    # Sanitise costs before multiplying: masked-out slots are (rate 0,
-    # cost inf) and 0 * inf would poison the cumsum with NaN.
-    cum_rc = np.cumsum(rs * np.where(np.isfinite(cs), cs, 0.0), axis=1)
-    totals_col = (totals if totals.ndim == 1 else totals.reshape(1))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_prefix = (totals_col + cum_rc) / cum_r
-    ok = cs < t_prefix  # prefix-monotone per row
-    k = np.count_nonzero(ok, axis=1)  # active prefix length per set
+    return sorted_waterfill(
+        np.take_along_axis(cm, order, axis=1),
+        np.take_along_axis(rm, order, axis=1),
+        float(total_units),
+    )
 
-    makespans = np.full(mask.shape[0], np.inf)
+
+def sorted_waterfill(
+    costs: np.ndarray, rates: np.ndarray, totals: float | np.ndarray
+) -> np.ndarray:
+    """:func:`balance_divisible_work_batched`'s balanced time per row of
+    ``(m, w)`` slots already sorted by cost (rates add up in slot order, so
+    the caller fixes the order of equal costs); ``inf``-cost slots never
+    join a prefix, ``totals`` broadcasts against ``(m, 1)``."""
+    # Running column sums: the left-to-right additions of a row-wise
+    # cumsum, without its per-row loop over narrow rows.
+    t_prefix = np.empty(costs.shape)
+    k = np.zeros(costs.shape[0], dtype=np.intp)  # consistent prefixes per row
+    cum_r = np.zeros(costs.shape[0])
+    cum_rc = np.zeros(costs.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(costs.shape[1]):
+            # Past the first inf cost the sums turn inf or NaN (0 * inf),
+            # but no prefix reaching there is consistent, so none is read.
+            cum_r += rates[:, j]
+            cum_rc += rates[:, j] * costs[:, j]
+            column = t_prefix[:, j:j + 1]
+            np.divide(totals + cum_rc[:, None], cum_r[:, None], out=column)
+            k += costs[:, j] < column[:, 0]
+
+    makespans = np.full(costs.shape[0], np.inf)
     rows = np.nonzero(k > 0)[0]
     makespans[rows] = t_prefix[rows, k[rows] - 1]
     return makespans
@@ -514,20 +518,26 @@ def balance_prefix_exact_batched(
     # The scalar loop *breaks* at the first inconsistent prefix; replicate
     # that rather than counting all consistent prefixes.
     k = np.where(ok.all(axis=1), n, np.argmin(ok, axis=1))
+    del cs, rs, cum_r, cum_rc, t_prefix, ok  # the sort is spent
 
     needs_reference = k == 0  # degenerate floats; the reference loop decides
 
-    positions = np.arange(n)[None, :]
-    active_sorted = positions < k[:, None]
     active = np.zeros_like(member)
-    np.put_along_axis(active, order, active_sorted, axis=1)
+    np.put_along_axis(active, order, np.arange(n)[None, :] < k[:, None], axis=1)
+    del order
 
-    # Terminating arithmetic in the reference's ascending-slot order.
-    # Padding/inactive slots contribute exactly 0.0 to each cumsum.
-    rate_sum = np.cumsum(np.where(active, r, 0.0), axis=1)[:, -1]
-    weighted_cost = np.cumsum(
-        np.where(active, r * np.where(np.isfinite(c), c, 0.0), 0.0), axis=1
-    )[:, -1]
+    # Terminating arithmetic in the reference's ascending-slot order:
+    # running column sums, the same left-to-right additions as the scalar
+    # loop.  Inactive slots add an exact 0.0.
+    rate_terms = np.where(active, r, 0.0)
+    cost_terms = np.where(active, c, 0.0)
+    cost_terms *= rate_terms
+    rate_sum = rate_terms[:, 0].copy()
+    weighted_cost = cost_terms[:, 0].copy()
+    for j in range(1, n):
+        rate_sum += rate_terms[:, j]
+        weighted_cost += cost_terms[:, j]
+    del cost_terms
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (totals + weighted_cost) / rate_sum
 
@@ -538,13 +548,17 @@ def balance_prefix_exact_batched(
         cert_active = active & (c >= t_col)
         cert_rest = member & ~active & (c < t_col)
     needs_reference |= cert_active.any(axis=1) | cert_rest.any(axis=1)
+    del cert_active, cert_rest
 
+    # r_i (T - c_i) on the active slots, 0.0 elsewhere and on rows the
+    # reference loop must answer.
     with np.errstate(invalid="ignore"):
-        allocations = np.where(active, r * (t_col - np.where(active, c, 0.0)), 0.0)
-    makespans = np.where(needs_reference, np.nan, t)
-    allocations = np.where(needs_reference[:, None], 0.0, allocations)
+        allocations = np.where(active, c, 0.0)
+        np.subtract(t_col, allocations, out=allocations)
+        allocations *= rate_terms
+    allocations[~active | needs_reference[:, None]] = 0.0
     return ExactBatchBalance(
-        makespans=makespans,
+        makespans=np.where(needs_reference, np.nan, t),
         allocations=allocations,
         active=active & ~needs_reference[:, None],
         needs_reference=needs_reference,

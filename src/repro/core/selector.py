@@ -170,7 +170,8 @@ class ResourceSelector:
         """Machines that pass the User Specification filter and can run at
         least one HAT task on their architecture."""
         names = []
-        for m in info.pool.machines():
+        for name in info.pool.machine_names():
+            m = info.machine_info(name)
             if not info.userspec.permits(m):
                 continue
             if not any(t.can_run_on(m.arch) for t in info.hat.tasks):

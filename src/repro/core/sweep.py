@@ -22,7 +22,8 @@ plus a mask of *lazy* rows resolved through a callback, which
 Between lazy rows the replay is a prefix-min scan in NumPy, so a sweep
 over thousands of precomputed objectives costs a few array passes.
 :func:`materialise_winner` re-plans a batched winner and cross-checks it;
-:func:`objective_bounds` and :func:`resolve_batch_planner` are what
+:func:`objective_bounds` (for configurations that do not batch) and
+:func:`resolve_batch_planner` are what
 :meth:`~repro.core.coordinator.AppLeSAgent.stage` asks the Planner and
 Estimator.
 
@@ -38,6 +39,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.core.selector import member_masks_over
 
 __all__ = [
     "NoFeasibleCandidate",
@@ -347,8 +350,8 @@ def resolve_batch_planner(planner: Any, info: Any) -> Any | None:
     """The planner to drive the one-shot batched sweep with, or ``None``.
 
     Planners opt in by exposing ``batch_planner(info)`` — returning an
-    object with the ``batch_inputs``/``lower_bounds`` batching surface
-    (usually themselves; dispatchers return their single active family).
+    object with the ``batch_inputs`` batching surface (usually
+    themselves; dispatchers return their single active family).
     Its one caller, :meth:`~repro.core.coordinator.AppLeSAgent.stage`,
     serves solo and service decisions alike, so "which configurations
     batch" has exactly one answer.
@@ -359,31 +362,24 @@ def resolve_batch_planner(planner: Any, info: Any) -> Any | None:
     return hook(info)
 
 
-def objective_bounds(
-    agent: Any,
-    planner: Any,
-    csets: Sequence,
-    member_mask: Any | None = None,
-) -> np.ndarray | None:
+def objective_bounds(agent: Any, planner: Any, csets: Sequence) -> np.ndarray | None:
     """Admissible objective lower bound per candidate set, or ``None``.
 
     Requires both optional hooks: the planner's vectorised time bounds
     (``lower_bounds``) and the estimator's mapping from time bounds to
-    objective bounds (``objective_lower_bounds``); without either, pruning
-    is disabled for the decision.  ``member_mask`` optionally supplies the
-    ``(m, n)`` membership matrix over ``info.pool.machine_names()`` that a
-    batching configuration's staging already built; others pass none.
+    objective bounds (``objective_lower_bounds``, given the sets'
+    membership over ``info.pool.machine_names()``); without either,
+    pruning is disabled for the decision.
     """
     estimator_bounds = getattr(agent.estimator, "objective_lower_bounds", None)
     planner_bounds = getattr(planner, "lower_bounds", None)
     if estimator_bounds is None or planner_bounds is None:
         return None
-    if member_mask is not None:
-        time_bounds = planner_bounds(csets, agent.info, member_mask=member_mask)
-    else:
-        time_bounds = planner_bounds(csets, agent.info)
+    time_bounds = planner_bounds(csets, agent.info)
     if time_bounds is None or len(time_bounds) != len(csets):
         return None
+    names = agent.info.pool.machine_names()
     return estimator_bounds(
-        np.asarray(time_bounds, dtype=float), csets, agent.info, member_mask
+        np.asarray(time_bounds, dtype=float),
+        member_masks_over(csets, names), names, agent.info,
     )

@@ -31,6 +31,7 @@ from repro.core.planner import (
     balance_divisible_work,
     balance_divisible_work_batched,
     balance_prefix_exact_batched,
+    sorted_waterfill,
 )
 from repro.core.resources import ResourcePool
 from repro.core.schedule import Allocation, Schedule
@@ -78,7 +79,8 @@ def locality_order(pool: ResourcePool, machines: Sequence[str]) -> list[str]:
     Grouping by ``(site, arch, name)`` places machines sharing a segment
     next to each other in every canned testbed, minimising the number of
     borders that cross slow links — the strip-ordering half of the
-    application-specific locality notion of §3.3.
+    application-specific locality notion of §3.3.  ``pool`` may also be
+    a :class:`~repro.nws.snapshot.ForecastSnapshot` of the pool.
     """
     return sorted(
         machines,
@@ -122,21 +124,23 @@ def _pool_locality(info: InformationPool) -> tuple[tuple[str, ...], dict[str, in
     """The pool's machines in locality order, and each machine's rank in it.
 
     The order reads only static ``site``/``arch``/``name``, so inside a
-    decision it is sorted once per forecast snapshot, as the pair table
-    is: every decision scope and configuration at that pool state shares
-    it.  Outside a decision it is sorted afresh.
+    decision it is sorted once per forecast snapshot, from the snapshot's
+    descriptors, as the pair table is: every decision scope and
+    configuration at that pool state shares it.  Outside a decision it is
+    sorted afresh.
     """
     pool = info.pool
     names = tuple(pool.machine_names())
 
-    def build() -> tuple[tuple[str, ...], dict[str, int]]:
-        order = tuple(locality_order(pool, names))
+    def build(source=pool) -> tuple[tuple[str, ...], dict[str, int]]:
+        order = tuple(locality_order(source, names))
         return order, {m: i for i, m in enumerate(order)}
 
     cache = info.decision_cache
     if cache is None:
         return build()
-    return cache.snapshot.derived(("locality-order", names), build)
+    snapshot = cache.snapshot
+    return snapshot.derived(("locality-order", names), lambda: build(snapshot))
 
 
 def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
@@ -282,18 +286,9 @@ class JacobiPlanner:
         return model
 
     def lower_bounds(
-        self,
-        candidate_sets: Sequence[Sequence[str]],
-        info: InformationPool,
-        member_mask: np.ndarray | None = None,
+        self, candidate_sets: Sequence[Sequence[str]], info: InformationPool
     ) -> np.ndarray:
         """Admissible predicted-time lower bound per candidate set.
-
-        ``member_mask`` optionally supplies the ``(m, n)`` membership
-        matrix over ``info.pool.machine_names()`` (unusable members are
-        filtered here either way) — the batched callers build it once per
-        decision and share it with the batched evaluator.  Values are
-        unchanged.
 
         The planner may keep any non-empty subset of a candidate set, so
         the bound is the minimum of two relaxations that together cover
@@ -313,52 +308,18 @@ class JacobiPlanner:
 
         Each relaxation only lowers the value, so the bound never exceeds
         the true predicted time and pruning on it cannot change the
-        Coordinator's choice.
+        Coordinator's choice.  The routine is the batched kernel's
+        (:func:`_strip_bounds`): a batched decision reads the same floats
+        from ``StripBatchEvaluation.bounds`` instead of calling this.
         """
-        model = self._model(info)
-        names = info.pool.machine_names()
-        n = len(names)
-        rates = np.array([model.point_rate(nm) for nm in names])
-        usable = rates > 0.0
-        if member_mask is None:
-            member_mask = member_masks_over(candidate_sets, names)
-        mask = np.asarray(member_mask, dtype=bool) & usable[None, :]
-        safe_rates = np.where(usable, rates, 1.0)
-        total = float(self.problem.total_points)
-        iters = self.problem.iterations
-        sync = model.sync_overhead_s
-        risks = np.asarray(_member_risks(names, info))
-
-        # Singleton relaxation (exact per-machine risk).
-        with np.errstate(divide="ignore"):
-            single = (total / np.where(usable, rates, np.inf) + sync) * iters
-        single *= 1.0 + self.risk_aversion * risks
-        single_lb = np.where(mask, single[None, :], np.inf).min(axis=1)
-
-        # Multi-machine relaxation: per-set per-member border-cost floors.
-        # The pairwise matrix is the snapshot's pair table, shared with
-        # batch_inputs; only member columns are read below (mask excludes
-        # unusable machines), so the diagonal is the single entry that
-        # differs from a neighbour cost — a machine is never its own strip
-        # neighbour, and an inf diagonal keeps singleton members on the
-        # singleton relaxation exactly as the original per-pair loop did.
-        pair = model.comm_cost_matrix(names).copy()
-        np.fill_diagonal(pair, np.inf)
-        # floors[i, m] = min border exchange from m to any other member of
-        # set i (inf for singleton members — the singleton bound covers
-        # them, and inf marks them unusable in the water-fill): the first
-        # member of set i along m's neighbours sorted by exchange cost.
-        nearest = np.argsort(pair, axis=1, kind="stable")
-        first = np.argmax(mask[:, nearest], axis=2)
-        floors = np.take_along_axis(pair, nearest, axis=1)[np.arange(n), first]
-        costs = sync + floors
-        makespans = balance_divisible_work_batched(
-            safe_rates, costs, total, mask
+        inputs = self.batch_inputs(info)
+        masks = member_masks_over(candidate_sets, inputs.rank_names)
+        member = masks & (inputs.rates > 0.0)
+        order, cnt = batched_locality_orders(member)
+        return _strip_bounds(
+            member, order, cnt, np.zeros(len(member), dtype=np.int64),
+            _JobTables.stack([inputs]),
         )
-        min_risk = np.where(mask, risks, np.inf).min(axis=1)
-        min_risk = np.where(np.isfinite(min_risk), min_risk, 0.0)
-        multi_lb = makespans * iters * (1.0 + self.risk_aversion * min_risk)
-        return np.minimum(single_lb, multi_lb)
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
         model = self._model(info)
@@ -465,6 +426,7 @@ class JacobiPlanner:
                 return memo
         model = self._model(info)
         rank_names, _ = _pool_locality(info)
+        position = {m: i for i, m in enumerate(info.pool.machine_names())}
         rates = np.array([model.point_rate(m) for m in rank_names])
         caps = (
             np.array([model.capacity_points(m) for m in rank_names])
@@ -472,11 +434,12 @@ class JacobiPlanner:
             else None
         )
         avail_mb = np.array(
-            [info.pool.machine_info(m).memory_available_mb for m in rank_names]
+            [info.machine_info(m).memory_available_mb for m in rank_names]
         )
         inputs = StripBatchInputs(
             planner=self,
             rank_names=rank_names,
+            pool_positions=np.array([position[m] for m in rank_names]),
             rates=rates,
             caps=caps,
             avail_mb=avail_mb,
@@ -505,6 +468,9 @@ class StripBatchInputs:
 
     planner: "JacobiPlanner"
     rank_names: tuple[str, ...]
+    # (n,) each machine's position in the pool's machine_names(): the
+    # order in which the pruning bound's water-fill adds tied members.
+    pool_positions: np.ndarray
     rates: np.ndarray  # (n,) points/s per machine, 0 = unusable
     caps: np.ndarray | None  # (n,) capacity points, None when memory-blind
     avail_mb: np.ndarray  # (n,) real memory available per machine
@@ -526,19 +492,21 @@ class StripBatchEvaluation:
     ``predicted`` is only meaningful where ``feasible & ~fallback``; rows
     flagged ``fallback`` must be answered by the scalar planner (the
     batched core refuses to approximate them), and infeasible rows mirror
-    ``plan() is None``.
+    ``plan() is None``.  ``bounds`` holds every row's
+    :meth:`JacobiPlanner.lower_bounds`, whatever its outcome.
     """
 
     feasible: np.ndarray  # (m,) plan produces a schedule
     fallback: np.ndarray  # (m,) answer with the scalar planner
     predicted: np.ndarray  # (m,) risk-adjusted predicted time
     kept: np.ndarray  # (m, n) final member mask, rank space
+    bounds: np.ndarray  # (m,) predicted-time lower bound of the row's set
 
     def rows(self, span: slice) -> "StripBatchEvaluation":
         """The outcomes of the rows in ``span``, as views."""
         return StripBatchEvaluation(
             self.feasible[span], self.fallback[span],
-            self.predicted[span], self.kept[span],
+            self.predicted[span], self.kept[span], self.bounds[span],
         )
 
 
@@ -562,12 +530,15 @@ def evaluate_strip_batch(
     (at least 1) to bound peak memory.  Each fixpoint pass works in
     strip-order arrays only as wide as the widest member set among its
     rows, gathers every row's neighbour transfers once, and finalises the
-    rows that converge in it straight from those arrays.
+    rows that converge in it straight from those arrays.  The first pass,
+    before any member is dropped, also bounds every row from its arrays
+    (:func:`_strip_bounds`).
 
     Bit-identity contract: every number produced for a row either equals
     the scalar ``JacobiPlanner.plan`` result for that candidate set
     exactly, or the row is flagged ``fallback`` and carries no number at
-    all.  The vector code only takes arithmetic paths whose float
+    all; every row's bound is the name-space bound's float, tie order
+    included.  The vector code only takes arithmetic paths whose float
     semantics match the scalar code operation-for-operation (documented
     inline); every input class it cannot certify — reference water-fill
     fallbacks, binding capacities, paging slowdowns, apportionment
@@ -600,6 +571,7 @@ def evaluate_strip_batch(
         fallback=np.zeros(total_rows, dtype=bool),
         predicted=np.full(total_rows, np.inf),
         kept=np.zeros((total_rows, n), dtype=bool),
+        bounds=np.full(total_rows, np.inf),
     )
     for lo in range(0, total_rows, chunk_rows):
         chunk = slice(lo, lo + chunk_rows)
@@ -614,7 +586,9 @@ class _JobTables(NamedTuple):
     """The jobs of one :func:`evaluate_strip_batch` call, stacked per field.
 
     Per-machine tables are ``(J, n)`` in rank space, read by the flat index
-    ``job * n + machine``; ``pair`` is ``(J, n, n)``; the rest are ``(J,)``.
+    ``job * n + machine``; ``pair`` is ``(J, n, n)``; ``floors`` (row
+    ``job * n + machine``) and ``extremes`` (rows ``2 * job`` and ``2 * job
+    + 1``) are :meth:`subset_minima` tables; the rest are ``(J,)``.
     """
 
     rates: np.ndarray
@@ -630,6 +604,9 @@ class _JobTables(NamedTuple):
     iters: np.ndarray
     risk_aversion: np.ndarray
     memory: np.ndarray
+    pool_pos: np.ndarray
+    floors: np.ndarray  # border exchange with another member
+    extremes: np.ndarray  # singleton relaxation; member risk
 
     @classmethod
     def stack(cls, inputs: Sequence[StripBatchInputs]) -> "_JobTables":
@@ -640,21 +617,63 @@ class _JobTables(NamedTuple):
         grid = np.array([i.grid_n for i in inputs], dtype=np.int64)
         with np.errstate(invalid="ignore"):  # inf caps on memory-blind jobs
             max_rows = np.floor_divide(caps, grid[:, None].astype(float))
+        rates = np.stack([i.rates for i in inputs])
+        risks = np.stack([i.risks for i in inputs])
+        pair = np.stack([i.pair for i in inputs])
+        sync = np.array([i.sync_overhead_s for i in inputs])
+        total = np.array([i.total_points for i in inputs])
+        iters = np.array([float(i.iterations) for i in inputs])
+        risk_aversion = np.array([i.risk_aversion for i in inputs])
+        other = pair.copy()
+        other[:, np.arange(n), np.arange(n)] = np.inf  # never its own neighbour
+        with np.errstate(divide="ignore"):  # never a member at rate 0
+            single = (total[:, None] / rates + sync[:, None]) * iters[:, None]
+        single *= 1.0 + risk_aversion[:, None] * risks
+        jobs = len(inputs)
+        extremes = np.stack([single, risks], axis=1).reshape(2 * jobs, n)
+        minima = cls.subset_minima(
+            np.concatenate([other.reshape(jobs * n, n), extremes])
+        )
         return cls(
-            rates=np.stack([i.rates for i in inputs]),
+            rates=rates,
             caps=caps,
             max_rows=max_rows,
             avail=np.stack([i.avail_mb for i in inputs]),
-            risks=np.stack([i.risks for i in inputs]),
-            pair=np.stack([i.pair for i in inputs]),
-            sync=np.array([i.sync_overhead_s for i in inputs]),
-            total=np.array([i.total_points for i in inputs]),
+            risks=risks,
+            pair=pair,
+            sync=sync,
+            total=total,
             grid=grid,
             bytes_per_point=np.array([i.bytes_per_point for i in inputs]),
-            iters=np.array([float(i.iterations) for i in inputs]),
-            risk_aversion=np.array([i.risk_aversion for i in inputs]),
+            iters=iters,
+            risk_aversion=risk_aversion,
             memory=np.array([i.account_memory for i in inputs]),
+            pool_pos=np.stack([i.pool_positions for i in inputs]),
+            floors=minima[:jobs * n],
+            extremes=minima[jobs * n:],
         )
+
+    @staticmethod
+    def subset_minima(values: np.ndarray) -> np.ndarray:
+        """``(..., n)`` per-machine values to ``(..., 256 * ceil(n / 8))``:
+        column ``256 * c + v`` holds the minimum of ``values[..., 8 * c +
+        b]`` over the bits ``b`` set in byte value ``v`` (``inf`` for none).
+        Over the bytes of a little-endian packed member mask, the minimum
+        of the looked-up entries is the minimum over the members — exactly,
+        as a minimum never rounds."""
+        *lead, n = values.shape
+        chunks = -(-n // 8)
+        padded = np.full((*lead, chunks * 8), np.inf)
+        padded[..., :n] = values
+        padded = padded.reshape(*lead, chunks, 8)
+        table = np.empty((*lead, chunks, 256))
+        table[..., 0] = np.inf
+        for bit in range(8):
+            low = 1 << bit
+            np.minimum(
+                table[..., :low], padded[..., bit, None], out=table[..., low:2 * low]
+            )
+        return table.reshape(*lead, chunks * 256)
 
 
 def _member_keys(member: np.ndarray, job_of: np.ndarray) -> np.ndarray:
@@ -756,7 +775,8 @@ def _fixpoint(masks, job_of, tables, out):
             break
         stopped[rows] = npass
         converged = _strip_pass(
-            rows, member, job_of, tables, pending, out.fallback, continue_shrunk
+            rows, member, job_of, tables, pending, out.fallback, continue_shrunk,
+            out.bounds if npass == 1 else None,
         )
         if converged is not None:
             _finalise(*converged, member, tables, out)
@@ -769,20 +789,27 @@ def _fixpoint(masks, job_of, tables, out):
     return stopped, continues
 
 
-def _strip_pass(rows, member, job_of, tables, pending, fallback, continue_shrunk):
+def _strip_pass(
+    rows, member, job_of, tables, pending, fallback, continue_shrunk, bounds
+):
     """One drop/re-balance pass over the pending ``rows`` of a chunk.
 
     Works in strip-order arrays only as wide as the widest member set
     among ``rows``.  Rows that empty, hit a dead link, surrender or shrink
     are settled here (``pending``, ``fallback`` and the rank-space
-    ``member`` matrix updated in place).  Returns the rows that converged,
-    as ``(rows, jobs, jn, counts, valid, rates, transfers, areas)`` in
-    strip order — ``jn`` is each slot's flat ``job * n + machine`` index
-    into the job tables — or ``None`` when none did.
+    ``member`` matrix updated in place); the first pass also writes every
+    row's bound to ``bounds`` (``None`` later).  Returns the rows that
+    converged, as ``(rows, jobs, jn, counts, valid, rates, transfers,
+    areas)`` in strip order — ``jn`` is each slot's flat ``job * n +
+    machine`` index into the job tables — or ``None`` when none did.
     """
     n = member.shape[1]
     jobs = job_of[rows]
-    order, cnt = batched_locality_orders(member[rows])
+    members = member[rows]
+    order, cnt = batched_locality_orders(members)
+    if bounds is not None:
+        bounds[rows] = _strip_bounds(members, order, cnt, jobs, tables)
+    del members
     # Rows whose member list emptied: plan() returns None.
     empty = cnt == 0
     pending[rows[empty]] = False
@@ -847,6 +874,54 @@ def _strip_pass(rows, member, job_of, tables, pending, fallback, continue_shrunk
     return _select(
         converged, rows, jobs, jn, cnt, valid, rates, transfers, res.allocations
     )
+
+
+def _strip_bounds(member, order, cnt, jobs, tables):
+    """:meth:`JacobiPlanner.lower_bounds` of rows with usable-member masks
+    ``member`` and strip orders ``order``/``cnt``, each at its own width.
+
+    Minima over a row's members come from the :meth:`_JobTables.subset_minima`
+    tables.  The water-fill takes the floor costs by cost and then by pool
+    position — the order of the stable sort over ``machine_names()`` the
+    bound was defined with, so tied members add up to the same float.
+    Padding slots cost ``inf`` at rate ``0.0``: they sort last, add 0.0.
+    """
+    m, w = order.shape
+    n = member.shape[1]
+    pad = np.arange(w) >= cnt[:, None]
+    jn = jobs[:, None] * n + order
+    # Each byte of the member mask, offset to its 256 table columns (a
+    # float product of 0/1 and small powers of two is exact).
+    bit = np.arange(n)
+    weights = np.zeros((n, -(-n // 8)))
+    weights[bit, bit // 8] = 2.0 ** (bit % 8)
+    cols = (member @ weights).astype(np.intp)[:, None, :]
+    cols += 256 * np.arange(weights.shape[1])
+
+    def least(table, rows):
+        """Per row and slot, the minimum over the row's members."""
+        base = rows * table.shape[-1]
+        out = np.take(table, base + cols[..., 0])
+        for c in range(1, cols.shape[-1]):
+            np.minimum(out, np.take(table, base + cols[..., c]), out=out)
+        return out
+
+    costs = least(tables.floors, jn)
+    costs += tables.sync[jobs][:, None]
+    np.copyto(costs, np.inf, where=pad)
+    rates = np.take(tables.rates, jn)
+    np.copyto(rates, 0.0, where=pad)
+    by_cost = np.lexsort((np.take(tables.pool_pos, jn), costs), axis=1)
+    by_cost += w * np.arange(m)[:, None]
+    makespans = sorted_waterfill(
+        np.take(costs, by_cost), np.take(rates, by_cost), tables.total[jobs][:, None]
+    )
+    single, min_risk = least(tables.extremes, 2 * jobs[:, None] + np.arange(2)).T
+    min_risk[np.isinf(min_risk)] = 0.0
+    multi = makespans * tables.iters[jobs] * (
+        1.0 + tables.risk_aversion[jobs] * min_risk
+    )
+    return np.minimum(single, multi)
 
 
 def _finalise(

@@ -99,7 +99,6 @@ class StripCostModel:
         # per plan() call).
         self._rate_memo: dict[str, float] = {}
         self._ptime_memo: dict[str, float] = {}
-        self._cap_memo: dict[str, float] = {}
         if conservatism_sigmas < 0:
             raise ValueError("conservatism_sigmas must be >= 0")
         self.conservatism_sigmas = conservatism_sigmas
@@ -162,15 +161,10 @@ class StripCostModel:
         return p
 
     def capacity_points(self, machine: str) -> float:
-        """Points that fit in ``machine``'s available real memory."""
-        if self.snapshot is not None:
-            cap = self._cap_memo.get(machine)
-            if cap is None:
-                info = self.pool.machine_info(machine)
-                cap = info.memory_available_mb * 1e6 / self.problem.bytes_per_point
-                self._cap_memo[machine] = cap
-            return cap
-        info = self.pool.machine_info(machine)
+        """Points that fit in ``machine``'s available real memory (the
+        snapshot's shared descriptor when there is one)."""
+        source = self.pool if self.snapshot is None else self.snapshot
+        info = source.machine_info(machine)
         return info.memory_available_mb * 1e6 / self.problem.bytes_per_point
 
     def comm_costs(self, order: Sequence[str]) -> list[float]:
@@ -257,8 +251,8 @@ class StripCostModel:
 
         The matrix is the read-only
         :meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix` of the
-        model's snapshot, shared by the strip planner's pruning bounds and
-        batch inputs across every configuration at that pool state (copy
+        model's snapshot, shared by the strip planner's batch inputs
+        across every configuration at that pool state (copy
         before mutating); a model without one reads a fresh snapshot of
         the pool, which by the snapshot's contract holds the same values.
         """

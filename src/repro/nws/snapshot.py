@@ -14,13 +14,14 @@ Machine quantities (speed, availability, forecast error) are captured
 eagerly; pairwise quantities (bandwidth, transfer time) and derived
 quantities (conservative speeds at a given sigma) are memoised on first
 use.  Array consumers — the Resource Selector's candidate order, the
-strip planner's bounds and batch inputs — read whole pair tables
+strip planner's batch inputs — read whole pair tables
 (:meth:`ForecastSnapshot.transfer_matrix`): one latency and one bandwidth
 table over the captured machines (widened on demand for any other pool
 machine), taken once, then one read-only transfer-time table per name
 order and message size.  Other values that are pure functions of the
 pool state, such as the strip planner's locality order, are memoised by
-key (:meth:`ForecastSnapshot.derived`).
+key (:meth:`ForecastSnapshot.derived`), and so are the machines' static
+descriptors (:meth:`ForecastSnapshot.machine_info`).
 
 Every value is obtained by calling the pool's own prediction interface,
 or by repeating its arithmetic elementwise, so a snapshot is
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nws)
-    from repro.core.resources import ResourcePool
+    from repro.core.resources import MachineInfo, ResourcePool
 
 __all__ = ["ForecastSnapshot"]
 
@@ -190,6 +191,16 @@ class ForecastSnapshot:
         except KeyError:
             value = self._derived[key] = build()
             return value
+
+    def machine_info(self, name: str) -> "MachineInfo":
+        """Memoised :meth:`ResourcePool.machine_info`: descriptors are
+        static, so each is built once per snapshot, into one table shared
+        by every decision scope and configuration that reads it."""
+        table = self.derived("machine-info", dict)
+        info = table.get(name)
+        if info is None:
+            info = table[name] = self.pool.machine_info(name)
+        return info
 
     def _link_tables(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Path latency and :meth:`bandwidth` between every indexed pair.

@@ -23,7 +23,7 @@ is shared:
   in one :func:`~repro.jacobi.apples.evaluate_strip_batch` call, whose
   kernels replicate the scalar planner's float semantics
   operation-for-operation and *surrender* (flag for scalar planning) any
-  row they cannot certify;
+  row they cannot certify, and bound every row in their first pass;
 - each configuration is then decided by ``agent.decide`` — the same
   sweep, winner cross-check and ``core.decision`` span as a solo
   ``schedule()``.  A configuration that does not batch is decided the
@@ -37,7 +37,7 @@ Cross-call reuse (the always-on daemon's amortisation)
 A service constructed with ``reuse=True`` keeps everything derived from
 one *pool state* — the :class:`~repro.nws.snapshot.ForecastSnapshot`, the
 per-configuration :class:`~repro.core.coordinator.StagedDecision`
-(candidate sets, pruning bounds, batch job), the per-configuration
+(candidate sets and batch job, or pruning bounds), the per-configuration
 :class:`~repro.core.infopool.DecisionCache` memos, and whole answers —
 alive across ``decide()`` calls, invalidating the lot the moment
 :attr:`ForecastSnapshot.stale` turns true (the NWS advanced, so the pool
@@ -74,8 +74,8 @@ class _PoolState:
     Valid exactly while ``snapshot.stale`` is false; the service drops the
     whole object the moment the NWS advances.  ``answers`` memoises whole
     decisions per request configuration, ``staged`` the agent and its
-    :class:`~repro.core.coordinator.StagedDecision`, and ``decisions`` the
-    per-configuration
+    :class:`~repro.core.coordinator.StagedDecision` (candidate sets and
+    batch job, or bounds), and ``decisions`` the per-configuration
     :class:`~repro.core.infopool.DecisionCache` (planner/estimator memos).
     """
 

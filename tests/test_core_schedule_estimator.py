@@ -219,13 +219,15 @@ class TestEstimatorArrayHooks:
             lambda t, rset, est: t / 37.5,
             cost,
         )
-        mask = member_masks_over(csets, names)
         for est, formula in zip(self._estimators(), formulas):
             expected = np.array([
                 formula(float(t), rset, est) for t, rset in zip(time_lbs, csets)
             ])
-            for member_mask in (None, mask):
-                got = est.objective_lower_bounds(time_lbs, csets, info, member_mask)
+            # The membership may come over the pool's names in any order
+            # (a batched decision passes its locality-rank names).
+            for order in (names, names[::-1]):
+                members = member_masks_over(csets, order)
+                got = est.objective_lower_bounds(time_lbs, members, order, info)
                 assert np.array_equal(got, expected, equal_nan=True)
 
     def test_speedup_baseline_stays_lazy_without_certified_rows(self):

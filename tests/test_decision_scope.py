@@ -10,10 +10,13 @@ restored) on exit.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
+import repro.core.resources as resources
 import repro.jacobi.apples as apples
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
@@ -132,6 +135,43 @@ def test_configurations_at_one_pool_state_share_one_locality_order():
         got = SchedulingService(testbed, nws).decide(requests)
     assert order.call_count == 1
     want = _reference_decide(*_world(), requests)
+    for g, w in zip(got, want, strict=True):
+        assert g.machines == w.machines
+        assert g.predicted_time == w.predicted_time
+        assert g.best_objective == w.best_objective
+
+
+def test_configurations_at_one_pool_state_share_machine_descriptors():
+    """Machine descriptors are static, so every configuration of a batch
+    at one instant — the selector's filter, the locality order, the batch
+    inputs' memory and the cost models' capacities — reads one table
+    through the shared forecast snapshot: each machine's ``MachineInfo``
+    is built at most once per pool state, across reused calls too, and
+    the answers are unchanged."""
+    requests = [
+        DecisionRequest(
+            problem=JacobiProblem(n=n, iterations=20),
+            account_memory=memory,
+            at=300.0,
+        )
+        for n in (600, 900)
+        for memory in (True, False)
+    ]
+    later = [replace(r, at=330.0) for r in requests]
+    testbed, nws = _world()
+    service = SchedulingService(testbed, nws, reuse=True)
+    with mock.patch.object(
+        resources, "MachineInfo", wraps=resources.MachineInfo
+    ) as built:
+        got = service.decide(requests)
+        first = Counter(call.kwargs["name"] for call in built.call_args_list)
+        assert sorted(first) == sorted(testbed.topology.hosts)
+        assert set(first.values()) == {1}
+        got += service.decide(requests[:2])  # answered at the same state
+        got += service.decide(later)  # the NWS advanced: a new state
+        per_machine = Counter(call.kwargs["name"] for call in built.call_args_list)
+    assert set(per_machine.values()) == {2}
+    want = _reference_decide(*_world(), requests + requests[:2] + later)
     for g, w in zip(got, want, strict=True):
         assert g.machines == w.machines
         assert g.predicted_time == w.predicted_time

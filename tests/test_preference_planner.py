@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.coordinator import AppLeSAgent
 from repro.core.userspec import UserSpecification
-from repro.jacobi.apples import PreferencePlanner, make_jacobi_agent
+from repro.jacobi.apples import (
+    ApplesBlockedPlanner,
+    JacobiPlanner,
+    PreferencePlanner,
+    make_jacobi_agent,
+)
 from repro.jacobi.grid import JacobiProblem
+
+from strip_bounds_reference import planner_bounds
 
 
 class TestPreferencePlanner:
@@ -42,6 +51,33 @@ class TestPreferencePlanner:
         blocked = ApplesBlockedPlanner(problem).plan(rset, agent.info)
         alternatives = [s.predicted_time for s in (strip, blocked) if s is not None]
         assert decision.best.predicted_time <= min(alternatives) + 1e-9
+
+    def test_several_families_bound_by_the_per_family_minimum(
+        self, testbed, warmed_nws
+    ):
+        """With both families active the configuration does not batch, and
+        its pruning bound is the element-wise minimum of the strip bound —
+        the name-space oracle's floats — and the blocked planner's, inside
+        a decision scope and outside one.  A more conservative blocked
+        family makes each family's bound the lower one on some sets."""
+        problem = JacobiProblem(n=800, iterations=10)
+        us = UserSpecification(decomposition_preference=("strip", "blocked"))
+        info = make_jacobi_agent(testbed, problem, warmed_nws, userspec=us).info
+        strip = JacobiPlanner(problem)
+        blocked = ApplesBlockedPlanner(problem, conservatism_sigmas=3.0)
+        planner = PreferencePlanner({"strip": strip, "blocked": blocked})
+        agent = AppLeSAgent(info, planner=planner)
+        csets = agent.candidate_sets()
+        strip_lbs = planner_bounds(strip, csets, info)
+        blocked_lbs = blocked.lower_bounds(csets, info)
+        assert (strip_lbs < blocked_lbs).any() and (blocked_lbs < strip_lbs).any()
+        want = np.minimum(strip_lbs, blocked_lbs)
+        assert np.array_equal(planner.lower_bounds(csets, info), want)
+        with info.decision_scope():
+            staged = agent.stage(csets)
+            assert staged.job is None
+            assert np.array_equal(planner.lower_bounds(csets, info), want)
+            assert np.array_equal(staged.bounds, want)
 
     def test_unknown_preference_rejected(self, testbed):
         us = UserSpecification(decomposition_preference=("hilbert-curve",))

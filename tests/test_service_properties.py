@@ -7,6 +7,9 @@ semantic.  Hypothesis drives the kernels with synthetic pools and checks:
 - **batch-order invariance** — permuting the candidate rows (or the jobs
   of a batch) permutes the results bitwise, nothing else, and chunking
   (with it, batch plan continuation) changes nothing;
+- **the oracle's bounds** — every row's pruning bound equals the
+  name-space bound of ``tests/strip_bounds_reference.py`` bit for bit,
+  tie order included, whatever the chunking, stacking or continuation;
 - **conservation** — integerised strip rows sum exactly to the grid size
   for every row the kernel certifies as exact, with every positive-area
   member keeping at least one row;
@@ -38,6 +41,8 @@ from repro.jacobi.cost import batched_neighbor_comm_costs
 from repro.jacobi.grid import JacobiProblem
 from repro.jacobi.partition import batched_largest_remainder_rows
 
+from strip_bounds_reference import inputs_bounds
+
 # -- synthetic worlds -----------------------------------------------------
 
 finite_rate = st.floats(min_value=1e3, max_value=1e7, allow_nan=False)
@@ -60,6 +65,8 @@ def synthetic_inputs(draw, min_machines: int = 2, max_machines: int = 5):
     return StripBatchInputs(
         planner=JacobiPlanner(problem),
         rank_names=tuple(f"m{j}" for j in range(n)),
+        # Locality rank and pool order need not agree.
+        pool_positions=np.array(draw(st.permutations(range(n)))),
         rates=rates,
         caps=avail_mb * 1e6 / bytes_per_point,
         avail_mb=avail_mb,
@@ -145,6 +152,12 @@ def _assert_same_evaluation(one, two) -> None:
     np.testing.assert_array_equal(one.fallback, two.fallback)
     np.testing.assert_array_equal(one.kept, two.kept)
     assert np.array_equal(one.predicted, two.predicted)
+    assert np.array_equal(one.bounds, two.bounds)
+
+
+def _assert_oracle_bounds(inputs, masks, result) -> None:
+    """Every row's bound is the name-space oracle's float."""
+    assert np.array_equal(result.bounds, inputs_bounds(inputs, masks))
 
 
 # -- batch-order invariance ----------------------------------------------
@@ -199,6 +212,7 @@ class TestBatchOrderInvariance:
             alone = evaluate_strip_batch([(inputs, masks)])[0]
             single = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
             _assert_unusable_rows_infeasible(inputs, masks, alone)
+            _assert_oracle_bounds(inputs, masks, alone)
             for other in (*stacked, single):
                 _assert_same_evaluation(alone, other)
 
@@ -236,6 +250,7 @@ class TestBatchOrderInvariance:
             masks = masks[keep]
         whole = evaluate_strip_batch([(inputs, masks)])[0]
         _assert_unusable_rows_infeasible(inputs, masks, whole)
+        _assert_oracle_bounds(inputs, masks, whole)
         for rows in (1, chunk):
             pieces = evaluate_strip_batch([(inputs, masks)], chunk_rows=rows)[0]
             _assert_same_evaluation(whole, pieces)
@@ -245,6 +260,7 @@ class TestBatchOrderInvariance:
         inputs = StripBatchInputs(
             planner=JacobiPlanner(JacobiProblem(n=40, iterations=1)),
             rank_names=("m0",),
+            pool_positions=np.array([0]),
             rates=np.array([1e6]),
             caps=np.array([1e12]),
             avail_mb=np.array([1e6]),
@@ -320,6 +336,7 @@ class TestBatchPlanContinuation:
         inputs = StripBatchInputs(
             planner=JacobiPlanner(problem),
             rank_names=("m0", "m1", "m2"),
+            pool_positions=np.arange(3),
             rates=rates,
             caps=np.full(3, 1e12),
             avail_mb=np.full(3, 1e6),
@@ -348,6 +365,84 @@ class TestBatchPlanContinuation:
         assert np.array_equal(whole.predicted, alone.predicted)
 
 
+@st.composite
+def tied_inputs(draw):
+    """Synthetic inputs whose transfers take two or three values, so many
+    members of a set share one floor cost, in a pool whose order is not
+    the locality order."""
+    inputs = draw(synthetic_inputs(min_machines=3, max_machines=7))
+    n = len(inputs.rank_names)
+    values = draw(st.lists(transfer_s, min_size=2, max_size=3, unique=True))
+    pair = np.array(
+        [draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+         for _ in range(n)]
+    )
+    np.fill_diagonal(pair, 0.0)
+    positions = draw(
+        st.permutations(range(n)).filter(lambda p: list(p) != sorted(p))
+    )
+    return replace(inputs, pair=pair, pool_positions=np.array(positions))
+
+
+class TestKernelBounds:
+    @given(inputs=tied_inputs(), chunk=st.sampled_from([1, 32768]))
+    @settings(max_examples=40, deadline=None)
+    def test_tied_floor_costs_add_in_pool_order(self, inputs, chunk):
+        """With equal floor costs the water-fill adds tied members in pool
+        order, as the name-space bound's stable sort does — not in the
+        locality order the kernel's strip arrays list them in.  Every
+        subset, singletons included, one row at a time or all at once."""
+        masks = _all_masks(len(inputs.rank_names))
+        result = evaluate_strip_batch([(inputs, masks)], chunk_rows=chunk)[0]
+        _assert_oracle_bounds(inputs, masks, result)
+        # JacobiPlanner.lower_bounds runs the same routine.
+        member = masks & (inputs.rates > 0.0)
+        order, cnt = batched_locality_orders(member)
+        alone = apples._strip_bounds(
+            member, order, cnt, np.zeros(len(masks), dtype=np.int64),
+            apples._JobTables.stack([inputs]),
+        )
+        assert np.array_equal(alone, result.bounds)
+
+    def test_continued_rows_keep_their_own_bounds(self):
+        """A fast but chatty member is dropped by the balance, so its row
+        continues into the row of the kept members and takes that row's
+        outcome — not its bound, which the fast member's singleton
+        relaxation keeps far lower."""
+        rates = np.array([1e6, 1e6, 1e7])
+        pair = np.full((3, 3), 1e-4)
+        pair[2, :] = 2.0  # machine 2's border exchange is slow
+        np.fill_diagonal(pair, 0.0)
+        problem = JacobiProblem(n=400, iterations=10)
+        inputs = StripBatchInputs(
+            planner=JacobiPlanner(problem),
+            rank_names=("m0", "m1", "m2"),
+            pool_positions=np.array([2, 0, 1]),
+            rates=rates,
+            caps=np.full(3, 1e12),
+            avail_mb=np.full(3, 1e6),
+            pair=pair,
+            sync_overhead_s=0.0,
+            total_points=float(problem.total_points),
+            grid_n=problem.n,
+            bytes_per_point=16.0,
+            iterations=problem.iterations,
+            risk_aversion=0.0,
+            risks=np.zeros(3),
+            account_memory=True,
+        )
+        masks = np.array([[True, True, True], [True, True, False]])
+        whole = evaluate_strip_batch([(inputs, masks)])[0]
+        np.testing.assert_array_equal(whole.kept[0], [True, True, False])
+        assert whole.predicted[0] == whole.predicted[1]
+        # Row 0's bound: m2 alone, U / 1e7 per iteration.
+        assert whole.bounds[0] == problem.total_points / 1e7 * 10
+        assert whole.bounds[0] < whole.bounds[1]
+        _assert_oracle_bounds(inputs, masks, whole)
+        alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+        _assert_same_evaluation(whole, alone)
+
+
 def _pad(inputs: StripBatchInputs, n: int) -> StripBatchInputs:
     """Grow a synthetic universe to ``n`` machines with unusable padding."""
     k = len(inputs.rank_names)
@@ -360,6 +455,7 @@ def _pad(inputs: StripBatchInputs, n: int) -> StripBatchInputs:
     return StripBatchInputs(
         planner=inputs.planner,
         rank_names=inputs.rank_names + tuple(f"pad{j}" for j in range(extra)),
+        pool_positions=np.concatenate([inputs.pool_positions, np.arange(k, n)]),
         rates=np.concatenate([inputs.rates, np.zeros(extra)]),
         caps=np.concatenate([inputs.caps, np.zeros(extra)]),
         avail_mb=np.concatenate([inputs.avail_mb, np.zeros(extra)]),
@@ -441,6 +537,7 @@ class TestLoadMonotonicity:
         loaded = StripBatchInputs(
             planner=inputs.planner,
             rank_names=inputs.rank_names,
+            pool_positions=inputs.pool_positions,
             rates=inputs.rates * slowdown,
             caps=inputs.caps,
             avail_mb=inputs.avail_mb,
