@@ -17,11 +17,12 @@ point runs it:
 
 - :meth:`AppLeSAgent.stage` runs inside a decision scope
   (:meth:`~repro.core.infopool.InformationPool.decision_scope`: one
-  forecast snapshot shared by every evaluation).  When the Planner
-  resolves a batch planner (``batch_planner(info)``) and the Estimator
-  has ``objectives_from_predictions``, it builds the membership-mask job
-  that :func:`~repro.jacobi.apples.evaluate_strip_batch` takes; otherwise
-  it takes admissible objective lower bounds when the pair exposes them.
+  forecast snapshot shared by every evaluation, which every subsystem
+  reads through ``info.forecasts``).  When the Planner resolves a batch
+  planner (``batch_planner(info)``), it builds the membership-mask job
+  that :func:`~repro.jacobi.apples.evaluate_strip_batch` takes;
+  otherwise it takes admissible objective lower bounds when the Planner
+  exposes ``lower_bounds``.
 - :meth:`AppLeSAgent.decide` maps an evaluation's time bounds through the
   Estimator's ``objective_lower_bounds``, scores the candidates with
   :class:`~repro.core.sweep.BatchedObjective`, replays the
@@ -356,17 +357,14 @@ class AppLeSAgent:
     def stage(self, candidate_sets: list[tuple[str, ...]]) -> StagedDecision:
         """Take one decision's batch job or bounds; call inside its scope.
 
-        A configuration batches when the Planner resolves a batch planner
-        and the Estimator scores batched predictions
-        (``objectives_from_predictions``).  Its job's masks are over the
-        batch inputs' locality-rank names; the evaluation computes its
-        bounds.  Any other configuration stages its objective bounds.
+        A configuration batches when the Planner resolves a batch planner.
+        Its job's masks are over the batch inputs' locality-rank names;
+        the evaluation computes its bounds.  Any other configuration
+        stages its objective bounds.
         """
         info = self.info
         batch_planner = resolve_batch_planner(self.planner, info)
-        if batch_planner is None or not hasattr(
-            self.estimator, "objectives_from_predictions"
-        ):
+        if batch_planner is None:
             bounds = objective_bounds(self, self.planner, candidate_sets)
             return StagedDecision(candidate_sets, bounds, None)
         inputs = batch_planner.batch_inputs(info)
@@ -379,18 +377,19 @@ class AppLeSAgent:
         ``ev`` is the job's :class:`~repro.jacobi.apples.StripBatchEvaluation`,
         or ``None`` to plan and estimate every row the sweep reaches; its
         time bounds are mapped through the Estimator's
-        ``objective_lower_bounds`` (no pruning without that hook).  Runs
-        inside the scope :meth:`stage` ran in (the oracle runs outside any
-        scope), so lazily planned rows share its snapshot and memos.
+        ``objective_lower_bounds``.  Runs inside the scope :meth:`stage`
+        ran in (the oracle runs outside any scope), so lazily planned rows
+        share its snapshot and memos.
         Raises :class:`~repro.core.sweep.NoFeasibleCandidate` when no
         candidate is feasible.
         """
         csets, bounds = staged.csets, staged.bounds
         info = self.info
-        to_objective = getattr(self.estimator, "objective_lower_bounds", None)
-        if ev is not None and to_objective is not None:
+        if ev is not None:
             inputs, masks = staged.job
-            bounds = to_objective(ev.bounds, masks, inputs.rank_names, info)
+            bounds = self.estimator.objective_lower_bounds(
+                ev.bounds, masks, inputs.rank_names, info
+            )
         metric = info.userspec.performance_metric
         # Observability (repro.obs): the span/metric calls below only read
         # decision state, never influence it — tracing on/off is

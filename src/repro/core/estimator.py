@@ -7,6 +7,12 @@ the common criteria — execution time, speedup, cost — and stresses that
 same time*.  Every estimator here returns an **objective to minimise** so
 the Coordinator can compare candidates uniformly; the human-readable value
 of the metric is available separately.
+
+Every estimator also scores a whole candidate space at once through two
+array methods — ``objective_lower_bounds`` (pruning) and
+``objectives_from_predictions`` (batched decisions) — with the same IEEE
+operations as its Schedule-based ``objective``; the Coordinator calls
+both without probing for them.
 """
 
 from __future__ import annotations
@@ -29,23 +35,7 @@ __all__ = [
 
 
 class PerformanceEstimator(Protocol):
-    """Protocol: score a candidate schedule (lower objective = better).
-
-    Estimators may optionally implement two array hooks, each scoring a
-    whole candidate space at once with the same IEEE operations as the
-    Schedule-based :meth:`objective`:
-
-    - ``objective_lower_bounds(time_lbs, members, names, info) -> ndarray``
-      — admissible objective bounds given lower bounds on predicted time,
-      one per candidate set, with the sets' ``(m, n)`` membership mask
-      over ``names`` (any order), used by the Coordinator's pruning.
-      Estimators without it disable pruning (never changing any decision).
-    - ``objectives_from_predictions(predicted, kept, names, info) ->
-      ndarray`` — the objective of each batched plan from its predicted
-      time and kept-member mask over ``names`` (the strip order), used by
-      batched decisions.  Without it a decision does not batch, and its
-      sweep plans every row it reaches.
-    """
+    """Protocol: score a candidate schedule (lower objective = better)."""
 
     def objective(self, schedule: Schedule, info: InformationPool) -> float:
         """The quantity the Coordinator minimises."""
@@ -53,6 +43,30 @@ class PerformanceEstimator(Protocol):
 
     def metric_value(self, schedule: Schedule, info: InformationPool) -> float:
         """The user-facing value of the metric (e.g. actual speedup)."""
+        ...
+
+    def objective_lower_bounds(
+        self,
+        time_lbs: np.ndarray,
+        members: np.ndarray,
+        names: Sequence[str],
+        info: InformationPool,
+    ) -> np.ndarray:
+        """Admissible objective bounds given lower bounds on predicted
+        time, one per candidate set, with the sets' ``(m, n)`` membership
+        mask over ``names`` (any order); the Coordinator prunes on them."""
+        ...
+
+    def objectives_from_predictions(
+        self,
+        predicted: np.ndarray,
+        kept: np.ndarray,
+        names: Sequence[str],
+        info: InformationPool,
+    ) -> np.ndarray:
+        """The objective of each batched plan from its predicted time and
+        kept-member mask over ``names`` (the strip order); batched
+        decisions score their certified rows with it."""
         ...
 
 

@@ -5,17 +5,29 @@ these subsystems constitute an Information Pool which all subsystems
 share" (§4.1).  Four sources feed it: the Network Weather Service (via the
 :class:`~repro.core.resources.ResourcePool`), the HAT, the Models, and the
 User Specifications.
+
+Every forecast a subsystem reads comes through one attribute,
+:attr:`InformationPool.forecasts`: inside a decision scope it is the
+decision's :class:`~repro.nws.snapshot.ForecastSnapshot`, outside one
+the :class:`~repro.core.resources.ResourcePool` itself.  The snapshot
+answers the pool's read interface under the pool's own names, so this
+module is the only place that knows where a forecast comes from; the
+decision oracle, which runs outside any scope, re-queries the pool for
+every value.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.hat import HeterogeneousApplicationTemplate
 from repro.core.resources import MachineInfo, ResourcePool
 from repro.core.userspec import UserSpecification
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (nws imports core)
+    from repro.nws.snapshot import ForecastSnapshot
 
 __all__ = ["InformationPool", "DecisionCache"]
 
@@ -27,7 +39,7 @@ class DecisionCache:
     :meth:`InformationPool.begin_decision`, which takes one
     :class:`~repro.nws.snapshot.ForecastSnapshot` of the pool and hands
     every Planner/Estimator a shared ``memo`` dict for per-decision
-    memoisation (cost models, locality orders, per-machine rates).  Because
+    memoisation (cost models, plan continuations, batch inputs).  Because
     the snapshot is a pure cache over the pool, anything derived from it is
     bit-identical to the reference oracle that re-queries per candidate.
 
@@ -159,13 +171,18 @@ class InformationPool:
         """The active decision's shared cache (None outside a decision)."""
         return self._decision
 
-    def machine_info(self, name: str) -> MachineInfo:
-        """``pool.machine_info(name)``, from the decision's snapshot
-        inside a decision."""
+    @property
+    def forecasts(self) -> "ResourcePool | ForecastSnapshot":
+        """Where every forecast is read: the decision's snapshot inside a
+        decision scope, :attr:`pool` outside one.  Both answer the pool's
+        read interface with the same floats."""
         cache = self._decision
-        if cache is None:
-            return self.pool.machine_info(name)
-        return cache.snapshot.machine_info(name)
+        return self.pool if cache is None else cache.snapshot
+
+    def machine_info(self, name: str) -> MachineInfo:
+        """``forecasts.machine_info(name)``: one shared descriptor per
+        machine inside a decision."""
+        return self.forecasts.machine_info(name)
 
     def register_model(self, name: str, model: Any) -> None:
         """Add or replace a named performance model."""

@@ -17,14 +17,16 @@ nothing (dropping them is *resource selection falling out of planning*).
 Capacity limits (real memory) clamp allocations and the remainder
 re-balances over the rest.
 
-:func:`balance_divisible_work` runs a **closed-form water-filling** pass
-that finds the final active set in one scan over the sorted fixed-cost
-breakpoints, then computes the terminating arithmetic with exactly the
-summation order of the seed's iterative drop/re-balance loop
-(:func:`_balance_reference`) — so both return bit-identical results.
-Inputs the closed form cannot certify (binding capacities, breakpoint
-ties beyond float resolution) fall back to that loop, which also serves
-the tests as the balancing oracle.
+:func:`balance_divisible_work` runs the seed's iterative drop/re-balance
+loop (:func:`_balance_reference`); inside a decision the strip planner's
+plan-continuation memo leaves it one call per plan.
+:func:`balance_prefix_exact_batched` is the one **closed-form
+water-filling** pass, for many rows at once: it finds each row's final
+active set in one scan over the sorted fixed-cost breakpoints, then
+computes the terminating arithmetic with exactly the loop's summation
+order, so every row it certifies is bit-identical to the loop; rows it
+cannot certify (breakpoint ties beyond float resolution) are flagged for
+the scalar planner.
 
 :func:`balance_divisible_work_batched` water-fills **many** candidate
 machine sets over one shared machine universe in a single NumPy call —
@@ -160,7 +162,7 @@ def balance_divisible_work(
     caps = [None] * n if capacities is None else [
         None if c is None else float(c) for c in capacities
     ]
-    return _balance_fast(rates, fixed_costs, float(total_units), caps)
+    return _balance_reference(rates, fixed_costs, float(total_units), caps)
 
 
 def fractional_time_floor(
@@ -191,11 +193,11 @@ def _balance_reference(
 ) -> BalanceResult | None:
     """The seed drop/re-balance loop (inputs pre-validated).
 
-    The balancing oracle, and the fallback for inputs the closed form
-    cannot certify.  ``active`` is kept as an *ascending* index list: the
-    summation order of ``rate_sum`` and ``weighted_cost`` is part of the
-    reference contract — :func:`_balance_fast` replicates it to return
-    bit-identical floats.
+    The scalar balance, and the oracle of the batched closed form.
+    ``active`` is kept as an *ascending* index list: the summation order
+    of ``rate_sum`` and ``weighted_cost`` is part of the reference
+    contract — :func:`balance_prefix_exact_batched` replicates it to
+    return bit-identical floats.
     """
     n = len(rates)
     alloc = [0.0] * n
@@ -257,84 +259,6 @@ def _balance_reference(
         makespan=makespan,
         dropped=dropped,
         saturated=tuple(sorted(saturated)),
-    )
-
-
-def _balance_fast(
-    rates: list[float],
-    fixed_costs: list[float],
-    total_units: float,
-    caps: list[float | None],
-) -> BalanceResult | None:
-    """Closed-form water-filling over sorted fixed-cost breakpoints.
-
-    The reference loop's fixpoint keeps exactly the machines whose fixed
-    cost is below the final balanced time ``T`` (each drop lowers ``T``
-    monotonically, so drop order never changes membership).  Sorting costs
-    ascending, the candidate active sets are prefixes, and the consistency
-    predicate ``c_k < T(prefix k)`` is prefix-monotone — so one cumsum pass
-    finds the active set.  The terminating arithmetic is then recomputed
-    with the reference's exact summation order (ascending original index)
-    and *verified* against the reference's drop predicate; any
-    disagreement (float-boundary ties) or a binding capacity falls back to
-    the reference loop, keeping results bit-identical by construction.
-    """
-    n = len(rates)
-    has_caps = any(c is not None for c in caps)
-
-    # Pure-Python prefix scan: the arrays here are machine pools (a few to
-    # a few dozen entries), where numpy's per-call overhead costs more than
-    # the arithmetic it vectorises.
-    order = sorted(range(n), key=fixed_costs.__getitem__)
-    k = 0
-    cum_r = 0.0
-    cum_rc = 0.0
-    for pos, i in enumerate(order):
-        cum_r += rates[i]
-        cum_rc += rates[i] * fixed_costs[i]
-        if cum_r > 0.0 and fixed_costs[i] < (total_units + cum_rc) / cum_r:
-            k = pos + 1  # prefix consistent: True...True False...False
-        else:
-            break
-    if k == 0:
-        # U > 0 makes the first prefix always consistent in exact
-        # arithmetic; reaching here means degenerate floats (e.g. inf
-        # costs) — let the reference loop decide.
-        return _balance_reference(rates, fixed_costs, total_units, caps)
-
-    active = sorted(order[:k])
-    # Terminating pass, arithmetic identical to the reference loop.
-    rate_sum = ordered_sum(rates[i] for i in active)
-    weighted_cost = ordered_sum(rates[i] * fixed_costs[i] for i in active)
-    t = (total_units + weighted_cost) / rate_sum
-
-    # Certify the reference's drop predicate at the final T; ties within
-    # float resolution go back to the authoritative loop.
-    if any(fixed_costs[i] >= t for i in active):
-        return _balance_reference(rates, fixed_costs, total_units, caps)
-    if k < n and any(fixed_costs[i] < t for i in order[k:]):
-        return _balance_reference(rates, fixed_costs, total_units, caps)
-
-    alloc = [0.0] * n
-    for i in active:
-        alloc[i] = rates[i] * (t - fixed_costs[i])
-    if has_caps and any(
-        caps[i] is not None and alloc[i] > caps[i] + 1e-9  # type: ignore[operator]
-        for i in active
-    ):
-        # A capacity binds: the saturation order is part of the reference
-        # semantics, so run the loop.
-        return _balance_reference(rates, fixed_costs, total_units, caps)
-
-    dropped = tuple(i for i in range(n) if alloc[i] == 0.0)
-    makespan = max(
-        (alloc[i] / rates[i] + fixed_costs[i]) for i in range(n) if alloc[i] > 0
-    ) if any(a > 0 for a in alloc) else 0.0
-    return BalanceResult(
-        allocations=alloc,
-        makespan=makespan,
-        dropped=dropped,
-        saturated=(),
     )
 
 
@@ -463,17 +387,24 @@ def balance_prefix_exact_batched(
     fixed_costs: np.ndarray,
     total_units: np.ndarray,
 ) -> ExactBatchBalance:
-    """Replicate :func:`_balance_fast` row-wise, bit-identically.
+    """The uncapacitated :func:`_balance_reference` loop, row-wise, in
+    closed form.
 
     Unlike :func:`balance_divisible_work_batched` (a *bound*: relaxed drop
-    semantics good enough for pruning), this kernel reproduces the exact
-    decision sequence of the scalar closed form for every row at once: the
-    stable cost sort, the first-inconsistent-prefix break, the terminating
-    arithmetic in ascending-slot summation order, and both certification
-    predicates.  Rows that the scalar path would bounce to the reference
-    loop are flagged ``needs_reference`` instead of being approximated —
-    the scheduling service answers those rows with the scalar planner, so
-    a batched answer is *never* an approximation.
+    semantics good enough for pruning), this kernel reproduces the loop on
+    every row it does not flag ``needs_reference``: the loop's fixpoint
+    keeps exactly the members whose fixed cost is below the final
+    balanced time ``T`` (each drop lowers ``T``, so drop order never
+    changes membership), and with costs sorted ascending the candidate
+    active sets are prefixes whose consistency predicate ``c_k < T(prefix
+    k)`` is prefix-monotone.  So one stable cost sort and one cumulative
+    scan, breaking at the first inconsistent prefix, find the active set;
+    the terminating arithmetic then runs in the loop's ascending-slot
+    summation order, and the loop's drop predicate is certified at the
+    final ``T`` in both directions.  Rows that fail a certification
+    (float-boundary ties) are flagged ``needs_reference`` instead of being
+    approximated — the scheduling service answers those rows with the
+    scalar planner, so a batched answer is *never* an approximation.
 
     Parameters
     ----------
@@ -485,8 +416,9 @@ def balance_prefix_exact_batched(
     total_units:
         ``(m,)`` work totals, ``> 0``.
 
-    Row ``i``'s float results equal ``_balance_fast(rates[i][:k_i], ...)``
-    exactly: cumulative sums run left-to-right like the scalar loop, and
+    On every certified row ``i`` the allocations and the active set equal
+    the loop's on row ``i``'s members exactly, and the makespan is the
+    loop's terminating ``T``: sums run left to right like the loop's, and
     padding slots only ever add ``0.0``, which is exact in IEEE floats.
     """
     r = np.asarray(rates, dtype=float)
@@ -515,8 +447,8 @@ def balance_prefix_exact_batched(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_prefix = (totals[:, None] + cum_rc) / cum_r
     ok = (cum_r > 0.0) & (cs < t_prefix)
-    # The scalar loop *breaks* at the first inconsistent prefix; replicate
-    # that rather than counting all consistent prefixes.
+    # Break at the first inconsistent prefix rather than counting all
+    # consistent prefixes; the certification below checks the one found.
     k = np.where(ok.all(axis=1), n, np.argmin(ok, axis=1))
     del cs, rs, cum_r, cum_rc, t_prefix, ok  # the sort is spent
 
@@ -586,17 +518,10 @@ class TimeBalancedPlanner:
 
     def _rate(self, name: str, task, info: InformationPool) -> float:
         """Units/second for one machine (0.0 when unusable)."""
-        m = info.pool.machine_info(name)
-        eff = task.efficiency_on(m.arch)
+        eff = task.efficiency_on(info.machine_info(name).arch)
         if eff <= 0.0:
             return 0.0
-        cache = info.decision_cache
-        speed = (
-            cache.snapshot.speed[name]
-            if cache is not None and name in cache.snapshot.speed
-            else info.pool.predicted_speed(name)
-        )
-        speed *= eff
+        speed = info.forecasts.predicted_speed(name) * eff
         if speed <= 0.0 or task.flop_per_unit <= 0.0:
             return 0.0
         return speed / task.flop_per_unit
@@ -612,7 +537,7 @@ class TimeBalancedPlanner:
         bound cannot beat the incumbent without changing the decision.
         """
         task = self._task(info)
-        names = info.pool.machine_names()
+        names = info.forecasts.machine_names()
         rates = np.array([self._rate(name, task, info) for name in names])
         usable = rates > 0.0
         mask = member_masks_over(candidate_sets, names) & usable[None, :]
@@ -634,16 +559,13 @@ class TimeBalancedPlanner:
         usable: list[str] = []
         caps: list[float | None] = []
         for name in machines:
-            m = info.pool.machine_info(name)
-            eff = task.efficiency_on(m.arch)
-            if eff <= 0.0:
+            rate = self._rate(name, task, info)
+            if rate <= 0.0:
                 continue
-            speed = info.pool.predicted_speed(name) * eff
-            if speed <= 0.0 or task.flop_per_unit <= 0.0:
-                continue
-            rates.append(speed / task.flop_per_unit)
+            rates.append(rate)
             usable.append(name)
             if task.bytes_per_unit > 0:
+                m = info.machine_info(name)
                 caps.append(m.memory_available_mb * 1e6 / task.bytes_per_unit)
             else:
                 caps.append(None)

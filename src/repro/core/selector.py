@@ -83,17 +83,16 @@ def _tight_first(
 
     A set's diameter is its largest pairwise logical distance
     (:func:`repro.core.distance.set_diameter`, the oracle the tests sort
-    by), read from one pair table of the forecast snapshot — the open
-    decision's, else a fresh one — instead of re-queried per set.  Each
-    member pair ``p < q`` in the tuple's own order reads ``D[t_p, t_q]``
-    and an ``fmax`` reduction from ``0.0`` takes their maximum: exactly
-    the running ``max()`` of the oracle, since a maximum never rounds.
+    by), read from one pair table of ``info.forecasts.snapshot()`` — the
+    open decision's snapshot, else a fresh one of the pool — instead of
+    re-queried per set.  Each member pair ``p < q`` in the tuple's own
+    order reads ``D[t_p, t_q]`` and an ``fmax`` reduction from ``0.0``
+    takes their maximum: exactly the running ``max()`` of the oracle,
+    since a maximum never rounds.
     ``np.lexsort`` is stable, like ``list.sort``, so ties keep
     enumeration order.  Members must be ``feasible`` machines.
     """
-    cache = info.decision_cache
-    snapshot = cache.snapshot if cache is not None else info.pool.snapshot(feasible)
-    dist = snapshot.transfer_matrix(feasible, coupling)
+    dist = info.forecasts.snapshot(feasible).transfer_matrix(feasible, coupling)
     index = {m: j for j, m in enumerate(feasible)}
     count = len(sets)
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=count)
@@ -170,7 +169,7 @@ class ResourceSelector:
         """Machines that pass the User Specification filter and can run at
         least one HAT task on their architecture."""
         names = []
-        for name in info.pool.machine_names():
+        for name in info.forecasts.machine_names():
             m = info.machine_info(name)
             if not info.userspec.permits(m):
                 continue
@@ -277,7 +276,7 @@ class ResourceSelector:
         restricted to each site (locality-tight sets).
         """
         by_speed = sorted(
-            feasible, key=lambda n: info.pool.predicted_speed(n), reverse=True
+            feasible, key=info.forecasts.predicted_speed, reverse=True
         )
         sets: list[tuple[str, ...]] = []
         seen: set[tuple[str, ...]] = set()
@@ -291,7 +290,7 @@ class ResourceSelector:
             push(tuple(by_speed[:k]))
         sites: dict[str, list[str]] = {}
         for name in by_speed:
-            sites.setdefault(info.pool.machine_info(name).site, []).append(name)
+            sites.setdefault(info.machine_info(name).site, []).append(name)
         for members in sites.values():
             for k in range(1, min(len(members), max_machines) + 1):
                 push(tuple(members[:k]))
@@ -364,7 +363,7 @@ class _AdaptiveSelector(ResourceSelector):
         with can differ — which is exactly the gap these generators mine."""
         return sorted(
             feasible,
-            key=lambda n: info.pool.predicted_speed_conservative(n),
+            key=info.forecasts.predicted_speed_conservative,
             reverse=True,
         )
 
@@ -378,16 +377,16 @@ class _AdaptiveSelector(ResourceSelector):
         maximum multiplies a schedule's objective.  Ties break toward
         higher conservative speed.
         """
-        pool = info.pool
+        forecasts = info.forecasts
 
         def risk(name: str) -> float:
-            avail = pool.predicted_availability(name)
-            err = pool.predicted_availability_error(name)
+            avail = forecasts.predicted_availability(name)
+            err = forecasts.predicted_availability_error(name)
             return err / max(avail, 0.05) if avail > 0 else float("inf")
 
         return sorted(
             feasible,
-            key=lambda n: (risk(n), -pool.predicted_speed_conservative(n), n),
+            key=lambda n: (risk(n), -forecasts.predicted_speed_conservative(n), n),
         )
 
     def _risk_ladder(
@@ -478,14 +477,14 @@ class LocalitySelector(_AdaptiveSelector):
         for ordering in orderings:
             sites: dict[str, list[str]] = {}
             for name in ordering:
-                sites.setdefault(info.pool.machine_info(name).site, []).append(name)
+                sites.setdefault(info.machine_info(name).site, []).append(name)
             for members in sites.values():
                 for k in range(1, min(len(members), max_machines) + 1):
                     extras.append(tuple(members[:k]))
             # Unions of the strongest sites' prefixes, widest pairing first.
             site_order = sorted(
                 sites,
-                key=lambda s: info.pool.predicted_speed_conservative(sites[s][0]),
+                key=lambda s: info.forecasts.predicted_speed_conservative(sites[s][0]),
                 reverse=True,
             )
             # Small-subset unions dig deeper than prefixes: the best

@@ -365,21 +365,19 @@ def resolve_batch_planner(planner: Any, info: Any) -> Any | None:
 def objective_bounds(agent: Any, planner: Any, csets: Sequence) -> np.ndarray | None:
     """Admissible objective lower bound per candidate set, or ``None``.
 
-    Requires both optional hooks: the planner's vectorised time bounds
-    (``lower_bounds``) and the estimator's mapping from time bounds to
-    objective bounds (``objective_lower_bounds``, given the sets'
-    membership over ``info.pool.machine_names()``); without either,
-    pruning is disabled for the decision.
+    The planner's optional vectorised time bounds (``lower_bounds``)
+    mapped through the estimator's ``objective_lower_bounds``, given the
+    sets' membership over ``info.pool.machine_names()``; a planner
+    without the hook disables pruning for the decision.
     """
-    estimator_bounds = getattr(agent.estimator, "objective_lower_bounds", None)
     planner_bounds = getattr(planner, "lower_bounds", None)
-    if estimator_bounds is None or planner_bounds is None:
+    if planner_bounds is None:
         return None
     time_bounds = planner_bounds(csets, agent.info)
     if time_bounds is None or len(time_bounds) != len(csets):
         return None
     names = agent.info.pool.machine_names()
-    return estimator_bounds(
+    return agent.estimator.objective_lower_bounds(
         np.asarray(time_bounds, dtype=float),
         member_masks_over(csets, names), names, agent.info,
     )

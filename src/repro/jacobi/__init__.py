@@ -32,7 +32,7 @@ from repro.jacobi.apples import (
     UniformStripPlanner,
     make_jacobi_agent,
 )
-from repro.jacobi.cost import StripCostModel, strip_comm_seconds
+from repro.jacobi.cost import StripCostModel
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
 from repro.jacobi.partition import (
     Block,
@@ -73,7 +73,6 @@ __all__ = [
     "apples_strip",
     "blocked_partition",
     "StripCostModel",
-    "strip_comm_seconds",
     "JacobiPlanner",
     "StaticStripPlanner",
     "UniformStripPlanner",

@@ -129,18 +129,16 @@ def _pool_locality(info: InformationPool) -> tuple[tuple[str, ...], dict[str, in
     configuration at that pool state shares it.  Outside a decision it is
     sorted afresh.
     """
-    pool = info.pool
-    names = tuple(pool.machine_names())
+    forecasts = info.forecasts
+    names = tuple(forecasts.machine_names())
 
-    def build(source=pool) -> tuple[tuple[str, ...], dict[str, int]]:
-        order = tuple(locality_order(source, names))
+    def build() -> tuple[tuple[str, ...], dict[str, int]]:
+        order = tuple(locality_order(forecasts, names))
         return order, {m: i for i, m in enumerate(order)}
 
-    cache = info.decision_cache
-    if cache is None:
+    if info.decision_cache is None:
         return build()
-    snapshot = cache.snapshot
-    return snapshot.derived(("locality-order", names), lambda: build(snapshot))
+    return forecasts.derived(("locality-order", names), build)
 
 
 def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
@@ -153,12 +151,12 @@ def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
     direct sort.
     """
     if info.decision_cache is None:
-        return locality_order(info.pool, machines)
+        return locality_order(info.forecasts, machines)
     _, rank = _pool_locality(info)
     try:
         return sorted(machines, key=rank.__getitem__)
     except KeyError:
-        return locality_order(info.pool, machines)
+        return locality_order(info.forecasts, machines)
 
 
 def _availability_risk(machines: Sequence[str], info: InformationPool) -> float:
@@ -178,16 +176,11 @@ def _member_risks(names: Sequence[str], info: InformationPool) -> list[float]:
     max over its members, so the min over any superset's members is an
     admissible lower bound on the risk of whatever subset a planner keeps.
     """
-    cache = info.decision_cache
-    snap = cache.snapshot if cache is not None else None
+    forecasts = info.forecasts
     risks = []
     for m in names:
-        if snap is not None and m in snap.availability:
-            avail = snap.availability[m]
-            err = snap.availability_error[m]
-        else:
-            avail = info.pool.predicted_availability(m)
-            err = info.pool.predicted_availability_error(m)
+        avail = forecasts.predicted_availability(m)
+        err = forecasts.predicted_availability_error(m)
         risks.append(err / max(avail, 0.05) if avail > 0 else 0.0)
     return risks
 
@@ -262,27 +255,22 @@ class JacobiPlanner:
         self.risk_aversion = risk_aversion
 
     def _model(self, info: InformationPool) -> StripCostModel:
-        """The cost model — memoised per decision, snapshot-backed.
+        """The cost model over ``info.forecasts`` — memoised per decision.
 
         Outside a decision (:meth:`AppLeSAgent.schedule_reference`) a
-        fresh model is built per call, matching the seed implementation
-        exactly.
+        fresh model over the pool is built per call, matching the seed
+        implementation exactly.
         """
         cache = info.decision_cache
-        if cache is None:
-            return StripCostModel(
-                info.pool, self.problem, self.account_memory,
-                conservatism_sigmas=self.conservatism_sigmas,
-            )
         key = ("jacobi-model", id(self))
-        model = cache.memo.get(key)
+        model = cache.memo.get(key) if cache is not None else None
         if model is None:
             model = StripCostModel(
-                info.pool, self.problem, self.account_memory,
+                info.forecasts, self.problem, self.account_memory,
                 conservatism_sigmas=self.conservatism_sigmas,
-                snapshot=cache.snapshot,
             )
-            cache.memo[key] = model
+            if cache is not None:
+                cache.memo[key] = model
         return model
 
     def lower_bounds(
@@ -413,8 +401,8 @@ class JacobiPlanner:
         member risks — once per (planner, decision), in locality-rank
         order so batched candidate masks can be evaluated without any
         per-candidate queries.  Values come from the same decision-scoped
-        model (and snapshot memo) the scalar path uses, so they are the
-        *same floats*; inside a decision the whole bundle is memoised, so
+        model (over the same snapshot) the scalar path uses, so they are
+        the *same floats*; inside a decision the whole bundle is memoised, so
         repeated stagings at one pool state (the daemon's reuse layer)
         rebuild nothing.
         """
@@ -426,7 +414,7 @@ class JacobiPlanner:
                 return memo
         model = self._model(info)
         rank_names, _ = _pool_locality(info)
-        position = {m: i for i, m in enumerate(info.pool.machine_names())}
+        position = {m: i for i, m in enumerate(info.forecasts.machine_names())}
         rates = np.array([model.point_rate(m) for m in rank_names])
         caps = (
             np.array([model.capacity_points(m) for m in rank_names])
@@ -1127,18 +1115,6 @@ class ApplesBlockedPlanner(BlockedPlanner):
         self.conservatism_sigmas = conservatism_sigmas
         self.risk_aversion = risk_aversion
 
-    def _conservative_speed(self, machine: str, info: InformationPool) -> float:
-        cache = info.decision_cache
-        if cache is not None:
-            return cache.snapshot.conservative_speed(machine, self.conservatism_sigmas)
-        return info.pool.predicted_speed_conservative(machine, self.conservatism_sigmas)
-
-    def _transfer_time(self, a: str, b: str, nbytes: float, info: InformationPool) -> float:
-        cache = info.decision_cache
-        if cache is not None:
-            return cache.snapshot.transfer_time(a, b, nbytes)
-        return info.pool.predicted_transfer_time(a, b, nbytes)
-
     def lower_bounds(
         self, candidate_sets: Sequence[Sequence[str]], info: InformationPool
     ) -> np.ndarray:
@@ -1150,10 +1126,12 @@ class ApplesBlockedPlanner(BlockedPlanner):
         multiplier is at least ``1 + risk_aversion × min member risk``.
         Same argument as the strip planner's.
         """
-        names = info.pool.machine_names()
+        forecasts = info.forecasts
+        names = forecasts.machine_names()
         rates = np.array(
             [
-                self._conservative_speed(n, info) / self.problem.flop_per_point
+                forecasts.predicted_speed_conservative(n, self.conservatism_sigmas)
+                / self.problem.flop_per_point
                 for n in names
             ]
         )
@@ -1176,7 +1154,8 @@ class ApplesBlockedPlanner(BlockedPlanner):
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
         machines = _locality_ranked(info, list(resource_set))
         rates = [
-            self._conservative_speed(m, info) for m in machines
+            info.forecasts.predicted_speed_conservative(m, self.conservatism_sigmas)
+            for m in machines
         ]
         usable = [(m, r) for m, r in zip(machines, rates) if r > 0.0]
         if not usable:
@@ -1197,12 +1176,15 @@ class ApplesBlockedPlanner(BlockedPlanner):
 
     def _predict_dynamic(self, partition: BlockPartition, info: InformationPool) -> float:
         """Per-tile ``area·P_i + C_i`` with forecast rates and bandwidths."""
+        forecasts = info.forecasts
         per_point = self.problem.border_bytes_per_point
         worst = 0.0
         for i in range(partition.pr):
             for j in range(partition.pc):
                 blk = partition.block_at(i, j)
-                speed = self._conservative_speed(blk.machine, info)
+                speed = forecasts.predicted_speed_conservative(
+                    blk.machine, self.conservatism_sigmas
+                )
                 if speed <= 0:
                     return float("inf")
                 compute = blk.area * self.problem.flop_per_point / speed
@@ -1211,8 +1193,8 @@ class ApplesBlockedPlanner(BlockedPlanner):
                     shared = (
                         blk.col_count if nbr.row_start != blk.row_start else blk.row_count
                     )
-                    comm += self._transfer_time(
-                        blk.machine, nbr.machine, 2.0 * shared * per_point, info
+                    comm += forecasts.predicted_transfer_time(
+                        blk.machine, nbr.machine, 2.0 * shared * per_point
                     )
                 worst = max(worst, compute + comm + self.problem.sync_overhead_s)
         return worst * self.problem.iterations

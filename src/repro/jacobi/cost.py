@@ -9,8 +9,12 @@ locally, and ``C_i`` the time to send and receive its strip borders.
 :class:`StripCostModel` evaluates the model from whatever information
 source the scheduler has: NWS forecasts (the AppLeS agent), nominal
 capability (the compile-time baselines), or instantaneous simulator truth
-(oracle ablations).  Keeping one implementation parameterised by the
-information source makes the ablation benchmarks an apples-to-apples
+(oracle ablations).  The source is a
+:class:`~repro.core.resources.ResourcePool` or anything that answers its
+read interface — inside a decision, the decision's
+:class:`~repro.nws.snapshot.ForecastSnapshot`, which memoises every
+forecast the model reads.  Keeping one implementation parameterised by
+the information source makes the ablation benchmarks an apples-to-apples
 comparison of *information*, not of code paths.
 """
 
@@ -28,34 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nws.snapshot import ForecastSnapshot
 
 __all__ = [
-    "strip_comm_seconds",
     "StripCostModel",
     "batched_neighbor_comm_costs",
 ]
-
-
-def strip_comm_seconds(
-    pool: ResourcePool,
-    order: Sequence[str],
-    problem: JacobiProblem,
-) -> list[float]:
-    """Predicted border-exchange seconds ``C_i`` for machines in strip order.
-
-    Machine *i* exchanges a full border row each way with each neighbour in
-    the strip ordering (1 border at the ends, 2 inside).  Bandwidths come
-    from the pool's prediction interface, so the same function serves both
-    NWS-informed and nominal planners.
-    """
-    order = list(order)
-    exchange = problem.border_exchange_bytes()
-    costs = []
-    for idx, machine in enumerate(order):
-        c = 0.0
-        for nbr_idx in (idx - 1, idx + 1):
-            if 0 <= nbr_idx < len(order):
-                c += pool.predicted_transfer_time(machine, order[nbr_idx], exchange)
-        costs.append(c)
-    return costs
 
 
 class StripCostModel:
@@ -64,41 +43,30 @@ class StripCostModel:
     Parameters
     ----------
     pool:
-        Information source.  With an NWS attached, ``P_i`` and ``C_i`` use
-        forecasts; without one, they use nominal capability.
+        Information source: a :class:`~repro.core.resources.ResourcePool`
+        or a :class:`~repro.nws.snapshot.ForecastSnapshot` of one (what
+        :attr:`~repro.core.infopool.InformationPool.forecasts` holds).
+        With an NWS attached, ``P_i`` and ``C_i`` use forecasts; without
+        one, they use nominal capability.
     problem:
         The Jacobi2D instance.
     account_memory:
         When True, a machine whose area spills its real memory has its
         ``P_i`` inflated by the host paging model — used to *predict* the
         cost of memory-oblivious schedules.
-    snapshot:
-        Optional :class:`~repro.nws.snapshot.ForecastSnapshot` taken from
-        the same pool.  When set, forecast queries (conservative speeds,
-        transfer times) go through the snapshot's memo instead of the pool
-        — bit-identical values, shared across the candidate evaluations of
-        one scheduling decision.
     """
 
     def __init__(
         self,
-        pool: ResourcePool,
+        pool: "ResourcePool | ForecastSnapshot",
         problem: JacobiProblem,
         account_memory: bool = True,
         conservatism_sigmas: float = 1.0,
         sync_overhead_s: float | None = None,
-        snapshot: "ForecastSnapshot | None" = None,
     ) -> None:
         self.pool = pool
         self.problem = problem
         self.account_memory = account_memory
-        self.snapshot = snapshot
-        # Per-machine memos, valid only while the pool is frozen at one
-        # scheduling instant — which is exactly when a snapshot is set.
-        # Without a snapshot every query goes to the pool (a fresh model
-        # per plan() call).
-        self._rate_memo: dict[str, float] = {}
-        self._ptime_memo: dict[str, float] = {}
         if conservatism_sigmas < 0:
             raise ValueError("conservatism_sigmas must be >= 0")
         self.conservatism_sigmas = conservatism_sigmas
@@ -111,17 +79,6 @@ class StripCostModel:
         if self.sync_overhead_s < 0:
             raise ValueError("sync_overhead_s must be >= 0")
 
-    # -- forecast access (snapshot memo when available) -------------------
-    def _conservative_speed(self, machine: str) -> float:
-        if self.snapshot is not None:
-            return self.snapshot.conservative_speed(machine, self.conservatism_sigmas)
-        return self.pool.predicted_speed_conservative(machine, self.conservatism_sigmas)
-
-    def _transfer_time(self, a: str, b: str, nbytes: float) -> float:
-        if self.snapshot is not None:
-            return self.snapshot.transfer_time(a, b, nbytes)
-        return self.pool.predicted_transfer_time(a, b, nbytes)
-
     # -- model terms ------------------------------------------------------
     def point_rate(self, machine: str) -> float:
         """``1 / P_i``: predicted points/second for ``machine`` (in-core).
@@ -130,41 +87,25 @@ class StripCostModel:
         waits for every member, so members are budgeted at a pessimistic
         availability quantile rather than the mean forecast.
         """
-        if self.snapshot is not None:
-            rate = self._rate_memo.get(machine)
-            if rate is None:
-                speed = self._conservative_speed(machine)
-                rate = 0.0 if speed <= 0.0 else speed / self.problem.flop_per_point
-                self._rate_memo[machine] = rate
-            return rate
-        speed = self._conservative_speed(machine)
+        speed = self.pool.predicted_speed_conservative(machine, self.conservatism_sigmas)
         if speed <= 0.0:
             return 0.0
         return speed / self.problem.flop_per_point
 
     def point_time(self, machine: str, area: float = 0.0) -> float:
         """``P_i``: predicted seconds/point, optionally memory-adjusted."""
-        if self.snapshot is not None:
-            p = self._ptime_memo.get(machine)
-            if p is None:
-                rate = self.point_rate(machine)
-                p = float("inf") if rate <= 0.0 else 1.0 / rate
-                self._ptime_memo[machine] = p
-        else:
-            rate = self.point_rate(machine)
-            if rate <= 0.0:
-                return float("inf")
-            p = 1.0 / rate
+        rate = self.point_rate(machine)
+        if rate <= 0.0:
+            return float("inf")
+        p = 1.0 / rate
         if self.account_memory and area > 0.0 and p != float("inf"):
             host = self.pool.topology.host(machine)
             p *= host.memory.slowdown(self.problem.footprint_mb(area))
         return p
 
     def capacity_points(self, machine: str) -> float:
-        """Points that fit in ``machine``'s available real memory (the
-        snapshot's shared descriptor when there is one)."""
-        source = self.pool if self.snapshot is None else self.snapshot
-        info = source.machine_info(machine)
+        """Points that fit in ``machine``'s available real memory."""
+        info = self.pool.machine_info(machine)
         return info.memory_available_mb * 1e6 / self.problem.bytes_per_point
 
     def comm_costs(self, order: Sequence[str]) -> list[float]:
@@ -177,11 +118,7 @@ class StripCostModel:
         exchange = self.problem.border_exchange_bytes()
         # Bind the transfer lookup once: in the candidate loop this runs
         # tens of thousands of times and the per-call indirection shows.
-        transfer = (
-            self.snapshot.transfer_time
-            if self.snapshot is not None
-            else self.pool.predicted_transfer_time
-        )
+        transfer = self.pool.predicted_transfer_time
         costs = []
         for idx, machine in enumerate(order):
             c = 0.0
@@ -201,7 +138,7 @@ class StripCostModel:
         c = 0.0
         for nbr_idx in (idx - 1, idx + 1):
             if 0 <= nbr_idx < len(order):
-                c += self._transfer_time(machine, order[nbr_idx], exchange)
+                c += self.pool.predicted_transfer_time(machine, order[nbr_idx], exchange)
         return area * self.point_time(machine, area) + c + self.sync_overhead_s
 
     def step_time(self, partition: StripPartition) -> float:
@@ -215,11 +152,7 @@ class StripCostModel:
         k = len(strips)
         n = partition.n
         exchange = self.problem.border_exchange_bytes()
-        transfer = (
-            self.snapshot.transfer_time
-            if self.snapshot is not None
-            else self.pool.predicted_transfer_time
-        )
+        transfer = self.pool.predicted_transfer_time
         times = []
         for idx, strip in enumerate(strips):
             machine = strip.machine
@@ -240,26 +173,27 @@ class StripCostModel:
     def comm_cost_matrix(self, names: Sequence[str]) -> np.ndarray:
         """``(n, n)`` matrix of one-border transfer seconds between machines.
 
-        Entry ``[i, j]`` is exactly ``self._transfer_time(names[i],
-        names[j], exchange)`` — the term :meth:`comm_costs` charges for a
-        strip neighbour — so any neighbour cost a scalar plan would compute
-        can be *gathered* from this matrix instead of re-queried: the
-        batched evaluation core of the scheduling service indexes it with
-        the neighbour structure of thousands of candidate strip orders at
-        once.  Dead links appear as ``inf``, mirroring the scalar path.
-        The diagonal is zero; a machine is never its own strip neighbour.
+        Entry ``[i, j]`` is exactly ``self.pool.predicted_transfer_time(
+        names[i], names[j], exchange)`` — the term :meth:`comm_costs`
+        charges for a strip neighbour — so any neighbour cost a scalar
+        plan would compute can be *gathered* from this matrix instead of
+        re-queried: the batched evaluation core of the scheduling service
+        indexes it with the neighbour structure of thousands of candidate
+        strip orders at once.  Dead links appear as ``inf``, mirroring the
+        scalar path.  The diagonal is zero; a machine is never its own
+        strip neighbour.
 
         The matrix is the read-only
-        :meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix` of the
-        model's snapshot, shared by the strip planner's batch inputs
-        across every configuration at that pool state (copy
-        before mutating); a model without one reads a fresh snapshot of
-        the pool, which by the snapshot's contract holds the same values.
+        :meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix` of
+        ``pool.snapshot(names)``: the source itself when it is a snapshot
+        (shared by the strip planner's batch inputs across every
+        configuration at that pool state; copy before mutating), else a
+        fresh snapshot of the pool, which by the snapshot's contract holds
+        the same values.
         """
-        snapshot = self.snapshot
-        if snapshot is None:
-            snapshot = self.pool.snapshot(list(names))
-        return snapshot.transfer_matrix(names, self.problem.border_exchange_bytes())
+        return self.pool.snapshot(list(names)).transfer_matrix(
+            names, self.problem.border_exchange_bytes()
+        )
 
 
 def batched_neighbor_comm_costs(

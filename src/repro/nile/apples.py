@@ -66,15 +66,16 @@ class NileAnalysisPlanner:
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
         bytes_per_event = self.dataset.events.fmt.bytes_per_event
+        forecasts = info.forecasts
         rates: list[float] = []
         usable: list[str] = []
         for h in resource_set:
-            speed = info.pool.predicted_speed(h)
+            speed = forecasts.predicted_speed(h)
             if speed <= 0:
                 continue
             per_event = self.program.mflop_per_event / speed
             if h != self.dataset.host:
-                bw = info.pool.predicted_bandwidth(self.dataset.host, h)
+                bw = forecasts.predicted_bandwidth(self.dataset.host, h)
                 if bw <= 0:
                     continue
                 per_event += bytes_per_event / bw

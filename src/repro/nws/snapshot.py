@@ -13,15 +13,22 @@ across all candidate evaluations instead of re-deriving per candidate.
 Machine quantities (speed, availability, forecast error) are captured
 eagerly; pairwise quantities (bandwidth, transfer time) and derived
 quantities (conservative speeds at a given sigma) are memoised on first
-use.  Array consumers — the Resource Selector's candidate order, the
-strip planner's batch inputs — read whole pair tables
-(:meth:`ForecastSnapshot.transfer_matrix`): one latency and one bandwidth
-table over the captured machines (widened on demand for any other pool
-machine), taken once, then one read-only transfer-time table per name
-order and message size.  Other values that are pure functions of the
-pool state, such as the strip planner's locality order, are memoised by
-key (:meth:`ForecastSnapshot.derived`), and so are the machines' static
-descriptors (:meth:`ForecastSnapshot.machine_info`).
+use.  The snapshot answers the pool's read interface under the pool's
+own names (``predicted_speed``, ``predicted_transfer_time``,
+``machine_names``, ``topology``, ``snapshot`` ...), so planners and
+selectors read forecasts through
+:attr:`~repro.core.infopool.InformationPool.forecasts` — the decision's
+snapshot inside a decision scope, the pool outside one — without
+knowing which of the two they hold.  Array consumers — the Resource
+Selector's candidate order, the strip planner's batch inputs — read
+whole pair tables (:meth:`ForecastSnapshot.transfer_matrix`): one
+latency and one bandwidth table over the captured machines (widened on
+demand for any other pool machine), taken once, then one read-only
+transfer-time table per name order and message size.  Other values that
+are pure functions of the pool state, such as the strip planner's
+locality order, are memoised by key (:meth:`ForecastSnapshot.derived`),
+and so are the machines' static descriptors
+(:meth:`ForecastSnapshot.machine_info`).
 
 Every value is obtained by calling the pool's own prediction interface,
 or by repeating its arithmetic elementwise, so a snapshot is
@@ -113,8 +120,42 @@ class ForecastSnapshot:
             return False
         return nws.epoch != self._epoch or nws.now != self.taken_at
 
-    # -- machine quantities ---------------------------------------------------
-    def conservative_speed(self, name: str, sigmas: float = 1.0) -> float:
+    # -- the pool's read interface ---------------------------------------------
+    @property
+    def topology(self):
+        """The pool's topology (static: routes, latencies, hosts)."""
+        return self.pool.topology
+
+    def machine_names(self) -> list[str]:
+        """:meth:`ResourcePool.machine_names`."""
+        return self.pool.machine_names()
+
+    def snapshot(self, machines: Sequence[str] | None = None) -> "ForecastSnapshot":
+        """This snapshot: a frozen view is its own snapshot, whatever
+        ``machines`` asks for (its link tables widen for any pool machine
+        it did not capture)."""
+        return self
+
+    # -- machine quantities: the eager captures ---------------------------------
+    # A machine the snapshot did not capture gets the pool's own answer, as
+    # the pairwise memos serve any pool machine.
+    def predicted_speed(self, name: str) -> float:
+        """Captured :meth:`ResourcePool.predicted_speed`."""
+        value = self.speed.get(name)
+        return self.pool.predicted_speed(name) if value is None else value
+
+    def predicted_availability(self, name: str) -> float:
+        """Captured :meth:`ResourcePool.predicted_availability`."""
+        value = self.availability.get(name)
+        return self.pool.predicted_availability(name) if value is None else value
+
+    def predicted_availability_error(self, name: str) -> float:
+        """Captured :meth:`ResourcePool.predicted_availability_error`."""
+        value = self.availability_error.get(name)
+        return self.pool.predicted_availability_error(name) if value is None else value
+
+    # -- memoised derived and pairwise quantities ------------------------------
+    def predicted_speed_conservative(self, name: str, sigmas: float = 1.0) -> float:
         """Memoised :meth:`ResourcePool.predicted_speed_conservative`."""
         key = (name, sigmas)
         value = self._conservative.get(key)
@@ -123,8 +164,7 @@ class ForecastSnapshot:
             self._conservative[key] = value
         return value
 
-    # -- pairwise quantities --------------------------------------------------
-    def bandwidth(self, a: str, b: str, flows: int = 1) -> float:
+    def predicted_bandwidth(self, a: str, b: str, flows: int = 1) -> float:
         """Memoised :meth:`ResourcePool.predicted_bandwidth`."""
         key = (a, b, flows)
         value = self._bandwidth.get(key)
@@ -133,7 +173,9 @@ class ForecastSnapshot:
             self._bandwidth[key] = value
         return value
 
-    def transfer_time(self, a: str, b: str, nbytes: float, flows: int = 1) -> float:
+    def predicted_transfer_time(
+        self, a: str, b: str, nbytes: float, flows: int = 1
+    ) -> float:
         """Memoised :meth:`ResourcePool.predicted_transfer_time`."""
         key = (a, b, nbytes, flows)
         value = self._transfer.get(key)
@@ -143,10 +185,11 @@ class ForecastSnapshot:
         return value
 
     def transfer_matrix(self, names: Sequence[str], nbytes: float) -> np.ndarray:
-        """Read-only ``(n, n)`` table of :meth:`transfer_time` over ``names``.
+        """Read-only ``(n, n)`` table of :meth:`predicted_transfer_time`
+        over ``names``.
 
-        Entry ``[i, j]`` is ``self.transfer_time(names[i], names[j],
-        nbytes)`` bit for bit: ``0.0`` on the diagonal and for
+        Entry ``[i, j]`` is ``self.predicted_transfer_time(names[i],
+        names[j], nbytes)`` bit for bit: ``0.0`` on the diagonal and for
         ``nbytes <= 0``, ``inf`` across a dead link (bandwidth ``<= 0``),
         otherwise path latency plus ``nbytes`` over the bandwidth — the
         same two IEEE operations, elementwise.  One latency and one
@@ -203,7 +246,8 @@ class ForecastSnapshot:
         return info
 
     def _link_tables(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Path latency and :meth:`bandwidth` between every indexed pair.
+        """Path latency and :meth:`predicted_bandwidth` between every
+        indexed pair.
 
         The index starts as :attr:`machines`; ``names`` outside it are
         appended and the tables rebuilt over the wider index.
@@ -218,7 +262,7 @@ class ForecastSnapshot:
             for i, a in enumerate(everyone):
                 for j, b in enumerate(everyone):
                     if i != j:
-                        bw = bandwidth[i, j] = self.bandwidth(a, b)
+                        bw = bandwidth[i, j] = self.predicted_bandwidth(a, b)
                         if bw > 0.0:
                             latency[i, j] = path_latency(a, b)
             self._index = {name: i for i, name in enumerate(everyone)}

@@ -51,17 +51,18 @@ class ReactPlanner:
         hat = info.hat
         lhsf_task = hat.task("LHSF")
         logd_task = hat.task("LogD-ASY")
+        forecasts = info.forecasts
         best: Schedule | None = None
 
         for lhsf_m, logd_m in product(machines, machines):
-            lhsf_info = info.pool.machine_info(lhsf_m)
-            logd_info = info.pool.machine_info(logd_m)
+            lhsf_info = info.machine_info(lhsf_m)
+            logd_info = info.machine_info(logd_m)
             lhsf_eff = lhsf_task.efficiency_on(lhsf_info.arch)
             logd_eff = logd_task.efficiency_on(logd_info.arch)
             if lhsf_eff <= 0.0 or logd_eff <= 0.0:
                 continue
-            lhsf_rate = info.pool.predicted_speed(lhsf_m) * lhsf_eff
-            logd_rate = info.pool.predicted_speed(logd_m) * logd_eff
+            lhsf_rate = forecasts.predicted_speed(lhsf_m) * lhsf_eff
+            logd_rate = forecasts.predicted_speed(logd_m) * logd_eff
             if lhsf_rate <= 0.0 or logd_rate <= 0.0:
                 continue
             candidate = (
@@ -101,10 +102,10 @@ class ReactPlanner:
         logd_rate: float,
         convert: bool,
     ) -> Schedule | None:
-        bandwidth = info.pool.predicted_bandwidth(lhsf_m, logd_m)
+        bandwidth = info.forecasts.predicted_bandwidth(lhsf_m, logd_m)
         if bandwidth <= 0.0 or bandwidth == float("inf"):
             return None
-        latency = info.pool.topology.path_latency(lhsf_m, logd_m)
+        latency = info.forecasts.topology.path_latency(lhsf_m, logd_m)
         model = ReactPerformanceModel(
             self.problem,
             lhsf_rate_mflops=lhsf_rate,

@@ -34,17 +34,19 @@ solo :meth:`~repro.core.coordinator.AppLeSAgent.schedule_reference` calls.
 
 Cross-call reuse (the always-on daemon's amortisation)
 ------------------------------------------------------
-A service constructed with ``reuse=True`` keeps everything derived from
-one *pool state* — the :class:`~repro.nws.snapshot.ForecastSnapshot`, the
-per-configuration :class:`~repro.core.coordinator.StagedDecision`
-(candidate sets and batch job, or pruning bounds), the per-configuration
-:class:`~repro.core.infopool.DecisionCache` memos, and whole answers —
-alive across ``decide()`` calls, invalidating the lot the moment
+A service constructed with ``reuse=True`` keeps what it derived from
+one *pool state* — the :class:`~repro.nws.snapshot.ForecastSnapshot`,
+with the pair tables, locality order and machine descriptors memoised
+on it, and whole answers per request configuration — alive across
+``decide()`` calls, invalidating the lot the moment
 :attr:`ForecastSnapshot.stale` turns true (the NWS advanced, so the pool
-is in a new state).  Every cached value is a pure function of the
-snapshot, so reuse is bit-identical by the same argument as the snapshot
-itself; it only changes how often the same floats are recomputed.  Reuse
-requires an attached NWS (staleness is keyed on the NWS clock/epoch).
+is in a new state).  A configuration's staging and
+:class:`~repro.core.infopool.DecisionCache` live only within the call
+that answers it: once answered, the answer serves it.  Every cached
+value is a pure function of the snapshot, so reuse is bit-identical by
+the same argument as the snapshot itself; it only changes how often the
+same floats are recomputed.  Reuse requires an attached NWS (staleness
+is keyed on the NWS clock/epoch).
 """
 
 from __future__ import annotations
@@ -73,19 +75,14 @@ class _PoolState:
 
     Valid exactly while ``snapshot.stale`` is false; the service drops the
     whole object the moment the NWS advances.  ``answers`` memoises whole
-    decisions per request configuration, ``staged`` the agent and its
-    :class:`~repro.core.coordinator.StagedDecision` (candidate sets and
-    batch job, or bounds), and ``decisions`` the per-configuration
-    :class:`~repro.core.infopool.DecisionCache` (planner/estimator memos).
+    decisions per request configuration.
     """
 
-    __slots__ = ("snapshot", "staged", "answers", "decisions")
+    __slots__ = ("snapshot", "answers")
 
     def __init__(self, snapshot) -> None:
         self.snapshot = snapshot
-        self.staged: dict = {}
         self.answers: dict = {}
-        self.decisions: dict = {}
 
 
 class SchedulingService:
@@ -102,10 +99,10 @@ class SchedulingService:
         Resource Selector shared by every request's agent (defaults to
         the exhaustive enumerator, matching solo agents).
     reuse:
-        Keep snapshot, staging, decision memos and answers alive across
-        ``decide()`` calls while the pool state is unchanged (see the
-        module docstring).  Requires ``nws``; the always-on daemon turns
-        this on, the one-shot batch API defaults to off.
+        Keep the snapshot and answers alive across ``decide()`` calls
+        while the pool state is unchanged (see the module docstring).
+        Requires ``nws``; the always-on daemon turns this on, the
+        one-shot batch API defaults to off.
     """
 
     def __init__(
@@ -194,8 +191,8 @@ class SchedulingService:
         With reuse on, the previous state survives while its snapshot is
         fresh; :attr:`ForecastSnapshot.stale` is the sole invalidation
         signal (the NWS epoch/clock), so a mutated pool can never serve a
-        stale staged value or answer.  Without reuse, every call gets a
-        private state — the pre-daemon one-snapshot-per-batch behaviour.
+        stale answer.  Without reuse, every call gets a private state —
+        the pre-daemon one-snapshot-per-batch behaviour.
         """
         state = self._state
         if state is not None and not state.snapshot.stale:
@@ -213,8 +210,8 @@ class SchedulingService:
         # One snapshot for the whole instant: every agent's pool wraps the
         # same topology and NWS, so forecasts read through this snapshot
         # are the same floats each agent's private snapshot would return.
-        # With reuse on, the snapshot — and everything staged from it —
-        # survives from earlier calls at the same pool state.
+        # With reuse on, the snapshot — and the answers decided from it —
+        # survive from earlier calls at the same pool state.
         state = self._pool_state()
         snapshot = state.snapshot
         tracer = get_tracer()
@@ -226,7 +223,7 @@ class SchedulingService:
         # Phase A: per unique config, build the agent, then enumerate and
         # stage its candidate sets inside a shared-snapshot decision scope
         # (like schedule()), so every configuration reads one pair table.
-        pending = []  # (indices, config key, agent, StagedDecision)
+        pending = []  # (indices, config key, agent, StagedDecision, DecisionCache)
         for key, idxs in configs.items():
             answer = state.answers.get(key)
             if answer is not None:
@@ -238,26 +235,17 @@ class SchedulingService:
                 for i in idxs:
                     answers[i] = answer
                 continue
-            entry = state.staged.get(key)
-            if entry is None:
-                agent = self._agent(requests[idxs[0]], key)
-                with agent.info.decision_scope(
-                    snapshot, reuse=state.decisions.get(key)
-                ) as cache:
-                    state.decisions[key] = cache
-                    staged = agent.stage(agent.candidate_sets())
-                    entry = state.staged[key] = (agent, staged)
-            elif tracer.enabled:
-                tracer.metrics.counter("service.reuse.staged_hits").inc()
-            agent, staged = entry
+            agent = self._agent(requests[idxs[0]], key)
+            with agent.info.decision_scope(snapshot) as cache:
+                staged = agent.stage(agent.candidate_sets())
             if tracer.enabled and staged.job is None:
                 tracer.metrics.counter("service.scalar_configs").inc()
-            pending.append((idxs, key, agent, staged))
+            pending.append((idxs, key, agent, staged, cache))
 
         # Phase B: one batched evaluation over every candidate set of every
         # configuration that batches, then one decision per configuration.
         evaluations = evaluate_strip_batch(
-            [staged.job for *_, staged in pending if staged.job is not None]
+            [staged.job for *_, staged, _ in pending if staged.job is not None]
         )
         if tracer.enabled and evaluations:
             surrendered = sum(
@@ -277,12 +265,9 @@ class SchedulingService:
                 surrendered=surrendered,
             )
         batched = iter(evaluations)
-        for idxs, key, agent, staged in pending:
+        for idxs, key, agent, staged, cache in pending:
             ev = next(batched) if staged.job is not None else None
-            with agent.info.decision_scope(
-                snapshot, reuse=state.decisions.get(key)
-            ) as cache:
-                state.decisions[key] = cache
+            with agent.info.decision_scope(snapshot, reuse=cache):
                 decision = agent.decide(staged, ev)
             answer = state.answers[key] = ServiceAnswer.from_decision(decision, at)
             if tracer.enabled:

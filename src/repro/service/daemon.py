@@ -29,11 +29,11 @@ Three mechanisms carry the load story:
   free; at low rates the policy degenerates to dispatch-immediately.
 
 - **Cross-request state reuse.**  Each shard's service runs with
-  ``reuse=True``: the :class:`~repro.nws.snapshot.ForecastSnapshot`,
-  per-configuration staging, :class:`~repro.core.infopool.DecisionCache`
-  memos and whole answers persist across batches *keyed by pool state*,
-  invalidated through :attr:`ForecastSnapshot.stale` the moment the
-  shard's NWS advances — never rebuilt per call, never served stale.
+  ``reuse=True``: the :class:`~repro.nws.snapshot.ForecastSnapshot`
+  (with the pair tables and descriptors memoised on it) and whole
+  answers persist across batches *keyed by pool state*, invalidated
+  through :attr:`ForecastSnapshot.stale` the moment the shard's NWS
+  advances — never rebuilt per call, never served stale.
 
 Execution modes
 ---------------

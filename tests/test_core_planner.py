@@ -138,26 +138,40 @@ class TestBalanceDivisibleWork:
         assert all(a >= 0.0 for a in r.allocations)
 
 
-class TestFastBalanceEquivalence:
-    """The closed-form balance must be bit-identical to the seed loop."""
+class TestClosedFormBalanceEquivalence:
+    """The closed-form batched balance reproduces the seed loop: a one-row
+    batch either flags ``needs_reference`` or matches
+    :func:`_balance_reference` bit for bit."""
 
-    def _both(self, rates, costs, total, caps=None):
-        ref = _balance_reference(
-            [float(r) for r in rates], [float(c) for c in costs], float(total),
-            [None] * len(rates) if caps is None else list(caps),
+    def _both(self, rates, costs, total):
+        rates = [float(r) for r in rates]
+        costs = [float(c) for c in costs]
+        ref = _balance_reference(rates, costs, float(total), [None] * len(rates))
+        row = balance_prefix_exact_batched(
+            np.array([rates]), np.array([costs]), np.array([float(total)])
         )
-        fast = balance_divisible_work(rates, costs, total, caps)
-        return ref, fast
+        return rates, costs, float(total), ref, row
 
-    def _assert_identical(self, ref, fast):
-        if ref is None:
-            assert fast is None
-            return
-        assert fast is not None
-        assert fast.allocations == ref.allocations  # exact, not approx
-        assert fast.makespan == ref.makespan
-        assert fast.dropped == ref.dropped
-        assert fast.saturated == ref.saturated
+    def _assert_identical(self, rates, costs, total, ref, row):
+        if row.needs_reference[0]:
+            return  # the scalar planner answers this row
+        assert ref is not None
+        kept = [i for i in range(len(rates)) if i not in ref.dropped]
+        assert row.active[0].tolist() == [i in kept for i in range(len(rates))]
+        assert row.allocations[0].tolist() == ref.allocations  # exact, not approx
+        # The row's makespan is the loop's terminating balanced time ...
+        rate_sum = ordered_sum(rates[i] for i in kept)
+        weighted_cost = ordered_sum(rates[i] * costs[i] for i in kept)
+        assert row.makespans[0] == (total + weighted_cost) / rate_sum
+        # ... and its allocations give the makespan the loop reports.
+        assert max(
+            row.allocations[0][i] / rates[i] + costs[i] for i in kept
+        ) == ref.makespan
+
+    def _check(self, rates, costs, total):
+        both = self._both(rates, costs, total)
+        self._assert_identical(*both)
+        return both[-1]
 
     @given(
         rates=st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=1, max_size=8),
@@ -166,46 +180,28 @@ class TestFastBalanceEquivalence:
     )
     def test_property_bit_identical(self, rates, costs, total):
         n = min(len(rates), len(costs))
-        ref, fast = self._both(rates[:n], costs[:n], total)
-        self._assert_identical(ref, fast)
+        self._check(rates[:n], costs[:n], total)
 
     @given(
         rates=st.lists(st.floats(min_value=0.5, max_value=50.0), min_size=2, max_size=6),
         total=st.floats(min_value=10.0, max_value=1e4),
-        cap=st.floats(min_value=1.0, max_value=100.0),
     )
-    def test_property_bit_identical_with_caps(self, rates, total, cap):
-        costs = [0.1 * i for i in range(len(rates))]
-        caps = [cap if i % 2 == 0 else None for i in range(len(rates))]
-        ref, fast = self._both(rates, costs, total, caps)
-        self._assert_identical(ref, fast)
+    def test_property_bit_identical_staggered_costs(self, rates, total):
+        self._check(rates, [0.1 * i for i in range(len(rates))], total)
 
     def test_tied_costs(self):
-        ref, fast = self._both([10.0, 20.0, 30.0], [1.0, 1.0, 1.0], 100.0)
-        self._assert_identical(ref, fast)
+        row = self._check([10.0, 20.0, 30.0], [1.0, 1.0, 1.0], 100.0)
+        assert not row.needs_reference[0]
 
     def test_cost_exactly_at_drop_boundary(self):
         # Construct c_1 == final T so the >= drop predicate is exercised:
         # with machine 0 alone, T = 10/10 + 0 = 1.0; give machine 1 cost 1.0.
-        ref, fast = self._both([10.0, 10.0], [0.0, 1.0], 10.0)
-        self._assert_identical(ref, fast)
+        row = self._check([10.0, 10.0], [0.0, 1.0], 10.0)
+        assert row.active[0].tolist() == [True, False]
 
     def test_cascade_of_drops(self):
-        ref, fast = self._both(
-            [100.0, 1.0, 1.0, 1.0], [0.0, 5.0, 50.0, 500.0], 10.0
-        )
-        self._assert_identical(ref, fast)
-
-    def test_saturation_falls_back_identically(self):
-        ref, fast = self._both(
-            [10.0, 10.0, 10.0], [0.0, 0.0, 0.0], 300.0, [50.0, 50.0, None]
-        )
-        self._assert_identical(ref, fast)
-        assert ref.saturated  # the case really does exercise the cap path
-
-    def test_infeasible_caps_identical(self):
-        ref, fast = self._both([10.0, 10.0], [0.0, 0.0], 100.0, [10.0, 10.0])
-        self._assert_identical(ref, fast)
+        row = self._check([100.0, 1.0, 1.0, 1.0], [0.0, 5.0, 50.0, 500.0], 10.0)
+        assert not row.needs_reference[0]
 
 
 class TestOrderedSum:

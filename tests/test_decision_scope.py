@@ -18,11 +18,26 @@ import pytest
 
 import repro.core.resources as resources
 import repro.jacobi.apples as apples
+from repro.core.hat import (
+    CommunicationCharacteristics,
+    HeterogeneousApplicationTemplate,
+    StructureInfo,
+    TaskCharacteristics,
+)
+from repro.core.infopool import InformationPool
+from repro.core.planner import TimeBalancedPlanner
+from repro.core.selector import LocalitySelector, ResourceSelector, SeededSelector
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
+from repro.nile.analysis import HistogramAnalysis
+from repro.nile.apples import make_nile_agent
+from repro.nile.events import PASS2, EventBatch
+from repro.nile.storage import TAPE, StoredDataset
 from repro.nws import NetworkWeatherService
+from repro.react.apples import make_react_agent
+from repro.react.tasks import ReactProblem
 from repro.service import DecisionRequest, SchedulingService, ServiceAnswer
-from repro.sim import sdsc_pcl_testbed
+from repro.sim import casa_testbed, nile_testbed, sdsc_pcl_testbed
 
 
 def _world(tb_seed=1996, nws_seed=7):
@@ -217,3 +232,70 @@ def test_decision_scope_restores_on_error():
         with info.decision_scope():
             raise RuntimeError("boom")
     assert info.decision_cache is None
+
+
+def _read_from_the_scope(info, ask):
+    """``ask()`` unpatched outside any scope, then inside a scope on a
+    snapshot taken before ``ResourcePool.predicted_speed`` starts to
+    raise: a reader that went to the pool inside a decision fails."""
+    want = ask()
+    assert want  # a non-empty answer, so the comparison below means something
+    assert info.forecasts is info.pool
+    with info.decision_scope(info.pool.snapshot()) as cache:
+        with mock.patch.object(
+            resources.ResourcePool, "predicted_speed",
+            side_effect=AssertionError("pool read inside a decision scope"),
+        ):
+            assert info.forecasts is cache.snapshot
+            got = ask()
+    assert info.forecasts is info.pool
+    assert got == want
+
+
+def test_readers_take_forecasts_from_the_decision_scope():
+    """Selectors and planners read every forecast through
+    ``info.forecasts``, which inside a decision scope is the scope's
+    snapshot and outside one the pool."""
+    testbed, nws = _world()
+    nws.advance_to(300.0)
+    info = _info(testbed, nws)
+    for selector in (
+        ResourceSelector(regime="greedy"), SeededSelector(), LocalitySelector(),
+    ):
+        _read_from_the_scope(info, lambda: selector.candidate_sets(info))
+
+    hat = HeterogeneousApplicationTemplate(
+        name="toy", paradigm="data-parallel",
+        tasks=(TaskCharacteristics("work", flop_per_unit=1e-3, bytes_per_unit=8.0),),
+        communication=CommunicationCharacteristics(),
+        structure=StructureInfo(total_units=1e6, iterations=1),
+    )
+    divisible = InformationPool(pool=info.pool, hat=hat)
+    planner = TimeBalancedPlanner()
+    names = info.pool.machine_names()
+    sets = [tuple(names[:k]) for k in range(1, len(names) + 1)]
+    _read_from_the_scope(
+        divisible, lambda: [planner.plan(rset, divisible) for rset in sets]
+    )
+    _read_from_the_scope(
+        divisible, lambda: planner.lower_bounds(sets, divisible).tolist()
+    )
+
+    casa = casa_testbed()
+    react = make_react_agent(
+        casa, ReactProblem(), NetworkWeatherService.for_testbed(casa, seed=7)
+    )
+    _read_from_the_scope(
+        react.info, lambda: react.planner.plan(("c90", "paragon"), react.info)
+    )
+
+    bed = nile_testbed(seed=1996)
+    dataset = StoredDataset(
+        "run4", EventBatch(500_000, PASS2, seed=3), TAPE, host="site0-alpha0"
+    )
+    nile = make_nile_agent(
+        bed, dataset, HistogramAnalysis(),
+        NetworkWeatherService.for_testbed(bed, seed=7),
+    )
+    hosts = tuple(nile.info.pool.machine_names())
+    _read_from_the_scope(nile.info, lambda: nile.planner.plan(hosts, nile.info))

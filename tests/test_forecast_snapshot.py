@@ -30,32 +30,44 @@ def pool(testbed, warmed_nws):
 
 def test_snapshot_matches_pool_exactly(pool):
     snap = pool.snapshot()
+    assert snap.machine_names() == pool.machine_names()
+    assert snap.topology is pool.topology
     for name in pool.machine_names():
         assert snap.speed[name] == pool.predicted_speed(name)
         assert snap.availability[name] == pool.predicted_availability(name)
         assert snap.availability_error[name] == pool.predicted_availability_error(name)
-        assert snap.conservative_speed(name, 1.0) == pool.predicted_speed_conservative(name, 1.0)
-        assert snap.conservative_speed(name, 2.5) == pool.predicted_speed_conservative(name, 2.5)
+        assert snap.predicted_speed(name) == pool.predicted_speed(name)
+        assert snap.predicted_availability(name) == pool.predicted_availability(name)
+        assert (snap.predicted_availability_error(name)
+                == pool.predicted_availability_error(name))
+        assert (snap.predicted_speed_conservative(name, 1.0)
+                == pool.predicted_speed_conservative(name, 1.0))
+        assert (snap.predicted_speed_conservative(name, 2.5)
+                == pool.predicted_speed_conservative(name, 2.5))
 
 
 def test_snapshot_pairwise_matches_pool(pool):
     snap = pool.snapshot()
     names = pool.machine_names()
     a, b = names[0], names[-1]
-    assert snap.bandwidth(a, b) == pool.predicted_bandwidth(a, b)
-    assert snap.transfer_time(a, b, 64_000.0) == pool.predicted_transfer_time(a, b, 64_000.0)
-    assert snap.transfer_time(a, a, 64_000.0) == 0.0
+    assert snap.predicted_bandwidth(a, b) == pool.predicted_bandwidth(a, b)
+    assert (snap.predicted_transfer_time(a, b, 64_000.0)
+            == pool.predicted_transfer_time(a, b, 64_000.0))
+    assert snap.predicted_transfer_time(a, a, 64_000.0) == 0.0
 
 
 def test_snapshot_memoises(pool):
     snap = pool.snapshot()
     names = pool.machine_names()
     a, b = names[0], names[1]
-    first = snap.transfer_time(a, b, 1024.0)
-    assert snap.transfer_time(a, b, 1024.0) == first
+    first = snap.predicted_transfer_time(a, b, 1024.0)
+    assert snap.predicted_transfer_time(a, b, 1024.0) == first
     assert (a, b, 1024.0, 1) in snap._transfer
-    cs = snap.conservative_speed(a)
+    cs = snap.predicted_speed_conservative(a)
     assert snap._conservative[(a, 1.0)] == cs
+    # A frozen view is its own snapshot, whatever it is asked to capture.
+    assert snap.snapshot() is snap
+    assert snap.snapshot(names[:2]) is snap
 
 
 def test_snapshot_staleness(pool):
@@ -79,6 +91,14 @@ def test_snapshot_subset_capture(pool):
     names = pool.machine_names()[:3]
     snap = pool.snapshot(names)
     assert snap.machines == tuple(names)
+    assert set(snap.speed) == set(names)
+    # Machines outside the capture get the pool's own answers, and the
+    # captures stay as taken.
+    for name in pool.machine_names()[3:]:
+        assert snap.predicted_speed(name) == pool.predicted_speed(name)
+        assert snap.predicted_availability(name) == pool.predicted_availability(name)
+        assert (snap.predicted_availability_error(name)
+                == pool.predicted_availability_error(name))
     assert set(snap.speed) == set(names)
 
 

@@ -15,7 +15,7 @@ from repro.jacobi.apples import (
     locality_order,
     make_jacobi_agent,
 )
-from repro.jacobi.cost import StripCostModel, strip_comm_seconds
+from repro.jacobi.cost import StripCostModel
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
 from repro.jacobi.partition import uniform_strip
 
@@ -49,8 +49,9 @@ class TestStripCostModel:
 
     def test_comm_costs_cross_site_expensive(self, testbed):
         info, problem = _info(testbed)
-        cheap = strip_comm_seconds(info.pool, ["alpha1", "alpha2"], problem)
-        pricey = strip_comm_seconds(info.pool, ["alpha1", "sparc2"], problem)
+        model = StripCostModel(info.pool, problem)
+        cheap = model.comm_costs(["alpha1", "alpha2"])
+        pricey = model.comm_costs(["alpha1", "sparc2"])
         assert pricey[0] > cheap[0]
 
     def test_memory_penalty_in_point_time(self, testbed):
@@ -84,15 +85,14 @@ class TestStripCostModel:
     ):
         info, problem = _info(testbed, warmed_nws)
         pool = info.pool
-        model = StripCostModel(
-            pool, problem, snapshot=pool.snapshot() if snapshot else None
-        )
+        model = StripCostModel(pool.snapshot() if snapshot else pool, problem)
         names = pool.machine_names()[::-1]
         pair = model.comm_cost_matrix(names)
         exchange = problem.border_exchange_bytes()
         for i, a in enumerate(names):
             for j, b in enumerate(names):
-                assert pair[i, j] == model._transfer_time(a, b, exchange)
+                assert pair[i, j] == model.pool.predicted_transfer_time(a, b, exchange)
+                assert pair[i, j] == pool.predicted_transfer_time(a, b, exchange)
         assert not pair.flags.writeable
 
 

@@ -12,7 +12,8 @@ tests pin the edges of that claim:
 - the cross-call reuse layer (`SchedulingService(reuse=True)`,
   `DecisionCache` adoption in `begin_decision`) never serves an answer
   derived from a stale pool state — the regression tests mutate the NWS
-  between calls and compare against fresh solo agents;
+  between calls and compare against fresh solo agents — and a retry
+  after a batch that raised answers like a fresh service;
 - a Hypothesis property: however a request multiset is sliced into
   submissions, daemon answers equal one `SchedulingService.decide()`;
 - a process pool whose workers were killed is rebuilt for later batches;
@@ -25,11 +26,13 @@ from __future__ import annotations
 import os
 import signal
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.service.core as service_core
 from repro.core.infopool import DecisionCache
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
@@ -491,6 +494,24 @@ class TestReuseStaleness:
         # And the moved answers must differ from a stale replay wherever
         # the pool state actually changed the prediction.
         assert [a.at for a in moved] == [AT + 300.0] * 3
+
+    def test_retry_after_a_failed_batch_answers_like_a_fresh_service(self):
+        """A ``decide()`` that raises after staging leaves nothing behind
+        but the snapshot: a retry at the same pool state restages every
+        configuration and answers bit-identically to a fresh service."""
+        requests = [_request(k) for k in range(4)]
+        testbed = sdsc_pcl_testbed(seed=1996)
+        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
+        service = SchedulingService(testbed, nws, reuse=True)
+        with mock.patch.object(
+            service_core, "evaluate_strip_batch",
+            side_effect=RuntimeError("batch failed"),
+        ):
+            with pytest.raises(RuntimeError, match="batch failed"):
+                service.decide(requests)
+        retried = service.decide(requests)
+        fresh = _service_answers(requests)
+        assert [_sig(a) for a in retried] == [_sig(a) for a in fresh]
 
     def test_daemon_path_staleness(self):
         """Same regression through the daemon: one shard, two instants."""
