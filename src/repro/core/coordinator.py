@@ -18,11 +18,17 @@ point runs it:
 - :meth:`AppLeSAgent.stage` runs inside a decision scope
   (:meth:`~repro.core.infopool.InformationPool.decision_scope`: one
   forecast snapshot shared by every evaluation, which every subsystem
-  reads through ``info.forecasts``).  When the Planner resolves a batch
-  planner (``batch_planner(info)``), it builds the membership-mask job
-  that :func:`~repro.jacobi.apples.evaluate_strip_batch` takes;
-  otherwise it takes admissible objective lower bounds when the Planner
-  exposes ``lower_bounds``.
+  reads through ``info.forecasts``).  The candidate sets arrive as a
+  :class:`~repro.core.selector.CandidateSets` — index rows, shared by
+  every configuration with the same selector, feasible machines, cap and
+  coupling at that snapshot.  When the Planner resolves a batch planner
+  (``batch_planner(info)``), stage takes their membership masks over the
+  batch inputs' locality-rank names
+  (:meth:`~repro.core.selector.CandidateSets.masks_over`, one permutation
+  gather, shared too) as the job
+  :func:`~repro.jacobi.apples.evaluate_strip_batch` takes; otherwise it
+  takes admissible objective lower bounds when the Planner exposes
+  ``lower_bounds``.
 - :meth:`AppLeSAgent.decide` maps an evaluation's time bounds through the
   Estimator's ``objective_lower_bounds``, scores the candidates with
   :class:`~repro.core.sweep.BatchedObjective`, replays the
@@ -48,8 +54,9 @@ reported in :class:`PruningStats`.  The batched kernels replicate the
 scalar planner's float semantics operation-for-operation and surrender any
 row they cannot certify, so :class:`ScheduleDecision`,
 :class:`PruningStats` and the ``core.decision`` span are the same whether
-or not a decision batched.  The per-candidate
-``ScheduleDecision.evaluations`` rows are built from the sweep's arrays on
+or not a decision batched.  Name tuples are built only where a set is
+read: the winner, the rows planned one by one, and the per-candidate
+``ScheduleDecision.evaluations`` rows, built from the sweep's arrays on
 first read.
 """
 
@@ -57,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +73,7 @@ from repro.core.estimator import PerformanceEstimator, make_estimator
 from repro.core.infopool import InformationPool
 from repro.core.planner import Planner
 from repro.core.schedule import Schedule
-from repro.core.selector import ResourceSelector, member_masks_over
+from repro.core.selector import CandidateSets, ResourceSelector
 from repro.core.sweep import (
     BatchedObjective,
     NoFeasibleCandidate,
@@ -239,7 +246,7 @@ class StagedDecision:
     admissible objective lower bounds (``None`` disables pruning).
     """
 
-    csets: list[tuple[str, ...]]
+    csets: CandidateSets
     bounds: np.ndarray | None
     job: tuple[Any, np.ndarray] | None
 
@@ -340,7 +347,7 @@ class AppLeSAgent:
         """
         return self.decide(StagedDecision(self.candidate_sets(), None, None), None)
 
-    def candidate_sets(self) -> list[tuple[str, ...]]:
+    def candidate_sets(self) -> CandidateSets:
         """Blueprint step 1: the Resource Selector's candidate sets.
 
         Raises :class:`~repro.core.sweep.NoFeasibleCandidate` when the
@@ -354,21 +361,28 @@ class AppLeSAgent:
             )
         return candidate_sets
 
-    def stage(self, candidate_sets: list[tuple[str, ...]]) -> StagedDecision:
+    def stage(self, candidate_sets: Sequence[Sequence[str]]) -> StagedDecision:
         """Take one decision's batch job or bounds; call inside its scope.
 
-        A configuration batches when the Planner resolves a batch planner.
-        Its job's masks are over the batch inputs' locality-rank names;
-        the evaluation computes its bounds.  Any other configuration
-        stages its objective bounds.
+        ``candidate_sets`` are usually :meth:`candidate_sets`' own; name
+        tuples are indexed over the pool's machines
+        (:meth:`CandidateSets.of`).  A configuration batches when the
+        Planner resolves a batch planner.  Its job's masks are
+        :meth:`CandidateSets.masks_over` the batch inputs' locality-rank
+        names, shared with every configuration that shares the sets; the
+        evaluation computes its bounds.  Any other configuration stages
+        its objective bounds.
         """
         info = self.info
+        candidate_sets = CandidateSets.of(
+            candidate_sets, info.forecasts.machine_names()
+        )
         batch_planner = resolve_batch_planner(self.planner, info)
         if batch_planner is None:
             bounds = objective_bounds(self, self.planner, candidate_sets)
             return StagedDecision(candidate_sets, bounds, None)
         inputs = batch_planner.batch_inputs(info)
-        masks = member_masks_over(candidate_sets, inputs.rank_names)
+        masks = candidate_sets.masks_over(inputs.rank_names)
         return StagedDecision(candidate_sets, None, (inputs, masks))
 
     def decide(self, staged: StagedDecision, ev: Any | None) -> ScheduleDecision:

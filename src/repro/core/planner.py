@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.infopool import InformationPool
 from repro.core.schedule import Schedule
-from repro.core.selector import member_masks_over
+from repro.core.selector import CandidateSets
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -540,7 +540,8 @@ class TimeBalancedPlanner:
         names = info.forecasts.machine_names()
         rates = np.array([self._rate(name, task, info) for name in names])
         usable = rates > 0.0
-        mask = member_masks_over(candidate_sets, names) & usable[None, :]
+        members = CandidateSets.of(candidate_sets, names).masks_over(names)
+        mask = members & usable[None, :]
         safe_rates = np.where(usable, rates, 1.0)
         total = info.hat.structure.total_units
         makespans = balance_divisible_work_batched(

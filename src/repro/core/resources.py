@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.sim.link import Link
 from repro.sim.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (nws imports core)
@@ -119,7 +120,8 @@ class ResourcePool:
         return host.speed_mflops * pessimistic
 
     def predicted_bandwidth(self, a: str, b: str, flows: int = 1) -> float:
-        """Forecast bottleneck bytes/s between two machines.
+        """Forecast bottleneck bytes/s between two machines: the minimum
+        of :meth:`predicted_link_bandwidth` along the route.
 
         Nominal path bandwidth (availability 1) when no NWS is attached.
         """
@@ -130,11 +132,21 @@ class ResourcePool:
         links = self.topology.route(a, b)
         if not links:
             return float("inf")
-        nominal = []
-        for link in links:
-            avail = max(link.load.availability(0.0), 1e-12)
-            nominal.append(link.deliverable_bandwidth(0.0, flows) / avail)
-        return min(nominal)
+        return min([self.predicted_link_bandwidth(link, flows) for link in links])
+
+    def predicted_link_bandwidth(self, link: Link, flows: int = 1) -> float:
+        """Forecast bytes/s of one link for one of ``flows`` flows.
+
+        The NWS's link forecast, or without one the link's bandwidth
+        probed at t = 0 and scaled back to full availability.  Pair tables
+        (:meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix`)
+        take the minimum of these along each route, so a subclass that
+        predicts bandwidth differently overrides this method.
+        """
+        if self.nws is not None:
+            return self.nws.link_bandwidth_forecast(link.name, flows)
+        avail = max(link.load.availability(0.0), 1e-12)
+        return link.deliverable_bandwidth(0.0, flows) / avail
 
     def predicted_transfer_time(self, a: str, b: str, nbytes: float, flows: int = 1) -> float:
         """Forecast seconds to move ``nbytes`` between two machines."""

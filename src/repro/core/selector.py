@@ -13,18 +13,34 @@ non-empty subset is generated (the paper's Jacobi prototype considered
 ladder: machines ranked by predicted deliverable speed, then locality-
 tightened prefixes per site.
 
+Candidate sets live in index space: :class:`CandidateSets` holds them as
+rows of positions into the feasible machines, and tuples of names are
+built only where a set is read.  The exhaustive rows depend on nothing
+but the machine count, the cap and ``max_sets``, so each such table is
+built once per process; the greedy ladder is index prefixes.
+
 For a communication-coupled application, a list of at most 1024 sets is
 then stably sorted by (logical diameter, size), so tight sets come first.
 The diameters are read from one pair table of the forecast snapshot
-(:meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix`), a masked
-maximum per set, and the order is one ``np.lexsort``.  Larger lists, and
-uncoupled applications, keep enumeration order.
+(:meth:`~repro.nws.snapshot.ForecastSnapshot.transfer_matrix`), gathered
+by the index rows, a maximum per set, and the order is one
+``np.lexsort``.  Larger lists, and uncoupled applications, keep
+enumeration order.
+
+Inside a decision scope the enumeration is memoised on the forecast
+snapshot, keyed by the selector's value, the feasible machines, the cap
+and the coupling: every configuration with that key at one pool state
+shares one :class:`CandidateSets`, and with it the membership masks
+:meth:`CandidateSets.masks_over` builds.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice, repeat
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import chain, combinations, islice
+from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,80 +51,191 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.coordinator import PruningStats
 
 __all__ = [
+    "CandidateSets",
     "ResourceSelector",
     "SeededSelector",
     "LocalitySelector",
-    "member_masks_over",
 ]
 
 _REGIMES = ("auto", "exhaustive", "greedy")
 
 
-def member_masks_over(
-    candidate_sets: Sequence[Sequence[str]], names: Sequence[str]
-) -> np.ndarray:
-    """``(m, n)`` membership matrix of ``candidate_sets`` over ``names``.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    One flat scatter instead of a per-set Python loop — with thousands of
-    candidate sets the loop is a measurable slice of a whole batched
-    decision, so the name lookups run as C-level ``map`` calls.  Unknown
-    machine names are simply absent from the mask, matching the per-set
-    lookup the planners do themselves.
+
+class CandidateSets(Sequence[tuple[str, ...]]):
+    """An immutable list of candidate resource sets, held as index rows.
+
+    ``names`` are the machines the sets are drawn from.  ``rows`` is a
+    read-only ``(m, w)`` matrix of positions into ``names`` in the
+    narrowest unsigned dtype that holds ``len(names)``: row ``i`` lists set
+    ``i``'s members in tuple order, left-aligned, and is padded with
+    ``len(names)``; ``sizes[i]`` is its member count.  As a sequence it
+    reads like the list of name tuples it stands for: indexing builds one
+    tuple, a slice is another ``CandidateSets``, and it compares equal to
+    any sequence of the same tuples.
     """
-    index = {m: j for j, m in enumerate(names)}
-    m_sets = len(candidate_sets)
-    masks = np.zeros((m_sets, len(names)), dtype=bool)
-    lens = np.fromiter(map(len, candidate_sets), dtype=np.int64, count=m_sets)
-    total = int(lens.sum())
-    if total == 0:
+
+    __slots__ = ("names", "rows", "sizes", "_masks")
+
+    def __init__(
+        self, names: Sequence[str], rows: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        self.names = tuple(names)
+        self.rows = _read_only(rows)
+        self.sizes = _read_only(sizes)
+        self._masks: dict[tuple[str, ...], np.ndarray] = {}
+
+    @classmethod
+    def of(
+        cls, sets: Iterable[Sequence[str]], names: Sequence[str]
+    ) -> "CandidateSets":
+        """``sets`` (tuples of machine names) as index rows over ``names``.
+
+        A :class:`CandidateSets` is returned unchanged.  Raises
+        ``ValueError`` for a member that is not in ``names``.
+        """
+        if isinstance(sets, CandidateSets):
+            return sets
+        position = {name: i for i, name in enumerate(names)}
+        try:
+            index = [tuple(map(position.__getitem__, s)) for s in sets]
+        except KeyError as err:
+            raise ValueError(
+                f"candidate set member {err.args[0]!r} is not one of the "
+                f"{len(position)} machines {tuple(names)!r}"
+            ) from None
+        return cls._from_index(names, index)
+
+    @classmethod
+    def _from_index(
+        cls, names: Sequence[str], index: Sequence[tuple[int, ...]]
+    ) -> "CandidateSets":
+        """Sets given as tuples of positions into ``names``."""
+        dtype = np.min_scalar_type(len(names))  # len(names) pads
+        sizes = np.fromiter(map(len, index), dtype=dtype, count=len(index))
+        width = int(sizes.max(initial=0))
+        rows = np.full((len(index), width), len(names), dtype=dtype)
+        rows[np.arange(width) < sizes[:, None]] = np.fromiter(
+            chain.from_iterable(index), dtype=dtype, count=int(sizes.sum())
+        )
+        return cls(names, rows, sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CandidateSets(self.names, self.rows[index], self.sizes[index])
+        row = self.rows[index]
+        return tuple(map(self.names.__getitem__, row[: self.sizes[index]].tolist()))
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        names = self.names.__getitem__
+        for row, size in zip(self.rows.tolist(), self.sizes.tolist()):
+            yield tuple(map(names, row[:size]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"CandidateSets({list(self)!r})"
+
+    def masks_over(self, order: Sequence[str]) -> np.ndarray:
+        """Read-only ``(m, len(order))`` membership matrix over ``order``.
+
+        Entry ``[i, j]`` is whether ``order[j]`` is a member of set ``i``;
+        a member absent from ``order`` has no column.  One permutation
+        gather maps the index rows to ``order``'s columns; the matrix is
+        memoised per ``order``, so configurations that share these sets
+        share their masks too.
+        """
+        key = tuple(order)
+        masks = self._masks.get(key)
+        if masks is None:
+            n = len(key)
+            column = {name: j for j, name in enumerate(key)}
+            # Position in names -> column in order; absent members and the
+            # padding land in a spare column n that is cut off.
+            perm = np.array(
+                [column.get(name, n) for name in self.names] + [n], dtype=np.intp
+            )
+            full = np.zeros((len(self), n + 1), dtype=bool)
+            np.put_along_axis(full, perm[self.rows], True, axis=1)
+            masks = self._masks[key] = _read_only(full[:, :n])
         return masks
-    rows = np.repeat(np.arange(m_sets), lens)
-    cols = np.fromiter(
-        map(index.get, chain.from_iterable(candidate_sets), repeat(-1)),
-        dtype=np.int64,
-        count=total,
-    )
-    known = cols >= 0
-    masks[rows[known], cols[known]] = True
-    return masks
+
+
+@lru_cache(maxsize=32)
+def _exhaustive_rows(n: int, cap: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index rows of the first ``limit`` non-empty subsets of ``range(n)``
+    with at most ``cap`` members: sizes ascending, ``itertools.combinations``
+    order within a size.  A pure function of its arguments, so each table
+    is built once per process and shared read-only."""
+    counts = []
+    for size in range(1, cap + 1):
+        take = min(comb(n, size), limit - sum(counts))
+        if take <= 0:
+            break
+        counts.append(take)
+    dtype = np.min_scalar_type(n)  # n pads
+    rows = np.full((sum(counts), len(counts)), n, dtype=dtype)
+    sizes = np.repeat(np.arange(1, len(counts) + 1, dtype=dtype), counts)
+    start = 0
+    for size, take in enumerate(counts, start=1):
+        subsets = islice(combinations(range(n), size), take)
+        rows[start:start + take, :size] = np.fromiter(
+            chain.from_iterable(subsets), dtype=dtype, count=take * size
+        ).reshape(take, size)
+        start += take
+    return _read_only(rows), _read_only(sizes)
+
+
+def _union(base: CandidateSets, extra: CandidateSets) -> CandidateSets:
+    """``base`` followed by each set of ``extra`` it lacks, once, in
+    order.  Sets are equal as exact tuples (member order counts); ``base``
+    holds no duplicates."""
+    pad = len(base.names)
+    width = max(base.rows.shape[1], extra.rows.shape[1])
+    rows = np.full((len(base) + len(extra), width), pad, dtype=base.rows.dtype)
+    rows[: len(base), : base.rows.shape[1]] = base.rows
+    rows[len(base):, : extra.rows.shape[1]] = extra.rows
+    keys = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    sizes = np.concatenate([base.sizes, extra.sizes])
+    return CandidateSets(base.names, rows[first], sizes[first])
 
 
 def _tight_first(
-    sets: list[tuple[str, ...]],
-    feasible: Sequence[str],
-    info: InformationPool,
-    coupling: float,
-) -> list[tuple[str, ...]]:
-    """``sets`` stably sorted by (logical diameter, size).
+    sets: CandidateSets, info: InformationPool, coupling: float
+) -> np.ndarray:
+    """The order that stably sorts ``sets`` by (logical diameter, size).
 
     A set's diameter is its largest pairwise logical distance
     (:func:`repro.core.distance.set_diameter`, the oracle the tests sort
     by), read from one pair table of ``info.forecasts.snapshot()`` — the
-    open decision's snapshot, else a fresh one of the pool — instead of
-    re-queried per set.  Each member pair ``p < q`` in the tuple's own
-    order reads ``D[t_p, t_q]`` and an ``fmax`` reduction from ``0.0``
-    takes their maximum: exactly the running ``max()`` of the oracle,
-    since a maximum never rounds.
+    open decision's snapshot, else a fresh one of the pool — over
+    ``sets.names``.  Each member pair ``p < q`` in the tuple's own order
+    reads ``D[rows[:, p], rows[:, q]]``, the padding reading ``0.0``, and
+    an ``fmax`` reduction from ``0.0`` takes their maximum: exactly the
+    running ``max()`` of the oracle, since a maximum never rounds.
     ``np.lexsort`` is stable, like ``list.sort``, so ties keep
-    enumeration order.  Members must be ``feasible`` machines.
+    enumeration order.
     """
-    dist = info.forecasts.snapshot(feasible).transfer_matrix(feasible, coupling)
-    index = {m: j for j, m in enumerate(feasible)}
-    count = len(sets)
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=count)
-    width = int(sizes.max())
-    # Member positions, tuple order, left-aligned: slot k of row i holds
-    # the k-th member of sets[i]; slots past its size stay 0 (masked).
-    members = np.zeros((count, width), dtype=np.int64)
-    slots = np.arange(width)[None, :] < sizes[:, None]
-    members[slots] = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(sets)),
-        dtype=np.int64, count=int(sizes.sum()),
+    names = sets.names
+    dist = info.forecasts.snapshot(names).transfer_matrix(names, coupling)
+    dist = np.pad(dist, ((0, 1), (0, 1)))  # row and column len(names): 0.0
+    p, q = np.triu_indices(sets.rows.shape[1], k=1)
+    diameters = np.fmax.reduce(
+        dist[sets.rows[:, p], sets.rows[:, q]], axis=1, initial=0.0
     )
-    p, q = np.triu_indices(width, k=1)
-    pairs = np.where(slots[:, q], dist[members[:, p], members[:, q]], 0.0)
-    diameters = np.fmax.reduce(pairs, axis=1, initial=0.0)
-    return list(map(sets.__getitem__, np.lexsort((sizes, diameters)).tolist()))
+    return np.lexsort((sets.sizes, diameters))
 
 
 class ResourceSelector:
@@ -179,7 +306,7 @@ class ResourceSelector:
         return names
 
     # -- enumeration ----------------------------------------------------------
-    def candidate_sets(self, info: InformationPool) -> list[tuple[str, ...]]:
+    def candidate_sets(self, info: InformationPool) -> CandidateSets:
         """Prioritised candidate resource sets for the Coordinator.
 
         Ordering: the base enumeration (exhaustive or greedy ladder) with
@@ -189,11 +316,13 @@ class ResourceSelector:
         tightest sets first, smaller sets first among equal diameters,
         enumeration order among full ties.  Otherwise enumeration order is
         kept.  Truncated at ``max_sets``.  Inside a decision scope the
-        distances come from the scope's forecast snapshot.
+        distances come from the scope's forecast snapshot, and the result
+        is memoised on it: another call there with an equal selector, the
+        same feasible machines, cap and coupling returns the same object.
         """
-        feasible = self.feasible_machines(info)
+        feasible = tuple(self.feasible_machines(info))
         if not feasible:
-            return []
+            return CandidateSets.of([], feasible)
         max_machines = info.userspec.max_machines or len(feasible)
         max_machines = min(max_machines, len(feasible))
 
@@ -204,32 +333,19 @@ class ResourceSelector:
                 f"(exhaustive_limit={self.exhaustive_limit}); raise "
                 f"exhaustive_limit explicitly or use regime='greedy'"
             )
-        exhaustive = self.regime == "exhaustive" or (
-            self.regime == "auto" and len(feasible) <= self.exhaustive_limit
-        )
-        if exhaustive:
-            regime = "exhaustive"
-            sets = self._exhaustive(feasible, max_machines)
-        else:
-            regime = "greedy"
-            sets = self._greedy(feasible, info, max_machines)
-
-        extras = self._extra_sets(feasible, info, max_machines)
-        if extras:
-            seen = set(sets)
-            for candidate in extras:
-                if candidate and candidate not in seen:
-                    seen.add(candidate)
-                    sets.append(candidate)
-
         coupling = self._coupling_bytes(info)
-        if coupling > 0.0 and len(sets) <= 1024:
-            # Coupled applications try tight sets first.  The 1024-set gate
-            # is part of the order's definition, not a cost cut-off: larger
-            # enumerations keep enumeration order, and their bounds' pruning
-            # statistics depend on it.
-            sets = _tight_first(sets, feasible, info, coupling)
-        sets = sets[: self.max_sets]
+        built = []
+
+        def build() -> tuple[CandidateSets, str]:
+            built.append(True)
+            return self._enumerate(feasible, info, max_machines, coupling)
+
+        if info.decision_cache is None:
+            sets, regime = build()
+        else:
+            key = ("candidate-sets", self._enumeration_key(), feasible,
+                   max_machines, coupling)
+            sets, regime = info.forecasts.derived(key, build)
         tracer = get_tracer()
         if tracer.enabled:
             nws = info.pool.nws
@@ -241,15 +357,53 @@ class ResourceSelector:
             tracer.metrics.counter("core.selector.calls").inc()
             tracer.metrics.counter("core.selector.candidate_sets").inc(len(sets))
             tracer.metrics.counter(f"core.selector.regime.{regime}").inc()
+            if not built:
+                tracer.metrics.counter("core.selector.shared_hits").inc()
         return sets
+
+    def _enumeration_key(self) -> Hashable:
+        """Everything of this selector's value that its enumeration reads:
+        equal selectors share enumerations inside a decision scope."""
+        return (type(self), self.exhaustive_limit, self.max_sets, self.regime)
+
+    def _enumerate(
+        self,
+        feasible: tuple[str, ...],
+        info: InformationPool,
+        max_machines: int,
+        coupling: float,
+    ) -> tuple[CandidateSets, str]:
+        """The ordered, truncated candidate sets, and the regime's name."""
+        exhaustive = self.regime == "exhaustive" or (
+            self.regime == "auto" and len(feasible) <= self.exhaustive_limit
+        )
+        if exhaustive:
+            regime = "exhaustive"
+            sets = self._exhaustive(feasible, max_machines)
+        else:
+            regime = "greedy"
+            sets = self._greedy(feasible, info, max_machines)
+
+        extras = [s for s in self._extra_sets(feasible, info, max_machines) if s]
+        if extras:
+            sets = _union(sets, CandidateSets.of(extras, feasible))
+
+        if coupling > 0.0 and len(sets) <= 1024:
+            # Coupled applications try tight sets first.  The 1024-set gate
+            # is part of the order's definition, not a cost cut-off: larger
+            # enumerations keep enumeration order, and their bounds' pruning
+            # statistics depend on it.
+            order = _tight_first(sets, info, coupling)
+            sets = CandidateSets(feasible, sets.rows[order], sets.sizes[order])
+        return sets[: self.max_sets], regime
 
     def _extra_sets(
         self, feasible: Sequence[str], info: InformationPool, max_machines: int
     ) -> list[tuple[str, ...]]:
         """Additional candidate sets appended (deduplicated) to the base
         enumeration.  Subclasses — the arena's portfolio generators — add
-        their learned or locality-expanded sets here; the base selector
-        adds none."""
+        their learned or locality-expanded sets here, as tuples of
+        ``feasible`` names; the base selector adds none."""
         return []
 
     def _coupling_bytes(self, info: InformationPool) -> float:
@@ -260,41 +414,33 @@ class ResourceSelector:
             return comm.pipeline_unit_bytes
         return 0.0
 
-    def _exhaustive(self, feasible: Sequence[str], max_machines: int) -> list[tuple[str, ...]]:
-        subsets = chain.from_iterable(
-            combinations(feasible, size) for size in range(1, max_machines + 1)
-        )
-        return list(islice(subsets, self.max_sets))
+    def _exhaustive(self, feasible: Sequence[str], max_machines: int) -> CandidateSets:
+        rows, sizes = _exhaustive_rows(len(feasible), max_machines, self.max_sets)
+        return CandidateSets(feasible, rows, sizes)
 
     def _greedy(
         self, feasible: Sequence[str], info: InformationPool, max_machines: int
-    ) -> list[tuple[str, ...]]:
+    ) -> CandidateSets:
         """Speed-ranked prefixes plus per-site prefixes.
 
         O(n log n) candidate generation for big pools: the ladder of the
         globally fastest k machines for each k, and the same ladder
-        restricted to each site (locality-tight sets).
+        restricted to each site (locality-tight sets), as index prefixes.
         """
+        speed = info.forecasts.predicted_speed
         by_speed = sorted(
-            feasible, key=info.forecasts.predicted_speed, reverse=True
+            range(len(feasible)), key=lambda i: speed(feasible[i]), reverse=True
         )
-        sets: list[tuple[str, ...]] = []
-        seen: set[tuple[str, ...]] = set()
-
-        def push(candidate: tuple[str, ...]) -> None:
-            if candidate and candidate not in seen:
-                seen.add(candidate)
-                sets.append(candidate)
-
+        sets: dict[tuple[int, ...], None] = {}  # insertion-ordered, unique
         for k in range(1, max_machines + 1):
-            push(tuple(by_speed[:k]))
-        sites: dict[str, list[str]] = {}
-        for name in by_speed:
-            sites.setdefault(info.machine_info(name).site, []).append(name)
+            sets.setdefault(tuple(by_speed[:k]))
+        sites: dict[str, list[int]] = {}
+        for i in by_speed:
+            sites.setdefault(info.machine_info(feasible[i]).site, []).append(i)
         for members in sites.values():
             for k in range(1, min(len(members), max_machines) + 1):
-                push(tuple(members[:k]))
-        return sets[: self.max_sets]
+                sets.setdefault(tuple(members[:k]))
+        return CandidateSets._from_index(feasible, list(sets)[: self.max_sets])
 
 
 class _AdaptiveSelector(ResourceSelector):
@@ -353,6 +499,11 @@ class _AdaptiveSelector(ResourceSelector):
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter("core.selector.observed_winners").inc()
+
+    def _enumeration_key(self) -> Hashable:
+        """The base key plus the breadth and the remembered winners, the
+        state :meth:`observe` changes."""
+        return (*super()._enumeration_key(), self.breadth, tuple(self._winners))
 
     def _conservative_ranked(
         self, feasible: Sequence[str], info: InformationPool

@@ -40,7 +40,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.selector import member_masks_over
+from repro.core.selector import CandidateSets
 
 __all__ = [
     "NoFeasibleCandidate",
@@ -367,8 +367,9 @@ def objective_bounds(agent: Any, planner: Any, csets: Sequence) -> np.ndarray | 
 
     The planner's optional vectorised time bounds (``lower_bounds``)
     mapped through the estimator's ``objective_lower_bounds``, given the
-    sets' membership over ``info.pool.machine_names()``; a planner
-    without the hook disables pruning for the decision.
+    sets' membership (:meth:`CandidateSets.masks_over`) over
+    ``info.pool.machine_names()``; a planner without the hook disables
+    pruning for the decision.
     """
     planner_bounds = getattr(planner, "lower_bounds", None)
     if planner_bounds is None:
@@ -379,5 +380,5 @@ def objective_bounds(agent: Any, planner: Any, csets: Sequence) -> np.ndarray | 
     names = agent.info.pool.machine_names()
     return agent.estimator.objective_lower_bounds(
         np.asarray(time_bounds, dtype=float),
-        member_masks_over(csets, names), names, agent.info,
+        CandidateSets.of(csets, names).masks_over(names), names, agent.info,
     )

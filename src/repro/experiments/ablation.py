@@ -58,10 +58,8 @@ class OraclePool(ResourcePool):
         host = self.topology.host(name)
         return host.speed_mflops * host.availability(self.t_oracle)
 
-    def predicted_bandwidth(self, a: str, b: str, flows: int = 1) -> float:
-        if a == b:
-            return float("inf")
-        return self.topology.path_bandwidth(a, b, self.t_oracle, flows)
+    def predicted_link_bandwidth(self, link, flows: int = 1) -> float:
+        return link.deliverable_bandwidth(self.t_oracle, flows)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from repro.core.planner import (
 )
 from repro.core.resources import ResourcePool
 from repro.core.schedule import Allocation, Schedule
-from repro.core.selector import ResourceSelector, member_masks_over
+from repro.core.selector import CandidateSets, ResourceSelector
 from repro.core.userspec import UserSpecification
 from repro.jacobi.cost import StripCostModel, batched_neighbor_comm_costs
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
@@ -301,7 +301,9 @@ class JacobiPlanner:
         from ``StripBatchEvaluation.bounds`` instead of calling this.
         """
         inputs = self.batch_inputs(info)
-        masks = member_masks_over(candidate_sets, inputs.rank_names)
+        masks = CandidateSets.of(candidate_sets, inputs.rank_names).masks_over(
+            inputs.rank_names
+        )
         member = masks & (inputs.rates > 0.0)
         order, cnt = batched_locality_orders(member)
         return _strip_bounds(
@@ -1136,7 +1138,8 @@ class ApplesBlockedPlanner(BlockedPlanner):
             ]
         )
         usable = rates > 0.0
-        mask = member_masks_over(candidate_sets, names) & usable[None, :]
+        members = CandidateSets.of(candidate_sets, names).masks_over(names)
+        mask = members & usable[None, :]
         safe_rates = np.where(usable, rates, 1.0)
         sync = np.full(len(names), self.problem.sync_overhead_s)
         makespans = balance_divisible_work_batched(

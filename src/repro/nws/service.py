@@ -195,17 +195,20 @@ class NetworkWeatherService:
         if not links:
             result = float("inf")
         else:
-            bws = []
-            for link in links:
-                sensor = self.link_sensors[link.name]
-                if sensor.ready:
-                    bws.append(sensor.forecast_bandwidth(flows))
-                else:
-                    # Nominal fallback: full availability.
-                    bws.append(sensor.nominal_bandwidth(flows))
-            result = min(bws)
+            result = min(
+                [self.link_bandwidth_forecast(link.name, flows) for link in links]
+            )
         self._path_bw_cache[(a, b, flows)] = result
         return result
+
+    def link_bandwidth_forecast(self, link: str, flows: int = 1) -> float:
+        """Predicted bytes/s of one link for one of ``flows`` flows: its
+        sensor's forecast, or the nominal bandwidth (full availability)
+        before the sensor's first sample."""
+        sensor = self.link_sensors[link]
+        if sensor.ready:
+            return sensor.forecast_bandwidth(flows)
+        return sensor.nominal_bandwidth(flows)
 
     def path_latency(self, a: str, b: str) -> float:
         """Route latency (static; the 1996 NWS forecast latency too, but the

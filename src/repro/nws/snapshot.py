@@ -22,13 +22,13 @@ snapshot inside a decision scope, the pool outside one — without
 knowing which of the two they hold.  Array consumers — the Resource
 Selector's candidate order, the strip planner's batch inputs — read
 whole pair tables (:meth:`ForecastSnapshot.transfer_matrix`): one
-latency and one bandwidth table over the captured machines (widened on
-demand for any other pool machine), taken once, then one read-only
-transfer-time table per name order and message size.  Other values that
-are pure functions of the pool state, such as the strip planner's
-locality order, are memoised by key (:meth:`ForecastSnapshot.derived`),
-and so are the machines' static descriptors
-(:meth:`ForecastSnapshot.machine_info`).
+vector of per-link bandwidth forecasts, taken once, min-reduced through
+the topology's cached route table, then one read-only transfer-time
+table per name order and message size, for any pool machines.  Other
+values that are pure functions of the pool state, such as the strip
+planner's locality order and the Resource Selector's candidate sets,
+are memoised by key (:meth:`ForecastSnapshot.derived`), and so are the
+machines' static descriptors (:meth:`ForecastSnapshot.machine_info`).
 
 Every value is obtained by calling the pool's own prediction interface,
 or by repeating its arithmetic elementwise, so a snapshot is
@@ -80,8 +80,7 @@ class ForecastSnapshot:
         "_conservative",
         "_bandwidth",
         "_transfer",
-        "_index",
-        "_links",
+        "_link_bandwidths",
         "_matrices",
         "_derived",
     )
@@ -103,11 +102,9 @@ class ForecastSnapshot:
         self._conservative: dict[tuple[str, float], float] = {}
         self._bandwidth: dict[tuple[str, str, int], float] = {}
         self._transfer: dict[tuple[str, str, float, int], float] = {}
-        # Pair tables (see transfer_matrix): latency and bandwidth over
-        # ``machines`` (and any name asked for later), then one read-only
-        # table per (name order, nbytes).
-        self._index = {n: i for i, n in enumerate(self.machines)}
-        self._links: tuple[np.ndarray, np.ndarray] | None = None
+        # Pair tables (see transfer_matrix): one per-link bandwidth vector,
+        # then one read-only table per (name order, nbytes).
+        self._link_bandwidths: np.ndarray | None = None
         self._matrices: dict[tuple[tuple[str, ...], float], np.ndarray] = {}
         self._derived: dict[Hashable, Any] = {}
 
@@ -132,8 +129,7 @@ class ForecastSnapshot:
 
     def snapshot(self, machines: Sequence[str] | None = None) -> "ForecastSnapshot":
         """This snapshot: a frozen view is its own snapshot, whatever
-        ``machines`` asks for (its link tables widen for any pool machine
-        it did not capture)."""
+        ``machines`` asks for (its pair tables serve any pool machine)."""
         return self
 
     # -- machine quantities: the eager captures ---------------------------------
@@ -192,13 +188,16 @@ class ForecastSnapshot:
         names[j], nbytes)`` bit for bit: ``0.0`` on the diagonal and for
         ``nbytes <= 0``, ``inf`` across a dead link (bandwidth ``<= 0``),
         otherwise path latency plus ``nbytes`` over the bandwidth — the
-        same two IEEE operations, elementwise.  One latency and one
-        bandwidth table over :attr:`machines` are taken on first use and
-        every ``(names, nbytes)`` table is gathered from them and
-        memoised, so a repeated call returns the same array and every
-        pair is queried once per snapshot, whatever the name order.  Like
-        the pairwise queries, it serves any pool machine: a name the
-        snapshot did not capture widens the link tables.
+        same two IEEE operations, elementwise.  Each path bandwidth is the
+        minimum, which is exact, of the per-link forecasts
+        (:meth:`~repro.core.resources.ResourcePool.predicted_link_bandwidth`
+        of every link, taken once per snapshot) along the route, gathered
+        through the topology's route table
+        (:meth:`~repro.sim.topology.Topology.route_table`, static and
+        cached per name order), which also holds the latencies.  Every
+        ``(names, nbytes)`` table is memoised, so a repeated call returns
+        the same array.  Like the pairwise queries, it serves any pool
+        machine.
         """
         key = (tuple(names), nbytes)
         table = self._matrices.get(key)
@@ -207,15 +206,23 @@ class ForecastSnapshot:
             if nbytes <= 0:
                 table = np.zeros((n, n))
             else:
-                latency, bandwidth = self._link_tables(key[0])
-                idx = [self._index[name] for name in key[0]]
-                sub = np.ix_(idx, idx)
-                bw = bandwidth[sub]
+                per_link = self._link_bandwidths
+                if per_link is None:
+                    # Every link in topology order, then inf for the route
+                    # table's padding: no link, no bottleneck.
+                    bandwidth = self.pool.predicted_link_bandwidth
+                    links = self.pool.topology.links.values()
+                    per_link = self._link_bandwidths = np.array(
+                        [*map(bandwidth, links), np.inf]
+                    )
+                routes, latency = self.pool.topology.route_table(key[0])
+                bw = per_link[routes].min(axis=2, initial=np.inf)
                 dead = bw <= 0.0
-                same = np.equal.outer(idx, idx)
-                table = latency[sub] + nbytes / np.where(dead | same, 1.0, bw)
+                # An empty route, all padding: a machine and itself.
+                local = (routes == len(per_link) - 1).all(axis=2)
+                table = latency + nbytes / np.where(dead | local, 1.0, bw)
                 table[dead] = np.inf
-                table[same] = 0.0
+                table[local] = 0.0
             table.flags.writeable = False
             self._matrices[key] = table
         return table
@@ -244,30 +251,6 @@ class ForecastSnapshot:
         if info is None:
             info = table[name] = self.pool.machine_info(name)
         return info
-
-    def _link_tables(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Path latency and :meth:`predicted_bandwidth` between every
-        indexed pair.
-
-        The index starts as :attr:`machines`; ``names`` outside it are
-        appended and the tables rebuilt over the wider index.
-        """
-        missing = [name for name in dict.fromkeys(names) if name not in self._index]
-        if self._links is None or missing:
-            everyone = [*self._index, *missing]
-            n = len(everyone)
-            latency = np.zeros((n, n))
-            bandwidth = np.full((n, n), np.inf)
-            path_latency = self.pool.topology.path_latency
-            for i, a in enumerate(everyone):
-                for j, b in enumerate(everyone):
-                    if i != j:
-                        bw = bandwidth[i, j] = self.predicted_bandwidth(a, b)
-                        if bw > 0.0:
-                            latency[i, j] = path_latency(a, b)
-            self._index = {name: i for i, name in enumerate(everyone)}
-            self._links = (latency, bandwidth)
-        return self._links
 
     def export_forecasts(self) -> dict[str, dict[str, float]]:
         """The eagerly-captured machine forecasts as plain serialisable data.

@@ -13,7 +13,7 @@ the bottleneck (minimum deliverable bandwidth along the path).
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class Topology:
         self.links: dict[str, Link] = {}
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
         self._latency_cache: dict[tuple[str, str], float] = {}
+        self._route_tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- construction --------------------------------------------------------
     def add_host(self, host: Host) -> Host:
@@ -76,6 +77,7 @@ class Topology:
         self._adj[b].append((a, link))
         self._route_cache.clear()
         self._latency_cache.clear()
+        self._route_tables.clear()
 
     def attach_segment(self, link: Link, members: Iterable[str]) -> None:
         """Model a broadcast segment as a hub node all members connect to.
@@ -167,6 +169,38 @@ class Topology:
         self._latency_cache[(a, b)] = latency
         self._latency_cache[(b, a)] = latency
         return latency
+
+    def route_table(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Every route between ``names`` as link positions, and its latency.
+
+        Returns read-only ``(links, latency)``.  ``links[i, j]`` lists the
+        positions, in :attr:`links` order, of the links on the route from
+        ``names[i]`` to ``names[j]``, padded with ``len(self.links)`` to
+        the longest route; a host's route to itself is all padding.
+        ``latency[i, j]`` is :meth:`path_latency`.  Gathering a per-link
+        vector through ``links`` (with one extra entry for the padding) and
+        taking the minimum along the last axis gives every bottleneck at
+        once, exactly.  Cached per name order; :meth:`connect` clears it.
+        """
+        key = tuple(names)
+        cached = self._route_tables.get(key)
+        if cached is None:
+            n = len(key)
+            position = {name: k for k, name in enumerate(self.links)}
+            pairs = [(a, b) for a in key for b in key]
+            routes = [[position[link.name] for link in self.route(a, b)]
+                      for a, b in pairs]
+            width = max(map(len, routes), default=0)
+            links = np.full((n * n, width), len(self.links), dtype=np.intp)
+            for k, route in enumerate(routes):
+                links[k, : len(route)] = route
+            links = links.reshape(n, n, width)
+            latency = np.array([self.path_latency(a, b) for a, b in pairs],
+                               dtype=float).reshape(n, n)
+            links.flags.writeable = False
+            latency.flags.writeable = False
+            cached = self._route_tables[key] = (links, latency)
+        return cached
 
     def pair_bandwidth_table(
         self, a: str, b: str, n: int, flows: dict[str, int] | None = None

@@ -12,18 +12,47 @@ over per-set cost rows (the two-dimensional form
 :func:`~repro.core.planner.balance_divisible_work_batched` had), whose
 stable sort adds members of equal floor cost in pool order.  The kernel
 must reproduce it bit for bit (``tests/test_service_properties.py``,
-``tests/test_preference_planner.py``).
+``tests/test_preference_planner.py``).  Its membership matrix comes from
+:func:`member_masks_over`, the name-lookup scatter that
+``CandidateSets.masks_over`` replaced in ``src`` and is held to
+(``tests/test_candidate_order.py``).
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.infopool import InformationPool
-from repro.core.selector import member_masks_over
 from repro.jacobi.apples import JacobiPlanner, StripBatchInputs, _member_risks
+
+
+def member_masks_over(
+    candidate_sets: Sequence[Sequence[str]], names: Sequence[str]
+) -> np.ndarray:
+    """``(m, n)`` membership matrix of ``candidate_sets`` over ``names``,
+    by name lookup: the oracle for ``CandidateSets.masks_over``.
+
+    Unknown machine names are simply absent from the mask.
+    """
+    index = {m: j for j, m in enumerate(names)}
+    m_sets = len(candidate_sets)
+    masks = np.zeros((m_sets, len(names)), dtype=bool)
+    lens = np.fromiter(map(len, candidate_sets), dtype=np.int64, count=m_sets)
+    total = int(lens.sum())
+    if total == 0:
+        return masks
+    rows = np.repeat(np.arange(m_sets), lens)
+    cols = np.fromiter(
+        map(index.get, chain.from_iterable(candidate_sets), repeat(-1)),
+        dtype=np.int64,
+        count=total,
+    )
+    known = cols >= 0
+    masks[rows[known], cols[known]] = True
+    return masks
 
 
 def name_space_bounds(

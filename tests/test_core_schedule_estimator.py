@@ -23,9 +23,9 @@ from repro.core.hat import (
 from repro.core.infopool import InformationPool
 from repro.core.resources import ResourcePool
 from repro.core.schedule import Allocation, Schedule
-from repro.core.selector import member_masks_over
 from repro.core.sweep import BatchedObjective
 from repro.core.userspec import UserSpecification
+from strip_bounds_reference import member_masks_over
 
 
 def _schedule(predicted=10.0, machines=("a", "b")):

@@ -18,6 +18,7 @@ import pytest
 
 import repro.core.resources as resources
 import repro.jacobi.apples as apples
+from repro.core.coordinator import PruningStats
 from repro.core.hat import (
     CommunicationCharacteristics,
     HeterogeneousApplicationTemplate,
@@ -27,6 +28,7 @@ from repro.core.hat import (
 from repro.core.infopool import InformationPool
 from repro.core.planner import TimeBalancedPlanner
 from repro.core.selector import LocalitySelector, ResourceSelector, SeededSelector
+from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nile.analysis import HistogramAnalysis
@@ -299,3 +301,86 @@ def test_readers_take_forecasts_from_the_decision_scope():
     )
     hosts = tuple(nile.info.pool.machine_names())
     _read_from_the_scope(nile.info, lambda: nile.planner.plan(hosts, nile.info))
+
+
+# -- one enumeration per pool state and key ----------------------------------
+def _variant(info, **userspec):
+    """``info``'s pool and HAT under another User Specification."""
+    return InformationPool(
+        pool=info.pool, hat=info.hat, userspec=UserSpecification(**userspec)
+    )
+
+
+def test_equal_selectors_share_one_enumeration_at_one_snapshot():
+    """Agents build their own selectors, so sharing is keyed on the
+    selector's value: two fresh, equal selectors — in two configurations'
+    scopes over one snapshot — get the same object; outside a scope every
+    call enumerates afresh."""
+    testbed, nws = _world()
+    nws.advance_to(300.0)
+    info = _info(testbed, nws)
+    other = make_jacobi_agent(testbed, JacobiProblem(n=900, iterations=30), nws).info
+    snapshot = info.pool.snapshot()
+    with info.decision_scope(snapshot):
+        shared = ResourceSelector().candidate_sets(info)
+        assert ResourceSelector().candidate_sets(info) is shared
+        masks = shared.masks_over(apples._pool_locality(info)[0])
+    with other.decision_scope(snapshot):
+        assert ResourceSelector().candidate_sets(other) is shared
+        assert shared.masks_over(apples._pool_locality(other)[0]) is masks
+    unshared = ResourceSelector().candidate_sets(info)
+    assert unshared == shared and unshared is not shared
+    assert ResourceSelector().candidate_sets(info) is not unshared
+
+
+def test_a_different_key_gets_its_own_enumeration():
+    """Cap, regime, ``max_sets``, coupling and the feasible machines are
+    all part of the key; each variant equals its unshared enumeration."""
+    testbed, nws = _world()
+    nws.advance_to(300.0)
+    info = _info(testbed, nws)
+    names = info.pool.machine_names()
+    hat = info.hat
+    coupled = InformationPool(
+        pool=info.pool,
+        hat=replace(hat, communication=replace(
+            hat.communication,
+            bytes_per_border_unit=2 * hat.communication.bytes_per_border_unit,
+        )),
+    )
+    variants = [
+        (ResourceSelector(), _variant(info, max_machines=3)),
+        (ResourceSelector(regime="greedy"), info),
+        (ResourceSelector(max_sets=100), info),
+        (ResourceSelector(), coupled),
+        (ResourceSelector(), _variant(info, accessible_machines=frozenset(names[:5]))),
+    ]
+    snapshot = info.pool.snapshot()
+    with info.decision_scope(snapshot):
+        base = ResourceSelector().candidate_sets(info)
+    seen = [base]
+    for selector, variant in variants:
+        with variant.decision_scope(snapshot):
+            sets = selector.candidate_sets(variant)
+            assert selector.candidate_sets(variant) is sets
+        assert all(sets is not earlier for earlier in seen)
+        assert sets == selector.candidate_sets(variant)
+        seen.append(sets)
+
+
+def test_an_observed_winner_changes_the_key():
+    """A ``SeededSelector`` remembers winners; after ``observe()`` its next
+    enumeration inside the same scope is a new one, equal to the unshared
+    enumeration of the same state."""
+    testbed, nws = _world()
+    nws.advance_to(300.0)
+    info = _info(testbed, nws)
+    selector = SeededSelector()
+    with info.decision_scope():
+        before = selector.candidate_sets(info)
+        selector.observe(before[-1], PruningStats(10, 2, 8, bounded=True))
+        after = selector.candidate_sets(info)
+        assert after is not before
+        assert selector.candidate_sets(info) is after
+    assert after == selector.candidate_sets(info)
+    assert after != before

@@ -17,6 +17,7 @@ from repro.core.infopool import DecisionCache, InformationPool
 from repro.core.resources import ResourcePool
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
+from repro.nws.service import NetworkWeatherService
 from repro.sim.host import Host
 from repro.sim.link import Link
 from repro.sim.load import ConstantLoad
@@ -170,6 +171,76 @@ class TestTransferMatrix:
                 for j, b in enumerate(order):
                     assert table[i, j] == pool.predicted_transfer_time(a, b, 1e9)
         assert snap.transfer_matrix(names[:2], 1e9) is captured
+
+    @staticmethod
+    def _hub_pool(nws: str) -> ResourcePool:
+        """Hosts a, b, c around a hub: a and b are also joined directly
+        over a dead link (one hop beats two), every other pair crosses two
+        links.  ``nws`` is ``"none"``, ``"not-ready"`` (attached, no
+        sample yet) or ``"advanced"``."""
+        topo = Topology()
+        topo.add_node("hub")
+        for name, speed in (("a", 20.0), ("b", 40.0), ("c", 30.0)):
+            topo.add_host(Host(name, speed_mflops=speed))
+            topo.connect(name, "hub", Link(f"up:{name}", bandwidth_mbit=speed,
+                                           latency_s=0.001 * speed))
+        topo.connect("a", "b", Link("dead", bandwidth_mbit=10.0,
+                                    load=ConstantLoad(0.0)))
+        service = None
+        if nws != "none":
+            service = NetworkWeatherService(topo, noise_std=0.0)
+            if nws == "advanced":
+                service.advance_to(90.0)
+        return ResourcePool(topo, service)
+
+    @staticmethod
+    def _assert_pool_pairs(table, pool, names, nbytes):
+        assert table.shape == (len(names), len(names))
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                assert table[i, j] == pool.predicted_transfer_time(a, b, nbytes)
+
+    @pytest.mark.parametrize("nws", ["none", "not-ready", "advanced"])
+    @pytest.mark.parametrize("nbytes", NBYTES)
+    def test_dead_and_multi_link_routes_match_pool(self, nws, nbytes):
+        """Before any link sensor is ready, after an advance and with no
+        NWS: a measured dead link gives ``inf``, two-link routes their
+        bottleneck."""
+        pool = self._hub_pool(nws)
+        if nws != "none":
+            assert all(s.ready == (nws == "advanced")
+                       for s in pool.nws.link_sensors.values())
+        names = ["c", "a", "b"]
+        links, _ = pool.topology.route_table(names)
+        assert links.shape[2] == 2
+        table = pool.snapshot().transfer_matrix(names, nbytes)
+        self._assert_pool_pairs(table, pool, names, nbytes)
+        if nbytes > 0 and nws != "not-ready":
+            # Before its first sample a link reads its nominal bandwidth.
+            assert table[1, 2] == table[2, 1] == np.inf
+
+    @pytest.mark.parametrize("nws", ["none", "advanced"])
+    def test_widened_snapshot_matches_pool(self, testbed, warmed_nws, nws):
+        """A snapshot that captured one machine serves every pool pair."""
+        pool = ResourcePool(testbed.topology, warmed_nws if nws != "none" else None)
+        names = pool.machine_names()[::-1]
+        snap = pool.snapshot(names[:1])
+        self._assert_pool_pairs(snap.transfer_matrix(names, 1e9), pool, names, 1e9)
+
+    def test_connect_clears_the_route_table(self):
+        """A table built before ``Topology.connect()`` is not served after
+        it: the new shortcut is read."""
+        pool = self._hub_pool("none")
+        topo = pool.topology
+        names = ["a", "b", "c"]
+        before = pool.snapshot().transfer_matrix(names, 1e9)
+        routes = topo.route_table(names)
+        assert topo.route_table(names) is routes
+        topo.connect("b", "c", Link("b-c", bandwidth_mbit=100.0, latency_s=0.0))
+        assert topo.route_table(names) is not routes
+        after = pool.snapshot().transfer_matrix(names, 1e9)
+        self._assert_pool_pairs(after, pool, names, 1e9)
+        assert after[1, 2] < before[1, 2]
 
     def test_schedule_with_a_subset_snapshot(self, testbed, warmed_nws):
         agent = make_jacobi_agent(testbed, JacobiProblem(n=1000), warmed_nws)

@@ -31,9 +31,11 @@ from repro.core.resources import ResourcePool
 from repro.core.selector import ResourceSelector
 from repro.core.userspec import UserSpecification
 from repro.experiments import run_fig5
+from repro.jacobi.grid import JacobiProblem
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import read_trace
 from repro.obs.trace import Tracer, load_records, tracing
+from repro.service import DecisionRequest, SchedulingService
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -350,6 +352,33 @@ class TestPruningMetrics:
         assert metrics["core.pruned"]["value"] == stats.pruned
         assert metrics["core.selector.regime.exhaustive"]["value"] == 1
         assert metrics["core.selector.candidate_sets"]["value"] == total
+
+    def test_configurations_share_enumerations_at_one_instant(
+        self, testbed, warmed_nws
+    ):
+        """One traced instant of 3 caps x 2 grid sizes x 2 memory
+        policies: every configuration asks the selector (12 calls, each
+        with its event), and the coupling is the same for both sizes, so
+        each cap enumerates once and 9 calls share an enumeration."""
+        requests = [
+            DecisionRequest(
+                problem=JacobiProblem(n=n, iterations=20),
+                userspec=UserSpecification(max_machines=cap),
+                account_memory=memory,
+                at=warmed_nws.now,
+            )
+            for cap in (2, 4, None)
+            for n in (600, 900)
+            for memory in (True, False)
+        ]
+        with tracing() as tr:
+            SchedulingService(testbed, warmed_nws).decide(requests)
+        metrics = tr.metrics.as_dict()
+        assert metrics["core.selector.calls"]["value"] == 12
+        assert metrics["core.selector.shared_hits"]["value"] == 9
+        events = [r for r in tr.records()
+                  if r["kind"] == "event" and r["name"] == "core.selector.candidates"]
+        assert len(events) == 12
 
     def test_record_pruning_stats_direct(self):
         reg = MetricsRegistry()
