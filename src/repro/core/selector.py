@@ -27,10 +27,11 @@ by the index rows, a maximum per set, and the order is one
 ``np.lexsort``.  Larger lists, and uncoupled applications, keep
 enumeration order.
 
-Inside a decision scope the enumeration is memoised on the forecast
-snapshot, keyed by the selector's value, the feasible machines, the cap
-and the coupling: every configuration with that key at one pool state
-shares one :class:`CandidateSets`, and with it the membership masks
+Inside a decision scope the feasible machines (per filter and HAT) and
+the enumeration are memoised on the forecast snapshot, the latter keyed
+by the selector's value, the feasible machines, the cap and the
+coupling: every configuration with that key at one pool state shares one
+:class:`CandidateSets`, and with it the membership masks
 :meth:`CandidateSets.masks_over` builds.
 """
 
@@ -294,16 +295,25 @@ class ResourceSelector:
     # -- filtering -------------------------------------------------------------
     def feasible_machines(self, info: InformationPool) -> list[str]:
         """Machines that pass the User Specification filter and can run at
-        least one HAT task on their architecture."""
-        names = []
-        for name in info.forecasts.machine_names():
-            m = info.machine_info(name)
-            if not info.userspec.permits(m):
-                continue
-            if not any(t.can_run_on(m.arch) for t in info.hat.tasks):
-                continue
-            names.append(m.name)
-        return names
+        least one HAT task on their architecture.  Inside a decision scope
+        the tuple is memoised on the snapshot, keyed by the fields
+        :meth:`UserSpecification.permits` reads and the tasks'
+        implementation maps."""
+        us, tasks = info.userspec, info.hat.tasks
+
+        def build() -> tuple[str, ...]:
+            return tuple(
+                m.name
+                for m in map(info.machine_info, info.forecasts.machine_names())
+                if us.permits(m) and any(t.can_run_on(m.arch) for t in tasks)
+            )
+
+        if info.decision_cache is None:
+            return list(build())
+        key = ("feasible-machines", us.excluded_machines, us.accessible_machines,
+               us.required_capabilities,
+               tuple(tuple(sorted(t.implementations.items())) for t in tasks))
+        return list(info.forecasts.derived(key, build))
 
     # -- enumeration ----------------------------------------------------------
     def candidate_sets(self, info: InformationPool) -> CandidateSets:

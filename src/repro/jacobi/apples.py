@@ -50,6 +50,7 @@ from repro.jacobi.partition import (
     uniform_strip,
 )
 from repro.nws.service import NetworkWeatherService
+from repro.obs.trace import get_tracer
 from repro.sim.testbeds import Testbed
 
 __all__ = [
@@ -308,7 +309,7 @@ class JacobiPlanner:
         order, cnt = batched_locality_orders(member)
         return _strip_bounds(
             member, order, cnt, np.zeros(len(member), dtype=np.int64),
-            _JobTables.stack([inputs]),
+            _ClassTables.stack([inputs]),
         )
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:
@@ -492,11 +493,12 @@ class StripBatchEvaluation:
     kept: np.ndarray  # (m, n) final member mask, rank space
     bounds: np.ndarray  # (m,) predicted-time lower bound of the row's set
 
-    def rows(self, span: slice) -> "StripBatchEvaluation":
-        """The outcomes of the rows in ``span``, as views."""
+    def rows(self, index: slice | np.ndarray) -> "StripBatchEvaluation":
+        """The outcomes of the rows ``index`` selects: views for a slice,
+        copies for an index array."""
         return StripBatchEvaluation(
-            self.feasible[span], self.fallback[span],
-            self.predicted[span], self.kept[span], self.bounds[span],
+            self.feasible[index], self.fallback[index],
+            self.predicted[index], self.kept[index], self.bounds[index],
         )
 
 
@@ -512,17 +514,30 @@ def evaluate_strip_batch(
     """Evaluate the candidate sets of many scheduling requests at once.
 
     ``jobs`` pairs each request's :class:`StripBatchInputs` with its
-    ``(m_j, n)`` rank-space candidate masks.  All rows of all jobs are
-    stacked into one index space and driven through NumPy replicas of the
-    scalar plan pipeline — locality orders, neighbour comm costs, the
-    drop/re-balance fixpoint, largest-remainder integerisation, and the
-    risk-adjusted step-time prediction — in chunks of ``chunk_rows``
-    (at least 1) to bound peak memory.  Each fixpoint pass works in
-    strip-order arrays only as wide as the widest member set among its
-    rows, gathers every row's neighbour transfers once, and finalises the
-    rows that converge in it straight from those arrays.  The first pass,
-    before any member is dropped, also bounds every row from its arrays
-    (:func:`_strip_bounds`).
+    ``(m_j, n)`` rank-space candidate masks.  Jobs whose inputs agree bit
+    for bit on every field the memory-blind plan reads form one
+    *arithmetic class* (:meth:`_ClassTables.of`), so each distinct (class,
+    usable-member set) row is planned once: a repeated row takes the first
+    one's outcome and bound from pass 0, and a row that shrinks continues
+    into any row of its class (:func:`_fixpoint`).  The distinct rows are
+    driven through NumPy replicas of the scalar plan pipeline — locality
+    orders, neighbour comm costs, the drop/re-balance fixpoint,
+    largest-remainder integerisation, and the risk-adjusted step-time
+    prediction — in chunks of ``chunk_rows`` (at least 1) to bound peak
+    memory.  Each fixpoint pass works in strip-order arrays only as wide as
+    the widest member set among its rows, gathers every row's neighbour
+    transfers once, and finalises the rows that converge in it straight
+    from those arrays.  The first pass, before any member is dropped, also
+    bounds every row from its arrays (:func:`_strip_bounds`).
+
+    Memory capacity only vetoes: it changes no float of a plan it does not
+    stop, so each class runs memory-blind, and its memory-accounting
+    variant's checks — allocations over a cap in any pass, integer rows
+    over a row cap or outside real memory at the end — flag rows, OR-ed
+    along continuation chains.  A memory-accounting job's flagged row is
+    surrendered (``fallback``, no schedule, its own bound kept).  Traced,
+    ``apples.rows_computed`` counts the distinct rows and
+    ``apples.rows_shared`` the others.
 
     Bit-identity contract: every number produced for a row either equals
     the scalar ``JacobiPlanner.plan`` result for that candidate set
@@ -544,45 +559,62 @@ def evaluate_strip_batch(
         if len(inputs.rank_names) != n or masks.shape[1] != n:
             raise ValueError("all jobs must share one machine universe size")
 
-    tables = _JobTables.stack([inputs for inputs, _ in jobs])
-    all_masks = np.concatenate(
-        [np.asarray(masks, dtype=bool) for _, masks in jobs]
+    class_of, tables = _ClassTables.of([inputs for inputs, _ in jobs])
+    sizes = [len(masks) for _, masks in jobs]
+    job_of = np.repeat(np.arange(len(jobs)), sizes)
+    row_class = class_of[job_of]
+    # The scalar plan first filters members predicted to deliver nothing.
+    member = np.concatenate([np.asarray(masks, dtype=bool) for _, masks in jobs])
+    member &= (tables.rates > 0.0)[row_class]
+    starts, first, share = np.unique(
+        _member_keys(member, row_class),
+        return_index=True, return_inverse=True,
     )
-    job_of = np.concatenate(
-        [
-            np.full(len(masks), j, dtype=np.int64)
-            for j, (_, masks) in enumerate(jobs)
-        ]
+    distinct = len(first)
+    plans = StripBatchEvaluation(
+        feasible=np.zeros(distinct, dtype=bool),
+        fallback=np.zeros(distinct, dtype=bool),
+        predicted=np.full(distinct, np.inf),
+        kept=np.zeros((distinct, n), dtype=bool),
+        bounds=np.full(distinct, np.inf),
     )
-
-    total_rows = all_masks.shape[0]
-    out = StripBatchEvaluation(
-        feasible=np.zeros(total_rows, dtype=bool),
-        fallback=np.zeros(total_rows, dtype=bool),
-        predicted=np.full(total_rows, np.inf),
-        kept=np.zeros((total_rows, n), dtype=bool),
-        bounds=np.full(total_rows, np.inf),
-    )
-    for lo in range(0, total_rows, chunk_rows):
+    veto = np.zeros(distinct, dtype=bool)
+    for lo in range(0, distinct, chunk_rows):
         chunk = slice(lo, lo + chunk_rows)
-        _evaluate_chunk(all_masks[chunk], job_of[chunk], tables, out.rows(chunk))
+        _evaluate_chunk(
+            member[first[chunk]], row_class[first[chunk]], starts[chunk],
+            tables, plans.rows(chunk), veto[chunk],
+        )
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.metrics.counter("apples.rows_computed").inc(distinct)
+        tracer.metrics.counter("apples.rows_shared").inc(len(share) - distinct)
 
-    stops = np.cumsum([len(masks) for _, masks in jobs])
-    return [out.rows(slice(stop - len(masks), stop))
-            for stop, (_, masks) in zip(stops, jobs)]
+    out = plans.rows(share)
+    memory = np.array([inputs.account_memory for inputs, _ in jobs])
+    vetoed = np.nonzero(memory[job_of] & veto[share])[0]
+    out.feasible[vetoed] = out.kept[vetoed] = False
+    out.fallback[vetoed] = True
+    out.predicted[vetoed] = np.inf
+    stops = np.cumsum(sizes)
+    return [out.rows(slice(stop - size, stop)) for stop, size in zip(stops, sizes)]
 
 
-class _JobTables(NamedTuple):
-    """The jobs of one :func:`evaluate_strip_batch` call, stacked per field.
+class _ClassTables(NamedTuple):
+    """The arithmetic classes of one :func:`evaluate_strip_batch` call,
+    stacked per field.
 
-    Per-machine tables are ``(J, n)`` in rank space, read by the flat index
-    ``job * n + machine``; ``pair`` is ``(J, n, n)``; ``floors`` (row
-    ``job * n + machine``) and ``extremes`` (rows ``2 * job`` and ``2 * job
-    + 1``) are :meth:`subset_minima` tables; the rest are ``(J,)``.
+    Per-machine tables are ``(C, n)`` in rank space, read by the flat index
+    ``cls * n + machine``; ``pair`` is ``(C, n, n)``; ``floors`` (row
+    ``cls * n + machine``) and ``extremes`` (rows ``2 * cls`` and ``2 * cls
+    + 1``) are :meth:`subset_minima` tables; the rest are ``(C,)``.
+    ``caps``, ``max_rows``, ``avail`` and ``bytes_per_point`` are the
+    class's memory-accounting variant, read only by the veto: ``inf``
+    capacity and memory (NaN row caps) where the class has none.
     """
 
     rates: np.ndarray
-    caps: np.ndarray  # inf for memory-blind jobs
+    caps: np.ndarray
     max_rows: np.ndarray  # caps // grid, NaN where caps is inf
     avail: np.ndarray
     risks: np.ndarray
@@ -593,19 +625,60 @@ class _JobTables(NamedTuple):
     bytes_per_point: np.ndarray
     iters: np.ndarray
     risk_aversion: np.ndarray
-    memory: np.ndarray
     pool_pos: np.ndarray
     floors: np.ndarray  # border exchange with another member
     extremes: np.ndarray  # singleton relaxation; member risk
 
     @classmethod
-    def stack(cls, inputs: Sequence[StripBatchInputs]) -> "_JobTables":
+    def of(cls, inputs: Sequence[StripBatchInputs]) -> tuple[np.ndarray, "_ClassTables"]:
+        """Each job's class, and the classes' tables.
+
+        Jobs share their arithmetic when rates, pair, risks, pool
+        positions, sync, total, risk aversion, grid and iterations agree
+        bit for bit.  A memory-blind job joins the class of the first
+        memory-accounting job with its arithmetic; a memory-accounting job
+        whose capacity inputs differ from that job's opens a class of its
+        own, so each class has at most one memory-accounting variant.
+        """
+
+        def arithmetic(i: StripBatchInputs) -> tuple:
+            scalars = np.array([i.sync_overhead_s, i.total_points, i.risk_aversion])
+            arrays = (i.rates, i.pair, i.risks, i.pool_positions, scalars)
+            return (*(a.tobytes() for a in arrays), i.grid_n, i.iterations)
+
+        def capacity(i: StripBatchInputs) -> tuple | None:
+            if not i.account_memory:
+                return None
+            caps = b"" if i.caps is None else i.caps.tobytes()
+            return caps, i.avail_mb.tobytes(), i.bytes_per_point
+
+        arith = [arithmetic(i) for i in inputs]
+        variant: dict = {}
+        for a, i in zip(arith, inputs):
+            if i.account_memory:
+                variant.setdefault(a, capacity(i))
+        keys = [(a, capacity(i) or variant.get(a)) for a, i in zip(arith, inputs)]
+        # Any member serves the arithmetic; a memory-accounting one also
+        # carries the class's variant.
+        reps: dict = {}
+        for k, i in zip(keys, inputs):
+            if i.account_memory or k not in reps:
+                reps[k] = i
+        index = {k: c for c, k in enumerate(reps)}
+        return np.array([index[k] for k in keys]), cls.stack(list(reps.values()))
+
+    @classmethod
+    def stack(cls, inputs: Sequence[StripBatchInputs]) -> "_ClassTables":
+        """One class per input, memory-accounting inputs carrying their
+        variant."""
         n = len(inputs[0].rank_names)
-        caps = np.stack(
-            [i.caps if i.caps is not None else np.full(n, np.inf) for i in inputs]
-        )
+        roomy = np.full(n, np.inf)
+        caps = np.stack([
+            i.caps if i.account_memory and i.caps is not None else roomy
+            for i in inputs
+        ])
         grid = np.array([i.grid_n for i in inputs], dtype=np.int64)
-        with np.errstate(invalid="ignore"):  # inf caps on memory-blind jobs
+        with np.errstate(invalid="ignore"):  # inf caps without a variant
             max_rows = np.floor_divide(caps, grid[:, None].astype(float))
         rates = np.stack([i.rates for i in inputs])
         risks = np.stack([i.risks for i in inputs])
@@ -619,16 +692,18 @@ class _JobTables(NamedTuple):
         with np.errstate(divide="ignore"):  # never a member at rate 0
             single = (total[:, None] / rates + sync[:, None]) * iters[:, None]
         single *= 1.0 + risk_aversion[:, None] * risks
-        jobs = len(inputs)
-        extremes = np.stack([single, risks], axis=1).reshape(2 * jobs, n)
+        classes = len(inputs)
+        extremes = np.stack([single, risks], axis=1).reshape(2 * classes, n)
         minima = cls.subset_minima(
-            np.concatenate([other.reshape(jobs * n, n), extremes])
+            np.concatenate([other.reshape(classes * n, n), extremes])
         )
         return cls(
             rates=rates,
             caps=caps,
             max_rows=max_rows,
-            avail=np.stack([i.avail_mb for i in inputs]),
+            avail=np.stack(
+                [i.avail_mb if i.account_memory else roomy for i in inputs]
+            ),
             risks=risks,
             pair=pair,
             sync=sync,
@@ -637,10 +712,9 @@ class _JobTables(NamedTuple):
             bytes_per_point=np.array([i.bytes_per_point for i in inputs]),
             iters=iters,
             risk_aversion=risk_aversion,
-            memory=np.array([i.account_memory for i in inputs]),
             pool_pos=np.stack([i.pool_positions for i in inputs]),
-            floors=minima[:jobs * n],
-            extremes=minima[jobs * n:],
+            floors=minima[:classes * n],
+            extremes=minima[classes * n:],
         )
 
     @staticmethod
@@ -666,15 +740,15 @@ class _JobTables(NamedTuple):
         return table.reshape(*lead, chunks * 256)
 
 
-def _member_keys(member: np.ndarray, job_of: np.ndarray) -> np.ndarray:
-    """One opaque key per row: its job and its packed membership bits.
+def _member_keys(member: np.ndarray, class_of: np.ndarray) -> np.ndarray:
+    """One opaque key per row: its class and its membership bits, as a
+    fixed-width byte string.
 
-    Equal keys mean the same job and the same member set, for any universe
-    size; the keys sort and compare as fixed-width byte strings.
+    Equal keys mean the same class and the same member set; the keys sort.
     """
-    job = job_of.astype(">u8").view(np.uint8).reshape(-1, 8)
+    cls = class_of.astype(">u8").view(np.uint8).reshape(-1, 8)
     key = np.ascontiguousarray(
-        np.concatenate([job, np.packbits(member, axis=1)], axis=1)
+        np.concatenate([cls, np.packbits(member, axis=1)], axis=1)
     )
     return key.view(np.dtype((np.void, key.shape[1]))).ravel()
 
@@ -688,25 +762,29 @@ def _select(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a[idx] for a in arrays)
 
 
-def _evaluate_chunk(masks, job_of, tables, out):
-    """One chunk of :func:`evaluate_strip_batch` (results written to ``out``)."""
-    stopped, continues = _fixpoint(masks, job_of, tables, out)
+def _evaluate_chunk(member, class_of, starts, tables, out, veto):
+    """One chunk of distinct rows of :func:`evaluate_strip_batch`, their
+    sorted keys ``starts`` (outcomes written to ``out`` and ``veto``)."""
+    stopped, continues = _fixpoint(member, class_of, starts, tables, out, veto)
 
     # Follow each continuation chain to the row that finished, adding up
-    # the passes the chain stands for.
+    # the passes the chain stands for and OR-ing the vetoes along it.
     crows = np.nonzero(continues >= 0)[0]
     if crows.size == 0:
         return
     final = continues[crows]
     passes = stopped[crows].copy()
+    vetoed = veto[crows].copy()
     while True:
         further = continues[final]
         chained = further >= 0
         if not chained.any():
             break
         passes[chained] += stopped[final[chained]]
+        vetoed[chained] |= veto[final[chained]]
         final[chained] = further[chained]
     passes += stopped[final]
+    veto[crows] = vetoed | veto[final]
     within = passes <= _MAX_BATCH_PASSES
     src, dst = final[within], crows[within]
     for outcome in (out.feasible, out.fallback, out.predicted, out.kept):
@@ -715,18 +793,20 @@ def _evaluate_chunk(masks, job_of, tables, out):
     out.fallback[crows[~within]] = True
 
 
-def _fixpoint(masks, job_of, tables, out):
-    """The drop/re-balance fixpoint of one chunk of rows.
+def _fixpoint(member, class_of, starts, tables, out, veto):
+    """The memory-blind drop/re-balance fixpoint of one chunk of rows.
 
-    Batch plan continuation: from a given member set onward, a row's
-    fixpoint depends on that set alone — the scalar planner's
-    ``("jacobi-plan", ...)`` continuation memo, applied across rows.  A row
-    whose members shrink (balance drop or dead-link drop) to the starting
-    member set of another row of the same job in this chunk stops
-    iterating and takes that row's final outcome; the passes the other row
-    needs count toward ``_MAX_BATCH_PASSES`` exactly as the passes they
-    replace.  On exhaustive candidate spaces every shrunk set is some row's
-    start, so the fixpoint ends after one pass.
+    The rows are distinct (class, usable-member set) pairs, ``starts``
+    their sorted keys.  Batch plan continuation: from a given member set
+    onward, a row's fixpoint depends on that set and its class alone —
+    the scalar planner's ``("jacobi-plan", ...)`` continuation memo,
+    applied across rows and jobs.  A row whose members shrink (balance
+    drop or dead-link drop) to the starting member set of another row of
+    its class in this chunk stops iterating and takes that row's final
+    outcome and veto; the passes the other row needs count toward
+    ``_MAX_BATCH_PASSES`` exactly as the passes they replace.  On
+    exhaustive candidate spaces every shrunk set is some row's start, so
+    the fixpoint ends after one pass.
 
     Each pass (:func:`_strip_pass`) settles its rows at its own width and
     hands back the ones that converged, with the strip-order arrays they
@@ -734,16 +814,10 @@ def _fixpoint(masks, job_of, tables, out):
     :func:`_finalise` writes those rows' outcomes.  Returns ``(stopped,
     continues)``: the pass in which each row stopped iterating, and the
     row each continued row takes its outcome from (``-1`` for none).
-    Surrendered rows are flagged in ``out.fallback``.
+    Surrendered rows are flagged in ``out.fallback``, rows the class's
+    memory variant vetoes in ``veto``.
     """
-    m = masks.shape[0]
-    # The scalar plan first filters members predicted to deliver nothing.
-    member = masks & (tables.rates > 0.0)[job_of]
-    starts = _member_keys(member, job_of)
-    by_start = np.argsort(starts, kind="stable")
-    sorted_starts = starts[by_start]
-    del starts
-
+    m = member.shape[0]
     pending = np.ones(m, dtype=bool)
     # The pass in which each row stopped iterating; a continued row also
     # names the row whose outcome it takes.
@@ -753,10 +827,10 @@ def _fixpoint(masks, job_of, tables, out):
     def continue_shrunk(grows):
         """Rows ``grows`` just shrank; those whose member set now starts
         another row stop iterating and continue as that row."""
-        keys = _member_keys(member[grows], job_of[grows])
-        pos = np.minimum(np.searchsorted(sorted_starts, keys), m - 1)
-        hit = sorted_starts[pos] == keys
-        continues[grows[hit]] = by_start[pos[hit]]
+        keys = _member_keys(member[grows], class_of[grows])
+        pos = np.minimum(np.searchsorted(starts, keys), m - 1)
+        hit = starts[pos] == keys
+        continues[grows[hit]] = pos[hit]
         pending[grows[hit]] = False
 
     for npass in range(1, _MAX_BATCH_PASSES + 1):
@@ -765,11 +839,11 @@ def _fixpoint(masks, job_of, tables, out):
             break
         stopped[rows] = npass
         converged = _strip_pass(
-            rows, member, job_of, tables, pending, out.fallback, continue_shrunk,
-            out.bounds if npass == 1 else None,
+            rows, member, class_of, tables, pending, out.fallback, veto,
+            continue_shrunk, out.bounds if npass == 1 else None,
         )
         if converged is not None:
-            _finalise(*converged, member, tables, out)
+            _finalise(*converged, member, tables, out, veto)
     else:
         # Rows still pending after the structural bound: let the scalar
         # planner raise (or converge) exactly as solo would.
@@ -780,25 +854,28 @@ def _fixpoint(masks, job_of, tables, out):
 
 
 def _strip_pass(
-    rows, member, job_of, tables, pending, fallback, continue_shrunk, bounds
+    rows, member, class_of, tables, pending, fallback, veto, continue_shrunk,
+    bounds,
 ):
     """One drop/re-balance pass over the pending ``rows`` of a chunk.
 
     Works in strip-order arrays only as wide as the widest member set
     among ``rows``.  Rows that empty, hit a dead link, surrender or shrink
     are settled here (``pending``, ``fallback`` and the rank-space
-    ``member`` matrix updated in place); the first pass also writes every
-    row's bound to ``bounds`` (``None`` later).  Returns the rows that
-    converged, as ``(rows, jobs, jn, counts, valid, rates, transfers,
-    areas)`` in strip order — ``jn`` is each slot's flat ``job * n +
-    machine`` index into the job tables — or ``None`` when none did.
+    ``member`` matrix updated in place), and balanced rows over a cap of
+    their class's memory variant are flagged in ``veto``; the first pass
+    also writes every row's bound to ``bounds`` (``None`` later).  Returns
+    the rows that converged, as ``(rows, cls, cn, counts, valid, rates,
+    transfers, areas)`` in strip order — ``cn`` is each slot's flat
+    ``class * n + machine`` index into the class tables — or ``None``
+    when none did.
     """
     n = member.shape[1]
-    jobs = job_of[rows]
+    cls = class_of[rows]
     members = member[rows]
     order, cnt = batched_locality_orders(members)
     if bounds is not None:
-        bounds[rows] = _strip_bounds(members, order, cnt, jobs, tables)
+        bounds[rows] = _strip_bounds(members, order, cnt, cls, tables)
     del members
     # Rows whose member list emptied: plan() returns None.
     empty = cnt == 0
@@ -807,7 +884,7 @@ def _strip_pass(
         return None
     valid = np.arange(order.shape[1]) < cnt[:, None]
     costs, transfers = batched_neighbor_comm_costs(
-        tables.pair, order, cnt, tables.sync[jobs], row_pair=jobs
+        tables.pair, order, cnt, tables.sync[cls], row_pair=cls
     )
 
     # Dead links: drop the single worst-cost member and re-derive, or
@@ -827,20 +904,21 @@ def _strip_pass(
     bal = ~(dead | empty)
     if not bal.any():
         return None
-    rows, jobs, order, cnt, valid, costs, transfers = _select(
-        bal, rows, jobs, order, cnt, valid, costs, transfers
+    rows, cls, order, cnt, valid, costs, transfers = _select(
+        bal, rows, cls, order, cnt, valid, costs, transfers
     )
-    jn = jobs[:, None] * n + order
-    rates = np.take(tables.rates, jn)
+    cn = cls[:, None] * n + order
+    rates = np.take(tables.rates, cn)
     rates[~valid] = 0.0
-    res = balance_prefix_exact_batched(rates, costs, tables.total[jobs])
+    res = balance_prefix_exact_batched(rates, costs, tables.total[cls])
     del costs
 
-    # Binding capacities send the scalar path to the reference loop.
-    over_cap = (
-        res.active & (res.allocations > np.take(tables.caps, jn) + 1e-9)
-    ).any(axis=1) & tables.memory[jobs]
-    surrender = res.needs_reference | over_cap
+    # Binding capacities send the scalar path to the reference loop: a
+    # veto for the memory variant, while the blind plan goes on.
+    veto[rows] |= (
+        res.active & (res.allocations > np.take(tables.caps, cn) + 1e-9)
+    ).any(axis=1)
+    surrender = res.needs_reference
     fallback[rows[surrender]] = True
     pending[rows[surrender]] = False
 
@@ -862,24 +940,25 @@ def _strip_pass(
         return None
     pending[rows[converged]] = False
     return _select(
-        converged, rows, jobs, jn, cnt, valid, rates, transfers, res.allocations
+        converged, rows, cls, cn, cnt, valid, rates, transfers, res.allocations
     )
 
 
-def _strip_bounds(member, order, cnt, jobs, tables):
+def _strip_bounds(member, order, cnt, cls, tables):
     """:meth:`JacobiPlanner.lower_bounds` of rows with usable-member masks
     ``member`` and strip orders ``order``/``cnt``, each at its own width.
 
-    Minima over a row's members come from the :meth:`_JobTables.subset_minima`
-    tables.  The water-fill takes the floor costs by cost and then by pool
-    position — the order of the stable sort over ``machine_names()`` the
-    bound was defined with, so tied members add up to the same float.
+    Minima over a row's members come from the
+    :meth:`_ClassTables.subset_minima` tables.  The water-fill takes the
+    floor costs by cost and then by pool position — the order of the
+    stable sort over ``machine_names()`` the bound was defined with, so
+    tied members add up to the same float.
     Padding slots cost ``inf`` at rate ``0.0``: they sort last, add 0.0.
     """
     m, w = order.shape
     n = member.shape[1]
     pad = np.arange(w) >= cnt[:, None]
-    jn = jobs[:, None] * n + order
+    cn = cls[:, None] * n + order
     # Each byte of the member mask, offset to its 256 table columns (a
     # float product of 0/1 and small powers of two is exact).
     bit = np.arange(n)
@@ -896,50 +975,51 @@ def _strip_bounds(member, order, cnt, jobs, tables):
             np.minimum(out, np.take(table, base + cols[..., c]), out=out)
         return out
 
-    costs = least(tables.floors, jn)
-    costs += tables.sync[jobs][:, None]
+    costs = least(tables.floors, cn)
+    costs += tables.sync[cls][:, None]
     np.copyto(costs, np.inf, where=pad)
-    rates = np.take(tables.rates, jn)
+    rates = np.take(tables.rates, cn)
     np.copyto(rates, 0.0, where=pad)
-    by_cost = np.lexsort((np.take(tables.pool_pos, jn), costs), axis=1)
+    by_cost = np.lexsort((np.take(tables.pool_pos, cn), costs), axis=1)
     by_cost += w * np.arange(m)[:, None]
     makespans = sorted_waterfill(
-        np.take(costs, by_cost), np.take(rates, by_cost), tables.total[jobs][:, None]
+        np.take(costs, by_cost), np.take(rates, by_cost), tables.total[cls][:, None]
     )
-    single, min_risk = least(tables.extremes, 2 * jobs[:, None] + np.arange(2)).T
+    single, min_risk = least(tables.extremes, 2 * cls[:, None] + np.arange(2)).T
     min_risk[np.isinf(min_risk)] = 0.0
-    multi = makespans * tables.iters[jobs] * (
-        1.0 + tables.risk_aversion[jobs] * min_risk
+    multi = makespans * tables.iters[cls] * (
+        1.0 + tables.risk_aversion[cls] * min_risk
     )
     return np.minimum(single, multi)
 
 
 def _finalise(
-    rows, jobs, jn, cnt, valid, rates, transfers, areas, member, tables, out
+    rows, cls, cn, cnt, valid, rates, transfers, areas, member, tables, out,
+    veto,
 ):
     """Integerise rows that converged in one pass and predict their
     risk-adjusted times, from that pass's strip-order arrays.
 
     A converged row keeps every member, so its strip order, rates and
     neighbour transfers are the pass's, and its kept set is its member set.
-    ``rates`` is overwritten with the point times.
+    ``rates`` is overwritten with the point times.  The memory variant's
+    row-cap and paging-fit checks flag rows in ``veto``.
     """
-    grid = tables.grid[jobs]
+    grid = tables.grid[cls]
     rows_int, exact = batched_largest_remainder_rows(grid, areas, cnt)
-    bad = ~exact
     # Row caps (the integer image of memory capacity): the scalar path runs
-    # an order-dependent overflow shift when a cap binds — surrender those.
-    mem = tables.memory[jobs]
-    bad |= mem & (valid & (rows_int > np.take(tables.max_rows, jn))).any(axis=1)
+    # an order-dependent overflow shift when a cap binds — veto those.
+    unfit = rows_int > np.take(tables.max_rows, cn)
 
     area_pts = (rows_int * grid[:, None]).astype(float)
     del rows_int
     # Paging: rows_int <= max_rows makes every strip fit in real memory, so
     # the scalar slowdown factor is exactly 1.0 — but certify the fits
     # check itself (footprint <= available) rather than assume it.
-    foot_mb = area_pts * tables.bytes_per_point[jobs][:, None] / 1e6
-    bad |= mem & (valid & (foot_mb > np.take(tables.avail, jn))).any(axis=1)
+    foot_mb = area_pts * tables.bytes_per_point[cls][:, None] / 1e6
+    unfit |= foot_mb > np.take(tables.avail, cn)
     del foot_mb
+    veto[rows] |= (valid & unfit).any(axis=1)
 
     # T_i = A_i * P_i + C_i + sync, StripCostModel.step_time's terms in
     # its order.  P_i = 1 / rate at member slots only; padding keeps 0.0,
@@ -948,18 +1028,17 @@ def _finalise(
     times = area_pts
     times *= point_time
     times += transfers
-    times += tables.sync[jobs][:, None]
+    times += tables.sync[cls][:, None]
     step = np.max(times, axis=1, where=valid, initial=-np.inf)
-    pred = step * tables.iters[jobs]
-    risk = np.max(np.take(tables.risks, jn), axis=1, where=valid, initial=0.0)
-    pred = pred * (1.0 + tables.risk_aversion[jobs] * risk)
+    pred = step * tables.iters[cls]
+    risk = np.max(np.take(tables.risks, cn), axis=1, where=valid, initial=0.0)
+    pred = pred * (1.0 + tables.risk_aversion[cls] * risk)
 
-    good = ~bad
-    gd = rows[good]
+    gd = rows[exact]
     out.feasible[gd] = True
-    out.predicted[gd] = pred[good]
+    out.predicted[gd] = pred[exact]
     out.kept[gd] = member[gd]
-    out.fallback[rows[bad]] = True
+    out.fallback[rows[~exact]] = True
 
 
 class _NominalMixin:

@@ -24,6 +24,8 @@ is shared:
   kernels replicate the scalar planner's float semantics
   operation-for-operation and *surrender* (flag for scalar planning) any
   row they cannot certify, and bound every row in their first pass;
+  configurations of one arithmetic class (the two memory policies of one
+  request, say) share each distinct row, memory capacity only vetoing;
 - each configuration is then decided by ``agent.decide`` — the same
   sweep, winner cross-check and ``core.decision`` span as a solo
   ``schedule()``.  A configuration that does not batch is decided the
@@ -31,6 +33,16 @@ is shared:
 
 The differential tests hold every answer equal to a sequential loop of
 solo :meth:`~repro.core.coordinator.AppLeSAgent.schedule_reference` calls.
+
+Failures stay with their configuration
+--------------------------------------
+An error raised while enumerating, staging or deciding one configuration
+(:class:`~repro.core.sweep.NoFeasibleCandidate` from a filter that
+admits no host, say) is that configuration's outcome, and an error in the
+shared kernel call the outcome of every configuration in it; the others
+are answered as in a clean batch.  ``decide()`` then raises the error if
+every request failed with it, else a :class:`PartialBatchError` carrying
+each request's answer or error.
 
 Cross-call reuse (the always-on daemon's amortisation)
 ------------------------------------------------------
@@ -67,7 +79,22 @@ from repro.obs.trace import get_tracer
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
 
-__all__ = ["SchedulingService"]
+__all__ = ["PartialBatchError", "SchedulingService"]
+
+
+class PartialBatchError(RuntimeError):
+    """Some requests of a ``decide()`` batch failed and some did not:
+    ``outcomes`` holds each request's :class:`ServiceAnswer` or error, in
+    request order."""
+
+    def __init__(self, outcomes: list) -> None:
+        super().__init__(outcomes)
+        self.outcomes = outcomes
+
+    def __str__(self) -> str:
+        errors = [o for o in self.outcomes if isinstance(o, Exception)]
+        return (f"{len(errors)} of {len(self.outcomes)} requests failed; "
+                f"first: {type(errors[0]).__name__}: {errors[0]}")
 
 
 class _PoolState:
@@ -134,9 +161,10 @@ class SchedulingService:
 
         The shared NWS is advanced monotonically to each distinct ``at``;
         requests at one instant share one forecast snapshot.  Returns
-        answers in request order.
+        answers in request order, or raises (see "Failures stay with their
+        configuration" above).
         """
-        answers: list[ServiceAnswer | None] = [None] * len(requests)
+        answers: list = [None] * len(requests)
         instants = sorted({r.at for r in requests})
         tracer = get_tracer()
         with tracer.span(
@@ -154,7 +182,12 @@ class SchedulingService:
                 group = [i for i, r in enumerate(requests) if r.at == at]
                 self._advance(at)
                 self._decide_group(requests, group, at, answers)
-        return [a for a in answers if a is not None]
+        errors = [a for a in answers if isinstance(a, Exception)]
+        if not errors:
+            return answers
+        if len(errors) == len(answers) and all(e is errors[0] for e in errors):
+            raise errors[0]
+        raise PartialBatchError(answers)
 
     # -- internals --------------------------------------------------------
     def _advance(self, at: float) -> None:
@@ -206,7 +239,8 @@ class SchedulingService:
         return state
 
     def _decide_group(self, requests, group, at, answers) -> None:
-        """Answer one instant's requests: stage, batch-evaluate, decide."""
+        """Answer one instant's requests: stage, batch-evaluate, decide;
+        a configuration's requests get its answer or its error."""
         # One snapshot for the whole instant: every agent's pool wraps the
         # same topology and NWS, so forecasts read through this snapshot
         # are the same floats each agent's private snapshot would return.
@@ -235,19 +269,26 @@ class SchedulingService:
                 for i in idxs:
                     answers[i] = answer
                 continue
-            agent = self._agent(requests[idxs[0]], key)
-            with agent.info.decision_scope(snapshot) as cache:
-                staged = agent.stage(agent.candidate_sets())
+            try:
+                agent = self._agent(requests[idxs[0]], key)
+                with agent.info.decision_scope(snapshot) as cache:
+                    staged = agent.stage(agent.candidate_sets())
+            except Exception as exc:
+                for i in idxs:
+                    answers[i] = exc
+                continue
             if tracer.enabled and staged.job is None:
                 tracer.metrics.counter("service.scalar_configs").inc()
             pending.append((idxs, key, agent, staged, cache))
 
         # Phase B: one batched evaluation over every candidate set of every
         # configuration that batches, then one decision per configuration.
-        evaluations = evaluate_strip_batch(
-            [staged.job for *_, staged, _ in pending if staged.job is not None]
-        )
-        if tracer.enabled and evaluations:
+        jobs = [staged.job for *_, staged, _ in pending if staged.job is not None]
+        try:
+            evaluations = evaluate_strip_batch(jobs)
+        except Exception as exc:  # the outcome of every job in the call
+            evaluations = [exc] * len(jobs)
+        if tracer.enabled and jobs and not isinstance(evaluations[0], Exception):
             surrendered = sum(
                 int(np.count_nonzero(ev.fallback)) for ev in evaluations
             )
@@ -267,8 +308,15 @@ class SchedulingService:
         batched = iter(evaluations)
         for idxs, key, agent, staged, cache in pending:
             ev = next(batched) if staged.job is not None else None
-            with agent.info.decision_scope(snapshot, reuse=cache):
-                decision = agent.decide(staged, ev)
+            try:
+                if isinstance(ev, Exception):
+                    raise ev
+                with agent.info.decision_scope(snapshot, reuse=cache):
+                    decision = agent.decide(staged, ev)
+            except Exception as exc:
+                for i in idxs:
+                    answers[i] = exc
+                continue
             answer = state.answers[key] = ServiceAnswer.from_decision(decision, at)
             if tracer.enabled:
                 # Every decision is counted by how it was scored, so the

@@ -69,10 +69,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.core.sweep import NoFeasibleCandidate
 from repro.nws.service import NetworkWeatherService
 from repro.obs.trace import get_tracer
 from repro.runner import ParallelRunner, Task
-from repro.service.core import SchedulingService
+from repro.service.core import PartialBatchError, SchedulingService
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
 from repro.util.validation import check_positive
@@ -773,31 +774,35 @@ class SchedulingDaemon:
                     ).result()
                 else:
                     answers = sh.ensure_service().decide(requests)
+        except PartialBatchError as exc:
+            answers = exc.outcomes
         except Exception as exc:  # resolve, never hang the callers
             if isinstance(exc, BrokenProcessPool) and runner is not None:
                 self._drop_runner(runner, sh)
-            with sh.cond:
-                sh.stats["failed"] += size
-                sh.in_flight -= size
-                for ticket in tickets:
-                    ticket._resolve(FAILED, reason=f"{type(exc).__name__}: {exc}")
-                sh.cond.notify_all()
-            if tracer.enabled:
-                tracer.metrics.counter("daemon.failed").inc(size)
-            return
+            answers = [exc] * size
+        # Each ticket resolves from its own request's outcome.
+        answered = 0
         with sh.cond:
-            sh.stats["answered"] += size
-            sh.stats["batches"] += 1
-            sh.stats["max_batch"] = max(sh.stats["max_batch"], size)
             sh.in_flight -= size
-            for ticket, answer in zip(tickets, answers):
-                ticket._resolve(ANSWERED, answer=answer, batch_size=size)
+            for ticket, outcome in zip(tickets, answers):
+                if not isinstance(outcome, Exception):
+                    answered += 1
+                    ticket._resolve(ANSWERED, answer=outcome, batch_size=size)
+                else:  # no feasible placement is the request's own answer
+                    ticket._resolve(
+                        REJECTED if isinstance(outcome, NoFeasibleCandidate) else FAILED,
+                        reason=f"{type(outcome).__name__}: {outcome}",
+                    )
+                sh.stats[ticket._reply.status] += 1
+            if answered:
+                sh.stats["batches"] += 1
+                sh.stats["max_batch"] = max(sh.stats["max_batch"], size)
             sh.cond.notify_all()
         if tracer.enabled:
-            tracer.metrics.counter("daemon.answered").inc(size)
             for ticket in tickets:
                 reply = ticket._reply
                 if reply is not None:
+                    tracer.metrics.counter(f"daemon.{reply.status}").inc()
                     tracer.metrics.histogram("daemon.latency_s").observe(
                         reply.latency_s
                     )

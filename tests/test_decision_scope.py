@@ -384,3 +384,45 @@ def test_an_observed_winner_changes_the_key():
         assert selector.candidate_sets(info) is after
     assert after == selector.candidate_sets(info)
     assert after != before
+
+
+def test_feasible_machines_filter_once_per_pool_state_and_filter():
+    """Inside a scope, equal User Specification filters and HATs at one
+    pool state share one feasible tuple, so ``permits`` runs once per
+    machine; a different filter or HAT gets its own tuple, equal to its
+    unshared one; outside a scope every call filters afresh."""
+    testbed, nws = _world()
+    nws.advance_to(300.0)
+    info = _info(testbed, nws)
+    names = info.pool.machine_names()
+    arch = info.pool.machine_info(names[0]).arch
+    hat = info.hat
+    one_arch = InformationPool(
+        pool=info.pool,
+        hat=replace(hat, tasks=tuple(
+            replace(t, implementations={arch: 1.0}) for t in hat.tasks
+        )),
+    )
+    snapshot = info.pool.snapshot()
+    selector = ResourceSelector()
+    with mock.patch.object(
+        UserSpecification, "permits", autospec=True,
+        side_effect=UserSpecification.permits,
+    ) as permits:
+        for twin in (info, _variant(info)):
+            with twin.decision_scope(snapshot):
+                assert selector.feasible_machines(twin) == list(names)
+        assert permits.call_count == len(names)
+        for variant in (_variant(info, excluded_machines=frozenset(names[:1])),
+                        one_arch):
+            permits.reset_mock()
+            with variant.decision_scope(snapshot):
+                shared = selector.feasible_machines(variant)
+                assert ResourceSelector().feasible_machines(variant) == shared
+            assert permits.call_count == len(names)
+            assert shared == selector.feasible_machines(variant)
+            assert shared != list(names)
+        permits.reset_mock()
+        selector.feasible_machines(info)
+        selector.feasible_machines(info)
+        assert permits.call_count == 2 * len(names)

@@ -360,25 +360,36 @@ class TestPruningMetrics:
         policies: every configuration asks the selector (12 calls, each
         with its event), and the coupling is the same for both sizes, so
         each cap enumerates once and 9 calls share an enumeration."""
-        requests = [
-            DecisionRequest(
-                problem=JacobiProblem(n=n, iterations=20),
-                userspec=UserSpecification(max_machines=cap),
-                account_memory=memory,
-                at=warmed_nws.now,
-            )
-            for cap in (2, 4, None)
-            for n in (600, 900)
-            for memory in (True, False)
-        ]
         with tracing() as tr:
-            SchedulingService(testbed, warmed_nws).decide(requests)
+            SchedulingService(testbed, warmed_nws).decide(
+                _twelve_configurations(warmed_nws.now)
+            )
         metrics = tr.metrics.as_dict()
         assert metrics["core.selector.calls"]["value"] == 12
         assert metrics["core.selector.shared_hits"]["value"] == 9
         events = [r for r in tr.records()
                   if r["kind"] == "event" and r["name"] == "core.selector.candidates"]
         assert len(events) == 12
+
+    def test_the_kernel_plans_shared_rows_once(self, testbed, warmed_nws):
+        """The same instant's one kernel call: memory-blind twins and the
+        capped spaces inside the uncapped ones take rows another
+        configuration computed, the two counters add up to the call's
+        rows, and traced answers equal untraced ones."""
+        requests = _twelve_configurations(warmed_nws.now)
+        with tracing() as tr:
+            traced = SchedulingService(testbed, warmed_nws).decide(requests)
+        untraced = SchedulingService(testbed, warmed_nws).decide(requests)
+        metrics = tr.metrics.as_dict()
+        rows = sum(metrics[f"service.rows_{kind}"]["value"]
+                   for kind in ("vectorised", "surrendered"))
+        computed = metrics["apples.rows_computed"]["value"]
+        shared = metrics["apples.rows_shared"]["value"]
+        assert computed + shared == rows
+        assert shared > 0
+        assert [(a.best_objective, a.machines, a.pruning) for a in traced] == [
+            (a.best_objective, a.machines, a.pruning) for a in untraced
+        ]
 
     def test_record_pruning_stats_direct(self):
         reg = MetricsRegistry()
@@ -401,3 +412,18 @@ class TestPruningMetrics:
         objectives = [e["fields"]["objective"] for e in events]
         assert objectives == sorted(objectives, reverse=True)
         assert objectives[-1] == pytest.approx(decision.best_objective)
+
+
+def _twelve_configurations(at):
+    """3 caps x 2 grid sizes x 2 memory policies at one instant."""
+    return [
+        DecisionRequest(
+            problem=JacobiProblem(n=n, iterations=20),
+            userspec=UserSpecification(max_machines=cap),
+            account_memory=memory,
+            at=at,
+        )
+        for cap in (2, 4, None)
+        for n in (600, 900)
+        for memory in (True, False)
+    ]

@@ -17,6 +17,9 @@ tests pin the edges of that claim:
 - a Hypothesis property: however a request multiset is sliced into
   submissions, daemon answers equal one `SchedulingService.decide()`;
 - a process pool whose workers were killed is rebuilt for later batches;
+- one request's failure stays its own: a filter that admits no host is
+  REJECTED alone, a configuration raising in staging or deciding fails
+  only its tickets, and an error in the shared kernel call fails the call;
 - traced and untraced daemon runs are bit-identical, with the queue
   gauge / admission counters / batch spans present when traced.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -33,7 +37,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.service.core as service_core
+from repro.core.coordinator import AppLeSAgent
 from repro.core.infopool import DecisionCache
+from repro.core.sweep import NoFeasibleCandidate
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
@@ -47,6 +53,7 @@ from repro.service import (
     ServiceAnswer,
     ShardSpec,
 )
+from repro.service.core import PartialBatchError
 from repro.service.daemon import ANSWERED, FAILED, REJECTED, SHED
 from repro.service.loadgen import (
     SyntheticPopulation,
@@ -290,6 +297,101 @@ class TestShardIsolation:
         healed = daemon.submit("sdsc", request)
         daemon.pump()
         assert healed.result(0.0).status == ANSWERED
+
+
+# -- one request's failure stays its own ---------------------------------
+def _nile_requests(count: int = 8) -> list[DecisionRequest]:
+    """Capped requests in both memory policies at one instant on nile."""
+    return [
+        DecisionRequest(
+            problem=JacobiProblem(n=(600, 700, 800)[k % 3], iterations=50),
+            userspec=UserSpecification(max_machines=(4, 3, 2)[k % 3]),
+            account_memory=k % 2 == 0,
+            at=600.0,
+        )
+        for k in range(count)
+    ]
+
+
+def _pump_nile(requests, workers=1):
+    daemon = SchedulingDaemon(
+        [_spec("nile", nile_testbed, seed=3)], queue_capacity=16, workers=workers
+    )
+    try:
+        tickets = daemon.submit_many("nile", requests)
+        daemon.pump()
+        return [t.result(0.0) for t in tickets], daemon.stats()["nile"]
+    finally:
+        daemon.shutdown()
+
+
+def _poisoned(requests, k: int = 3):
+    """``requests`` with request ``k`` behind a filter that admits no host."""
+    bad = replace(requests[k], userspec=UserSpecification(
+        accessible_machines=frozenset({"no-such-host"})
+    ))
+    return requests[:k] + [bad] + requests[k + 1:]
+
+
+class TestFailureIsolation:
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=pytest.mark.slow)]
+    )
+    def test_an_unsatisfiable_request_is_rejected_alone(self, workers):
+        """Inline and pooled: the request whose filter admits no host is
+        REJECTED with its own ``NoFeasibleCandidate``; its batch-mates
+        get the answers of the same batch without it."""
+        requests = _nile_requests()
+        replies, stats = _pump_nile(_poisoned(requests), workers)
+        clean, _ = _pump_nile(requests[:3] + requests[4:], workers)
+        assert [r.status for r in replies] == [ANSWERED] * 3 + [REJECTED] + [ANSWERED] * 4
+        assert "NoFeasibleCandidate" in replies[3].reason
+        got = [r for k, r in enumerate(replies) if k != 3]
+        assert [_sig(r.answer) for r in got] == [_sig(r.answer) for r in clean]
+        assert (stats["answered"], stats["rejected"], stats["failed"]) == (7, 1, 0)
+
+    @pytest.mark.parametrize("phase", ["stage", "decide"])
+    def test_a_raising_configuration_fails_only_its_tickets(self, phase):
+        """A configuration that raises while staging or deciding fails its
+        own tickets (FAILED, with the error); the others are answered."""
+        requests = _nile_requests()
+        doomed = replace(requests[5], problem=JacobiProblem(n=600, iterations=13))
+        original = getattr(AppLeSAgent, phase)
+
+        def raising(agent, *args):
+            if agent.info.hat.structure.iterations == 13:
+                raise RuntimeError(f"{phase} boom")
+            return original(agent, *args)
+
+        with mock.patch.object(AppLeSAgent, phase, autospec=True, side_effect=raising):
+            replies, _ = _pump_nile(requests[:5] + [doomed] + requests[6:])
+        clean, _ = _pump_nile(requests[:5] + requests[6:])
+        assert replies[5].status == FAILED and f"{phase} boom" in replies[5].reason
+        got = [r for k, r in enumerate(replies) if k != 5]
+        assert [_sig(r.answer) for r in got] == [_sig(r.answer) for r in clean]
+
+    def test_a_kernel_error_fails_every_configuration_in_the_call(self):
+        with mock.patch.object(
+            service_core, "evaluate_strip_batch",
+            side_effect=RuntimeError("kernel boom"),
+        ):
+            replies, stats = _pump_nile(_nile_requests())
+        assert {r.status for r in replies} == {FAILED}
+        assert all("kernel boom" in r.reason for r in replies)
+        assert stats["failed"] == 8
+
+    def test_the_service_reports_each_request_outcome(self):
+        """``decide()`` raises one ``PartialBatchError`` carrying the
+        answers and the error; a lone failing request raises its own error."""
+        requests = _nile_requests()
+        with pytest.raises(PartialBatchError) as info:
+            _service_answers(_poisoned(requests), builder=nile_testbed, seed=3)
+        outcomes = info.value.outcomes
+        assert isinstance(outcomes[3], NoFeasibleCandidate)
+        clean = _service_answers(requests[:3] + requests[4:], builder=nile_testbed, seed=3)
+        assert [_sig(a) for a in outcomes[:3] + outcomes[4:]] == [_sig(a) for a in clean]
+        with pytest.raises(NoFeasibleCandidate):
+            _service_answers(_poisoned(requests)[3:4], builder=nile_testbed, seed=3)
 
 
 # -- bit-identity with the service ---------------------------------------

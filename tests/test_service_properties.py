@@ -26,20 +26,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.jacobi.apples as apples
 from repro.core.planner import balance_prefix_exact_batched
+from repro.core.resources import ResourcePool
+from repro.experiments.fig6 import run_fig6
 from repro.jacobi.apples import (
     StripBatchInputs,
     JacobiPlanner,
     batched_locality_orders,
     evaluate_strip_batch,
+    make_jacobi_agent,
 )
 from repro.jacobi.cost import batched_neighbor_comm_costs
 from repro.jacobi.grid import JacobiProblem
 from repro.jacobi.partition import batched_largest_remainder_rows
+from repro.obs.trace import tracing
+from repro.sim.testbeds import sdsc_pcl_with_sp2
+from repro.sim.warmcache import warmed_state
 
 from strip_bounds_reference import inputs_bounds
 
@@ -400,7 +406,7 @@ class TestKernelBounds:
         order, cnt = batched_locality_orders(member)
         alone = apples._strip_bounds(
             member, order, cnt, np.zeros(len(masks), dtype=np.int64),
-            apples._JobTables.stack([inputs]),
+            apples._ClassTables.stack([inputs]),
         )
         assert np.array_equal(alone, result.bounds)
 
@@ -659,3 +665,320 @@ class TestDegenerateRejection:
     def test_locality_orders_require_2d(self):
         with pytest.raises(ValueError):
             batched_locality_orders(np.array([True, False]))
+
+
+# -- shared rows and the memory veto -------------------------------------
+
+
+def _blind(inputs: StripBatchInputs) -> StripBatchInputs:
+    """``inputs``' memory-blind twin: the same arithmetic, no capacities."""
+    return replace(inputs, account_memory=False, caps=None)
+
+
+def _assert_each_alone(jobs) -> None:
+    """Every job of ``jobs``, stacked in either order, equals itself alone
+    one row at a time, in every field."""
+    for stacked in (jobs, jobs[::-1]):
+        for (inputs, masks), got in zip(stacked, evaluate_strip_batch(stacked)):
+            alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+            _assert_same_evaluation(got, alone)
+
+
+def _arithmetic(inputs: StripBatchInputs) -> tuple:
+    """The bits of every field the memory-blind plan reads."""
+    return tuple(
+        np.asarray(value).tobytes()
+        for value in (
+            inputs.rates, inputs.pair, inputs.sync_overhead_s,
+            inputs.total_points, inputs.grid_n, inputs.iterations,
+            inputs.risk_aversion, inputs.risks, inputs.pool_positions,
+        )
+    )
+
+
+def _chatty_world(caps: np.ndarray) -> StripBatchInputs:
+    """Three equal machines in strip order m0, m1, m2 whose m2 pays a slow
+    border exchange with m1 (the pair is asymmetric), so the balance drops
+    m2 and the set {m0, m1, m2} shrinks to {m0, m1}.  Without m2, m1's
+    border cost falls: its share rises from 79,950 to 80,000 points and
+    m0's falls from 80,050 to 80,000."""
+    pair = np.full((3, 3), 1e-4)
+    pair[2, 1] = 1.0
+    np.fill_diagonal(pair, 0.0)
+    problem = JacobiProblem(n=400, iterations=10)
+    return StripBatchInputs(
+        planner=JacobiPlanner(problem),
+        rank_names=("m0", "m1", "m2"),
+        pool_positions=np.arange(3),
+        rates=np.full(3, 1e6),
+        caps=caps,
+        avail_mb=caps * 16.0 / 1e6,
+        pair=pair,
+        sync_overhead_s=0.0,
+        total_points=float(problem.total_points),
+        grid_n=problem.n,
+        bytes_per_point=16.0,
+        iterations=problem.iterations,
+        risk_aversion=0.0,
+        risks=np.zeros(3),
+        account_memory=True,
+    )
+
+
+class TestSharedRows:
+    """Jobs of one arithmetic class share the kernel's rows, and memory
+    capacity only vetoes a memory-accounting job's rows: stacking never
+    changes what a job gets alone."""
+
+    @given(
+        inputs=synthetic_inputs(max_machines=4),
+        cap=st.integers(1, 3),
+        universe=st.integers(4, 8),
+        dead=dead_links(),
+        memory=squeezed_memory(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_memory_twins_and_sub_spaces(self, inputs, cap, universe, dead, memory):
+        """A memory-accounting job, its memory-blind twin and a capped
+        sub-space of the job, over squeezed memory and dead links."""
+        k = len(inputs.rank_names)
+        mem = _pad(_squeeze_memory(_kill_links(inputs, dead), memory), universe)
+        full = _space(k, universe)
+        _assert_each_alone(
+            [(mem, full), (_blind(mem), full), (mem, _space(k, universe, cap))]
+        )
+
+    @pytest.mark.parametrize(
+        "caps, vetoed",
+        [
+            # m0's cap sits between its shares: over cap in pass 1, then
+            # the blind plan shrinks into {m0, m1}, which fits.
+            ([80020.0, 1e9, 1e9], [True, False]),
+            # m1's cap sits between its shares: pass 1 fits, then the row
+            # shrinks into {m0, m1}, which is over cap.
+            ([1e9, 79975.0, 1e9], [True, True]),
+        ],
+        ids=["over-cap-then-shrinks", "shrinks-into-over-cap"],
+    )
+    def test_vetoes_follow_the_continuation_chain(self, caps, vetoed):
+        mem = _chatty_world(np.array(caps))
+        # The two balances' shares, as the docstring of _chatty_world says.
+        shares = balance_prefix_exact_batched(
+            np.array([[1e6, 1e6, 1e6], [1e6, 1e6, 0.0]]),
+            np.array([[1e-4, 2e-4, 1.0], [1e-4, 1e-4, np.inf]]),
+            np.full(2, mem.total_points),
+        ).allocations
+        np.testing.assert_allclose(
+            shares[:, :2], [[80050, 79950], [80000, 80000]], rtol=1e-12
+        )
+        masks = np.array([[True, True, True], [True, True, False]])
+        got, twin = evaluate_strip_batch([(mem, masks), (_blind(mem), masks)])
+        np.testing.assert_array_equal(got.fallback, vetoed)
+        assert twin.feasible.all() and not twin.fallback.any()
+        np.testing.assert_array_equal(twin.kept, [[True, True, False]] * 2)
+        assert not got.kept[got.fallback].any()
+        assert np.isinf(got.predicted[got.fallback]).all()
+        np.testing.assert_array_equal(got.bounds, twin.bounds)
+        _assert_each_alone([(mem, masks), (_blind(mem), masks), (mem, masks[:1])])
+
+    @pytest.mark.parametrize(
+        "caps, avail_mb, vetoed",
+        [
+            # m0's 79,900 points fit its cap, but its largest remainder
+            # rounds it up to 200 rows, over its row cap of 199.
+            ([79950.0, 1e9], None, True),
+            ([80010.0, 1e9], None, False),  # a row cap of 200 fits
+            # Roomy caps, but m0's 1.28 MB strip does not fit 0.5 MB.
+            ([1e9, 1e9], [0.5, 1e6], True),
+        ],
+        ids=["row-cap", "row-cap-fits", "paging"],
+    )
+    def test_final_checks_veto(self, caps, avail_mb, vetoed):
+        """Integer rows over a row cap, or a strip outside real memory,
+        veto a memory-accounting row that no pass found over cap."""
+        problem = JacobiProblem(n=400, iterations=10)
+        caps = np.array(caps)
+        mem = StripBatchInputs(
+            planner=JacobiPlanner(problem),
+            rank_names=("m0", "m1"),
+            pool_positions=np.arange(2),
+            rates=np.array([7.99e5, 8.01e5]),
+            caps=caps,
+            avail_mb=caps * 16.0 / 1e6 if avail_mb is None else np.array(avail_mb),
+            pair=np.array([[0.0, 1e-4], [1e-4, 0.0]]),
+            sync_overhead_s=0.0,
+            total_points=float(problem.total_points),
+            grid_n=problem.n,
+            bytes_per_point=16.0,
+            iterations=problem.iterations,
+            risk_aversion=0.0,
+            risks=np.zeros(2),
+            account_memory=True,
+        )
+        masks = np.array([[True, True]])
+        got, twin = evaluate_strip_batch([(mem, masks), (_blind(mem), masks)])
+        assert got.fallback[0] == vetoed and got.feasible[0] != vetoed
+        assert twin.feasible[0] and not twin.fallback[0]
+        _assert_each_alone([(mem, masks), (_blind(mem), masks)])
+
+    @given(
+        inputs=synthetic_inputs(),
+        zero=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        dead=dead_links(),
+        memory=squeezed_memory(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_repeated_and_zero_rate_rows(self, inputs, zero, seed, dead, memory):
+        """Repeated rows, and rows that differ only in zero-rate members,
+        share one plan and one bound: each equals its own evaluation."""
+        inputs = _squeeze_memory(_kill_links(inputs, dead), memory)
+        rates = inputs.rates.copy()
+        rates[[z for z in zero if z < len(rates)]] = 0.0
+        inputs = replace(inputs, rates=rates)
+        space = _all_masks(len(rates))
+        rng = np.random.default_rng(seed)
+        masks = space[rng.integers(0, len(space), size=2 * len(space))]
+        whole = evaluate_strip_batch([(inputs, masks)])[0]
+        _assert_same_evaluation(
+            whole, evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+        )
+        _assert_oracle_bounds(inputs, masks, whole)
+
+    @given(
+        inputs=synthetic_inputs(),
+        first=squeezed_memory(),
+        second=squeezed_memory(),
+        dead=dead_links(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_memory_variants_of_one_arithmetic(self, inputs, first, second, dead):
+        """Two memory-accounting jobs with equal arithmetic but their own
+        capacities, and a memory-blind twin: each equals itself alone."""
+        base = _kill_links(inputs, dead)
+        one, two = _squeeze_memory(base, first), _squeeze_memory(base, second)
+        masks = _all_masks(len(base.rank_names))
+        _assert_each_alone([(one, masks), (_blind(one), masks), (two, masks)])
+
+    @given(
+        inputs=synthetic_inputs(),
+        cap=st.one_of(st.none(), st.integers(1, 3)),
+        dead=dead_links(),
+        memory=squeezed_memory(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_wide_universes(self, inputs, cap, dead, memory):
+        """A memory-accounting job, its blind twin and a job of another
+        arithmetic, padded to 64 machines, evaluate as in their own
+        universe."""
+        k = len(inputs.rank_names)
+        mem = _squeeze_memory(_kill_links(inputs, dead), memory)
+        masks = _space(k, k, cap)
+        wide, wide_masks = _pad(mem, 64), _space(k, 64, cap)
+        slow = replace(mem, rates=mem.rates * 0.5)  # another arithmetic
+        narrow = evaluate_strip_batch(
+            [(mem, masks), (_blind(mem), masks), (slow, masks)]
+        )
+        jobs = [(wide, wide_masks), (_blind(wide), wide_masks),
+                (_pad(slow, 64), wide_masks)]
+        for small, got in zip(narrow, evaluate_strip_batch(jobs)):
+            assert not got.kept[:, k:].any()
+            _assert_same_evaluation(small, replace(got, kept=got.kept[:, :k]))
+        _assert_each_alone(jobs)
+
+    @given(
+        inputs=synthetic_inputs(max_machines=4),
+        other=synthetic_inputs(max_machines=4),
+        cap=st.integers(1, 3),
+        memory=squeezed_memory(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_distinct_row_is_bounded_once(self, inputs, other, cap, memory):
+        """The kernel bounds exactly the distinct (class, usable-member
+        set) rows, and its traced counters say so."""
+        universe = 4
+        mem = _pad(_squeeze_memory(inputs, memory), universe)
+        other = _pad(other, universe)
+        assume(_arithmetic(other) != _arithmetic(mem))
+        full = _space(universe, universe)
+        jobs = [(mem, full), (_blind(mem), full),
+                (mem, _space(universe, universe, cap)), (other, full)]
+        distinct = {
+            (_arithmetic(i), row.tobytes())
+            for i, masks in jobs for row in masks & (i.rates > 0.0)
+        }
+        with mock.patch.object(
+            apples, "_strip_bounds", wraps=apples._strip_bounds
+        ) as bounds, tracing() as tr:
+            evaluate_strip_batch(jobs)
+        assert sum(len(c.args[0]) for c in bounds.call_args_list) == len(distinct)
+        metrics = tr.metrics.as_dict()
+        rows = sum(len(masks) for _, masks in jobs)
+        assert metrics["apples.rows_computed"]["value"] == len(distinct)
+        assert metrics["apples.rows_shared"]["value"] == rows - len(distinct)
+
+
+@pytest.fixture(scope="module")
+def fig6_world():
+    """The Figure 6 testbed, where real-memory capacities bind."""
+    return warmed_state(
+        sdsc_pcl_with_sp2, seed=1996, warmup_s=300.0,
+        builder_kwargs={"crossover_n": 3700},
+    )
+
+
+class TestMemoryVetoOnFig6:
+    @pytest.mark.parametrize("n", [3000, 4200])
+    def test_rows_against_the_scalar_planner(self, fig6_world, n):
+        """Each row of a memory-accounting job stacked with its blind
+        twin: a certified row equals ``JacobiPlanner.plan`` with its own
+        memory policy, and a row whose memory-aware and memory-blind
+        plans differ is surrendered in the memory job."""
+        testbed, nws = fig6_world
+        problem = JacobiProblem(n=n, iterations=10)
+        snapshot = ResourcePool(testbed.topology, nws).snapshot()
+        agents = [make_jacobi_agent(testbed, problem, nws, account_memory=m)
+                  for m in (True, False)]
+        jobs = []
+        for agent in agents:
+            with agent.info.decision_scope(snapshot):
+                jobs.append(agent.stage(agent.candidate_sets()).job)
+        results = evaluate_strip_batch(jobs)
+        plans = []
+        for agent, (inputs, masks), ev in zip(agents, jobs, results):
+            names = np.array(inputs.rank_names)
+            with agent.info.decision_scope(snapshot):
+                plans.append(
+                    [inputs.planner.plan(list(names[row]), agent.info) for row in masks]
+                )
+            for row, plan in enumerate(plans[-1]):
+                if ev.fallback[row]:
+                    continue
+                assert ev.feasible[row] == (plan is not None)
+                if plan is not None:
+                    assert ev.predicted[row] == plan.predicted_time
+                    assert set(names[ev.kept[row]]) == set(plan.resource_set)
+        mem = results[0]
+        assert mem.fallback.any() and not results[1].fallback.all()
+        for row, (aware, blind) in enumerate(zip(*plans)):
+            same = (aware is None) == (blind is None) and (
+                aware is None
+                or (aware.predicted_time, aware.resource_set)
+                == (blind.predicted_time, blind.resource_set)
+            )
+            assert same or mem.fallback[row]
+
+    def test_fig6_quick_case_surrenders_as_before(self):
+        """The Figure 6 quick case surrenders 1,477 of its 2,046 rows."""
+        results = []
+        real = apples.evaluate_strip_batch
+
+        def spy(jobs, *args, **kwargs):
+            out = real(jobs, *args, **kwargs)
+            results.extend(out)
+            return out
+
+        with mock.patch.object(apples, "evaluate_strip_batch", side_effect=spy):
+            run_fig6(sizes=(3000, 4200), iterations=10, seed=1996, warmup_s=300.0)
+        assert sum(len(ev.fallback) for ev in results) == 2046
+        assert sum(int(ev.fallback.sum()) for ev in results) == 1477
