@@ -39,7 +39,7 @@ from repro.core.hat import (
     StructureInfo,
     TaskCharacteristics,
 )
-from repro.core.infopool import DecisionCache, InformationPool
+from repro.core.infopool import InformationPool
 from repro.core.planner import (
     Planner,
     TimeBalancedPlanner,
@@ -72,7 +72,6 @@ __all__ = [
     "CommunicationCharacteristics",
     "StructureInfo",
     "InformationPool",
-    "DecisionCache",
     "Planner",
     "TimeBalancedPlanner",
     "balance_divisible_work",

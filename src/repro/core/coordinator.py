@@ -18,12 +18,14 @@ point runs it:
 - :meth:`AppLeSAgent.stage` runs inside a decision scope
   (:meth:`~repro.core.infopool.InformationPool.decision_scope`: one
   forecast snapshot shared by every evaluation, which every subsystem
-  reads through ``info.forecasts``).  The candidate sets arrive as a
-  :class:`~repro.core.selector.CandidateSets` — index rows, shared by
-  every configuration with the same selector, feasible machines, cap and
-  coupling at that snapshot.  When the Planner resolves a batch planner
-  (``batch_planner(info)``), stage takes their membership masks over the
-  batch inputs' locality-rank names
+  reads through ``info.forecasts``, and on which every value derived
+  from the pool state is memoised through ``info.derived``).  The
+  candidate sets arrive as a :class:`~repro.core.selector.CandidateSets`
+  — index rows, shared by every configuration with the same selector,
+  feasible machines, cap and coupling at that snapshot.  When the
+  Planner resolves a batch planner (``batch_planner(info)``), stage
+  takes their membership masks over the locality-rank names of the
+  batch inputs, which every configuration with an equal planner shares
   (:meth:`~repro.core.selector.CandidateSets.masks_over`, one permutation
   gather, shared too) as the job
   :func:`~repro.jacobi.apples.evaluate_strip_batch` takes; otherwise it
@@ -391,9 +393,9 @@ class AppLeSAgent:
         ``ev`` is the job's :class:`~repro.jacobi.apples.StripBatchEvaluation`,
         or ``None`` to plan and estimate every row the sweep reaches; its
         time bounds are mapped through the Estimator's
-        ``objective_lower_bounds``.  Runs inside the scope :meth:`stage`
-        ran in (the oracle runs outside any scope), so lazily planned rows
-        share its snapshot and memos.
+        ``objective_lower_bounds``.  Runs inside a scope on the snapshot
+        :meth:`stage` ran on (the oracle runs outside any scope), so
+        lazily planned rows share its forecasts and memos.
         Raises :class:`~repro.core.sweep.NoFeasibleCandidate` when no
         candidate is feasible.
         """

@@ -22,7 +22,6 @@ def logical_distance(
     a: str,
     b: str,
     coupling_bytes: float,
-    flows: int = 1,
 ) -> float:
     """Predicted seconds to satisfy the app's coupling between ``a`` and ``b``.
 
@@ -37,7 +36,7 @@ def logical_distance(
         raise ValueError(f"coupling_bytes must be >= 0, got {coupling_bytes}")
     if a == b or coupling_bytes == 0.0:
         return 0.0
-    return pool.predicted_transfer_time(a, b, coupling_bytes, flows)
+    return pool.predicted_transfer_time(a, b, coupling_bytes)
 
 
 def rank_by_distance(

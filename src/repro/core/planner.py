@@ -363,9 +363,6 @@ class ExactBatchBalance:
 
     Attributes
     ----------
-    makespans:
-        Balanced time ``T`` per row (``nan`` for rows flagged
-        ``needs_reference``).
     allocations:
         ``r_i (T - c_i)`` per (row, slot); zero outside the active set.
     active:
@@ -376,7 +373,6 @@ class ExactBatchBalance:
         them with the scalar reference solver to stay bit-identical.
     """
 
-    makespans: np.ndarray
     allocations: np.ndarray
     active: np.ndarray
     needs_reference: np.ndarray
@@ -417,9 +413,9 @@ def balance_prefix_exact_batched(
         ``(m,)`` work totals, ``> 0``.
 
     On every certified row ``i`` the allocations and the active set equal
-    the loop's on row ``i``'s members exactly, and the makespan is the
-    loop's terminating ``T``: sums run left to right like the loop's, and
-    padding slots only ever add ``0.0``, which is exact in IEEE floats.
+    the loop's on row ``i``'s members exactly: the loop's terminating
+    ``T`` is summed left to right like the loop's, and padding slots only
+    ever add ``0.0``, which is exact in IEEE floats.
     """
     r = np.asarray(rates, dtype=float)
     c = np.asarray(fixed_costs, dtype=float)
@@ -490,7 +486,6 @@ def balance_prefix_exact_batched(
         allocations *= rate_terms
     allocations[~active | needs_reference[:, None]] = 0.0
     return ExactBatchBalance(
-        makespans=np.where(needs_reference, np.nan, t),
         allocations=allocations,
         active=active & ~needs_reference[:, None],
         needs_reference=needs_reference,

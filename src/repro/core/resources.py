@@ -119,7 +119,7 @@ class ResourcePool:
         pessimistic = max(avail - sigmas * err, 0.05 * avail)
         return host.speed_mflops * pessimistic
 
-    def predicted_bandwidth(self, a: str, b: str, flows: int = 1) -> float:
+    def predicted_bandwidth(self, a: str, b: str) -> float:
         """Forecast bottleneck bytes/s between two machines: the minimum
         of :meth:`predicted_link_bandwidth` along the route.
 
@@ -128,14 +128,14 @@ class ResourcePool:
         if a == b:
             return float("inf")
         if self.nws is not None:
-            return self.nws.path_bandwidth_forecast(a, b, flows)
+            return self.nws.path_bandwidth_forecast(a, b)
         links = self.topology.route(a, b)
         if not links:
             return float("inf")
-        return min([self.predicted_link_bandwidth(link, flows) for link in links])
+        return min([self.predicted_link_bandwidth(link) for link in links])
 
-    def predicted_link_bandwidth(self, link: Link, flows: int = 1) -> float:
-        """Forecast bytes/s of one link for one of ``flows`` flows.
+    def predicted_link_bandwidth(self, link: Link) -> float:
+        """Forecast bytes/s of one link for one flow.
 
         The NWS's link forecast, or without one the link's bandwidth
         probed at t = 0 and scaled back to full availability.  Pair tables
@@ -144,15 +144,15 @@ class ResourcePool:
         predicts bandwidth differently overrides this method.
         """
         if self.nws is not None:
-            return self.nws.link_bandwidth_forecast(link.name, flows)
+            return self.nws.link_bandwidth_forecast(link.name)
         avail = max(link.load.availability(0.0), 1e-12)
-        return link.deliverable_bandwidth(0.0, flows) / avail
+        return link.deliverable_bandwidth(0.0) / avail
 
-    def predicted_transfer_time(self, a: str, b: str, nbytes: float, flows: int = 1) -> float:
+    def predicted_transfer_time(self, a: str, b: str, nbytes: float) -> float:
         """Forecast seconds to move ``nbytes`` between two machines."""
         if a == b or nbytes <= 0:
             return 0.0
-        bw = self.predicted_bandwidth(a, b, flows)
+        bw = self.predicted_bandwidth(a, b)
         if bw <= 0.0:
             return float("inf")
         return self.topology.path_latency(a, b) + nbytes / bw

@@ -308,12 +308,10 @@ class ResourceSelector:
                 if us.permits(m) and any(t.can_run_on(m.arch) for t in tasks)
             )
 
-        if info.decision_cache is None:
-            return list(build())
         key = ("feasible-machines", us.excluded_machines, us.accessible_machines,
                us.required_capabilities,
                tuple(tuple(sorted(t.implementations.items())) for t in tasks))
-        return list(info.forecasts.derived(key, build))
+        return list(info.derived(key, build))
 
     # -- enumeration ----------------------------------------------------------
     def candidate_sets(self, info: InformationPool) -> CandidateSets:
@@ -350,12 +348,9 @@ class ResourceSelector:
             built.append(True)
             return self._enumerate(feasible, info, max_machines, coupling)
 
-        if info.decision_cache is None:
-            sets, regime = build()
-        else:
-            key = ("candidate-sets", self._enumeration_key(), feasible,
-                   max_machines, coupling)
-            sets, regime = info.forecasts.derived(key, build)
+        key = ("candidate-sets", self._enumeration_key(), feasible,
+               max_machines, coupling)
+        sets, regime = info.derived(key, build)
         tracer = get_tracer()
         if tracer.enabled:
             nws = info.pool.nws

@@ -58,8 +58,8 @@ class OraclePool(ResourcePool):
         host = self.topology.host(name)
         return host.speed_mflops * host.availability(self.t_oracle)
 
-    def predicted_link_bandwidth(self, link, flows: int = 1) -> float:
-        return link.deliverable_bandwidth(self.t_oracle, flows)
+    def predicted_link_bandwidth(self, link) -> float:
+        return link.deliverable_bandwidth(self.t_oracle)
 
 
 @dataclass

@@ -137,9 +137,7 @@ def _pool_locality(info: InformationPool) -> tuple[tuple[str, ...], dict[str, in
         order = tuple(locality_order(forecasts, names))
         return order, {m: i for i, m in enumerate(order)}
 
-    if info.decision_cache is None:
-        return build()
-    return forecasts.derived(("locality-order", names), build)
+    return info.derived(("locality-order", names), build)
 
 
 def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
@@ -148,16 +146,13 @@ def _locality_ranked(info: InformationPool, machines: list[str]) -> list[str]:
     The locality key is a *total* order over the pool, so sorting a subset
     by the full-pool rank yields exactly ``locality_order``'s result while
     avoiding two ``machine_info`` constructions per comparison.  Outside a
-    decision (or for machines outside the pool) this falls back to the
+    decision, where the oracle re-reads the pool, this is the seed's
     direct sort.
     """
-    if info.decision_cache is None:
-        return locality_order(info.forecasts, machines)
+    if info.forecasts is info.pool:
+        return locality_order(info.pool, machines)
     _, rank = _pool_locality(info)
-    try:
-        return sorted(machines, key=rank.__getitem__)
-    except KeyError:
-        return locality_order(info.forecasts, machines)
+    return sorted(machines, key=rank.__getitem__)
 
 
 def _availability_risk(machines: Sequence[str], info: InformationPool) -> float:
@@ -255,24 +250,23 @@ class JacobiPlanner:
         # worst member's relative forecast error.
         self.risk_aversion = risk_aversion
 
-    def _model(self, info: InformationPool) -> StripCostModel:
-        """The cost model over ``info.forecasts`` — memoised per decision.
+    def _key(self) -> tuple:
+        """This planner's value: the key of its memos on the snapshot,
+        which outlive it (an ``id`` could be recycled) and which equal
+        planners share."""
+        return (
+            type(self), self.problem, self.account_memory,
+            self.conservatism_sigmas, self.risk_aversion,
+        )
 
-        Outside a decision (:meth:`AppLeSAgent.schedule_reference`) a
-        fresh model over the pool is built per call, matching the seed
-        implementation exactly.
-        """
-        cache = info.decision_cache
-        key = ("jacobi-model", id(self))
-        model = cache.memo.get(key) if cache is not None else None
-        if model is None:
-            model = StripCostModel(
-                info.forecasts, self.problem, self.account_memory,
-                conservatism_sigmas=self.conservatism_sigmas,
-            )
-            if cache is not None:
-                cache.memo[key] = model
-        return model
+    def _model(self, info: InformationPool) -> StripCostModel:
+        """The cost model over ``info.forecasts``.  It derives nothing on
+        construction and holds the snapshot, so it is built per call:
+        memoised on the snapshot, it would be a reference cycle."""
+        return StripCostModel(
+            info.forecasts, self.problem, self.account_memory,
+            conservatism_sigmas=self.conservatism_sigmas,
+        )
 
     def lower_bounds(
         self, candidate_sets: Sequence[Sequence[str]], info: InformationPool
@@ -321,33 +315,30 @@ class JacobiPlanner:
         total = float(self.problem.total_points)
 
         # Plan-continuation memo: from a given machine order onward, plan()
-        # is a deterministic function of that order alone — many candidate
-        # sets drop members and converge onto the same ordered subset, so
-        # their continuations (and final schedules) are shared.  Only valid
-        # while the pool is frozen, i.e. inside a decision.
-        cache = info.decision_cache
-        memo = cache.memo if cache is not None else None
+        # is a deterministic function of that order and this planner's
+        # value alone — many candidate sets drop members and converge onto
+        # the same ordered subset, so their continuations are shared (a
+        # fresh table per call outside a decision scope).
+        memo = info.derived(("jacobi-plan", self._key()), dict)
         visited: list[tuple[str, ...]] = []
 
         def _finish(schedule: Schedule | None) -> Schedule | None:
-            if memo is not None:
-                for key_order in visited:
-                    memo[("jacobi-plan", id(self), key_order)] = schedule
+            for key_order in visited:
+                memo[key_order] = schedule
             return schedule
 
         for _ in range(_MAX_REPLAN):
-            if memo is not None:
-                key = ("jacobi-plan", id(self), tuple(order))
-                if key in memo:
-                    hit = memo[key]
-                    if visited:  # propagate to the orders that led here
-                        _finish(hit)
-                    if hit is None:
-                        return None
-                    # Fresh object per evaluation (value-identical): rows in
-                    # decision.evaluations must not alias one another.
-                    return replace(hit)
-                visited.append(tuple(order))
+            key = tuple(order)
+            if key in memo:
+                hit = memo[key]
+                if visited:  # propagate to the orders that led here
+                    _finish(hit)
+                if hit is None:
+                    return None
+                # Fresh object per evaluation (value-identical): rows in
+                # decision.evaluations must not alias one another.
+                return replace(hit)
+            visited.append(key)
             rates = [model.point_rate(m) for m in order]
             costs = model.comm_costs(order)
             # A machine reachable only over a dead link shows an infinite
@@ -401,52 +392,43 @@ class JacobiPlanner:
 
         Captures everything :meth:`plan` reads per candidate — point
         rates, memory capacities, the pairwise border-transfer matrix,
-        member risks — once per (planner, decision), in locality-rank
-        order so batched candidate masks can be evaluated without any
-        per-candidate queries.  Values come from the same decision-scoped
-        model (over the same snapshot) the scalar path uses, so they are
-        the *same floats*; inside a decision the whole bundle is memoised, so
-        repeated stagings at one pool state (the daemon's reuse layer)
-        rebuild nothing.
+        member risks — in locality-rank order, so batched candidate masks
+        can be evaluated without any per-candidate queries.  Values come
+        from the same cost model over the same forecasts the scalar path
+        reads, so they are the *same floats*.  The bundle is memoised per
+        planner value (:meth:`InformationPool.derived`): every
+        configuration with an equal planner at one pool state shares it.
         """
-        cache = info.decision_cache
-        key = ("jacobi-batch-inputs", id(self))
-        if cache is not None:
-            memo = cache.memo.get(key)
-            if memo is not None:
-                return memo
-        model = self._model(info)
-        rank_names, _ = _pool_locality(info)
-        position = {m: i for i, m in enumerate(info.forecasts.machine_names())}
-        rates = np.array([model.point_rate(m) for m in rank_names])
-        caps = (
-            np.array([model.capacity_points(m) for m in rank_names])
-            if self.account_memory
-            else None
-        )
-        avail_mb = np.array(
-            [info.machine_info(m).memory_available_mb for m in rank_names]
-        )
-        inputs = StripBatchInputs(
-            planner=self,
-            rank_names=rank_names,
-            pool_positions=np.array([position[m] for m in rank_names]),
-            rates=rates,
-            caps=caps,
-            avail_mb=avail_mb,
-            pair=model.comm_cost_matrix(rank_names),
-            sync_overhead_s=model.sync_overhead_s,
-            total_points=float(self.problem.total_points),
-            grid_n=self.problem.n,
-            bytes_per_point=float(self.problem.bytes_per_point),
-            iterations=self.problem.iterations,
-            risk_aversion=self.risk_aversion,
-            risks=np.asarray(_member_risks(rank_names, info)),
-            account_memory=self.account_memory,
-        )
-        if cache is not None:
-            cache.memo[key] = inputs
-        return inputs
+
+        def build() -> StripBatchInputs:
+            model = self._model(info)
+            rank_names, _ = _pool_locality(info)
+            position = {m: i for i, m in enumerate(info.forecasts.machine_names())}
+            caps = (
+                np.array([model.capacity_points(m) for m in rank_names])
+                if self.account_memory
+                else None
+            )
+            return StripBatchInputs(
+                rank_names=rank_names,
+                pool_positions=np.array([position[m] for m in rank_names]),
+                rates=np.array([model.point_rate(m) for m in rank_names]),
+                caps=caps,
+                avail_mb=np.array(
+                    [info.machine_info(m).memory_available_mb for m in rank_names]
+                ),
+                pair=model.comm_cost_matrix(rank_names),
+                sync_overhead_s=model.sync_overhead_s,
+                total_points=float(self.problem.total_points),
+                grid_n=self.problem.n,
+                bytes_per_point=float(self.problem.bytes_per_point),
+                iterations=self.problem.iterations,
+                risk_aversion=self.risk_aversion,
+                risks=np.asarray(_member_risks(rank_names, info)),
+                account_memory=self.account_memory,
+            )
+
+        return info.derived(("jacobi-batch-inputs", self._key()), build)
 
 
 @dataclass(frozen=True)
@@ -457,7 +439,6 @@ class StripBatchInputs:
     stacked with other requests') by :func:`evaluate_strip_batch`.
     """
 
-    planner: "JacobiPlanner"
     rank_names: tuple[str, ...]
     # (n,) each machine's position in the pool's machine_names(): the
     # order in which the pruning bound's water-fill adds tied members.

@@ -24,11 +24,12 @@ Selector's candidate order, the strip planner's batch inputs — read
 whole pair tables (:meth:`ForecastSnapshot.transfer_matrix`): one
 vector of per-link bandwidth forecasts, taken once, min-reduced through
 the topology's cached route table, then one read-only transfer-time
-table per name order and message size, for any pool machines.  Other
-values that are pure functions of the pool state, such as the strip
-planner's locality order and the Resource Selector's candidate sets,
-are memoised by key (:meth:`ForecastSnapshot.derived`), and so are the
-machines' static descriptors (:meth:`ForecastSnapshot.machine_info`).
+table per name order and message size, for any pool machines.  The
+snapshot is the one home of every other value derived from the pool
+state (:meth:`ForecastSnapshot.derived`): the locality order, feasible
+machines, candidate sets, strip batch inputs, plan continuations, the
+service's answers and the machines' descriptors live exactly as long as
+it does, and none refers back to it, so reference counting frees it.
 
 Every value is obtained by calling the pool's own prediction interface,
 or by repeating its arithmetic elementwise, so a snapshot is
@@ -40,7 +41,7 @@ identical to the reference implementation.
 Snapshots do not follow time: if the NWS advances after the snapshot was
 taken, :attr:`ForecastSnapshot.stale` turns true and the holder should
 take a new one.  The Coordinator takes one snapshot per ``schedule()``
-call, which is the intended lifetime.
+call; the always-on scheduling service keeps one while it is fresh.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class ForecastSnapshot:
         }
         # Lazy memos for derived and pairwise quantities.
         self._conservative: dict[tuple[str, float], float] = {}
-        self._bandwidth: dict[tuple[str, str, int], float] = {}
-        self._transfer: dict[tuple[str, str, float, int], float] = {}
+        self._bandwidth: dict[tuple[str, str], float] = {}
+        self._transfer: dict[tuple[str, str, float], float] = {}
         # Pair tables (see transfer_matrix): one per-link bandwidth vector,
         # then one read-only table per (name order, nbytes).
         self._link_bandwidths: np.ndarray | None = None
@@ -160,23 +161,21 @@ class ForecastSnapshot:
             self._conservative[key] = value
         return value
 
-    def predicted_bandwidth(self, a: str, b: str, flows: int = 1) -> float:
+    def predicted_bandwidth(self, a: str, b: str) -> float:
         """Memoised :meth:`ResourcePool.predicted_bandwidth`."""
-        key = (a, b, flows)
+        key = (a, b)
         value = self._bandwidth.get(key)
         if value is None:
-            value = self.pool.predicted_bandwidth(a, b, flows)
+            value = self.pool.predicted_bandwidth(a, b)
             self._bandwidth[key] = value
         return value
 
-    def predicted_transfer_time(
-        self, a: str, b: str, nbytes: float, flows: int = 1
-    ) -> float:
+    def predicted_transfer_time(self, a: str, b: str, nbytes: float) -> float:
         """Memoised :meth:`ResourcePool.predicted_transfer_time`."""
-        key = (a, b, nbytes, flows)
+        key = (a, b, nbytes)
         value = self._transfer.get(key)
         if value is None:
-            value = self.pool.predicted_transfer_time(a, b, nbytes, flows)
+            value = self.pool.predicted_transfer_time(a, b, nbytes)
             self._transfer[key] = value
         return value
 
@@ -234,7 +233,8 @@ class ForecastSnapshot:
         describes (the strip planner's locality order, say): like the pair
         tables, they are then shared by every decision scope and every
         configuration that reads the snapshot.  Callers namespace their
-        keys.
+        keys, name everything else ``build`` reads by value, and memoise
+        nothing that holds the snapshot.
         """
         try:
             return self._derived[key]

@@ -46,19 +46,18 @@ each request's answer or error.
 
 Cross-call reuse (the always-on daemon's amortisation)
 ------------------------------------------------------
-A service constructed with ``reuse=True`` keeps what it derived from
-one *pool state* — the :class:`~repro.nws.snapshot.ForecastSnapshot`,
-with the pair tables, locality order and machine descriptors memoised
-on it, and whole answers per request configuration — alive across
-``decide()`` calls, invalidating the lot the moment
+Everything derived from one *pool state* — pair tables, candidate sets,
+batch inputs, plan continuations and whole answers per request
+configuration — is memoised on its :class:`~repro.nws.snapshot.ForecastSnapshot`.
+A service constructed with ``reuse=True`` keeps the snapshot alive
+across ``decide()`` calls, dropping it the moment
 :attr:`ForecastSnapshot.stale` turns true (the NWS advanced, so the pool
-is in a new state).  A configuration's staging and
-:class:`~repro.core.infopool.DecisionCache` live only within the call
-that answers it: once answered, the answer serves it.  Every cached
-value is a pure function of the snapshot, so reuse is bit-identical by
-the same argument as the snapshot itself; it only changes how often the
-same floats are recomputed.  Reuse requires an attached NWS (staleness
-is keyed on the NWS clock/epoch).
+is in a new state).  A configuration's staging lives only within the
+call that answers it: once answered, the answer serves it.  Every
+memoised value is a pure function of the snapshot, so reuse is
+bit-identical by the same argument as the snapshot itself; it only
+changes how often the same floats are recomputed.  Reuse requires an
+attached NWS (staleness is keyed on the NWS clock/epoch).
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ from repro.core.selector import ResourceSelector
 from repro.core.sweep import materialise_winner, objective_bounds, replay_sweep  # noqa: F401
 from repro.jacobi.apples import evaluate_strip_batch, make_jacobi_agent
 from repro.nws.service import NetworkWeatherService
+from repro.nws.snapshot import ForecastSnapshot
 from repro.obs.trace import get_tracer
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
@@ -95,21 +95,6 @@ class PartialBatchError(RuntimeError):
         errors = [o for o in self.outcomes if isinstance(o, Exception)]
         return (f"{len(errors)} of {len(self.outcomes)} requests failed; "
                 f"first: {type(errors[0]).__name__}: {errors[0]}")
-
-
-class _PoolState:
-    """Everything the service derived from one pool state.
-
-    Valid exactly while ``snapshot.stale`` is false; the service drops the
-    whole object the moment the NWS advances.  ``answers`` memoises whole
-    decisions per request configuration.
-    """
-
-    __slots__ = ("snapshot", "answers")
-
-    def __init__(self, snapshot) -> None:
-        self.snapshot = snapshot
-        self.answers: dict = {}
 
 
 class SchedulingService:
@@ -153,7 +138,7 @@ class SchedulingService:
         # dynamic state flows in per decision through the snapshot), so
         # they may be kept across pool states.
         self._agents: dict = {}
-        self._state: _PoolState | None = None
+        self._snapshot: ForecastSnapshot | None = None
 
     # -- public API -------------------------------------------------------
     def decide(self, requests: Sequence[DecisionRequest]) -> list[ServiceAnswer]:
@@ -201,42 +186,39 @@ class SchedulingService:
                 f"t={self.nws.now}"
             )
 
-    def _agent(self, request: DecisionRequest, key=None) -> AppLeSAgent:
-        if self._reuse and key is not None:
-            agent = self._agents.get(key)
-            if agent is not None:
-                return agent
-        agent = make_jacobi_agent(
-            self.testbed,
-            request.problem,
-            self.nws,
-            userspec=request.userspec,
-            selector=self.selector,
-            account_memory=request.account_memory,
-        )
-        if self._reuse and key is not None:
-            self._agents[key] = agent
+    def _agent(self, request: DecisionRequest, key) -> AppLeSAgent:
+        agent = self._agents.get(key)
+        if agent is None:
+            agent = make_jacobi_agent(
+                self.testbed,
+                request.problem,
+                self.nws,
+                userspec=request.userspec,
+                selector=self.selector,
+                account_memory=request.account_memory,
+            )
+            if self._reuse:
+                self._agents[key] = agent
         return agent
 
-    def _pool_state(self) -> _PoolState:
-        """The pool-state cache for the current NWS instant.
+    def _pool_snapshot(self) -> ForecastSnapshot:
+        """The forecast snapshot of the current NWS instant.
 
-        With reuse on, the previous state survives while its snapshot is
-        fresh; :attr:`ForecastSnapshot.stale` is the sole invalidation
-        signal (the NWS epoch/clock), so a mutated pool can never serve a
-        stale answer.  Without reuse, every call gets a private state —
-        the pre-daemon one-snapshot-per-batch behaviour.
+        With reuse on, the previous snapshot survives while it is fresh;
+        :attr:`ForecastSnapshot.stale` is the sole invalidation signal (the
+        NWS epoch/clock), so a mutated pool can never serve a stale answer.
+        Without reuse, every call takes a private snapshot.
         """
-        state = self._state
-        if state is not None and not state.snapshot.stale:
+        snapshot = self._snapshot
+        if snapshot is not None and not snapshot.stale:
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.metrics.counter("service.reuse.snapshot_hits").inc()
-            return state
-        state = _PoolState(ResourcePool(self.testbed.topology, self.nws).snapshot())
+            return snapshot
+        snapshot = ResourcePool(self.testbed.topology, self.nws).snapshot()
         if self._reuse:
-            self._state = state
-        return state
+            self._snapshot = snapshot
+        return snapshot
 
     def _decide_group(self, requests, group, at, answers) -> None:
         """Answer one instant's requests: stage, batch-evaluate, decide;
@@ -246,8 +228,8 @@ class SchedulingService:
         # are the same floats each agent's private snapshot would return.
         # With reuse on, the snapshot — and the answers decided from it —
         # survive from earlier calls at the same pool state.
-        state = self._pool_state()
-        snapshot = state.snapshot
+        snapshot = self._pool_snapshot()
+        decided = snapshot.derived("service-answers", dict)
         tracer = get_tracer()
 
         configs: dict = {}  # config_key -> [request indices]
@@ -257,9 +239,9 @@ class SchedulingService:
         # Phase A: per unique config, build the agent, then enumerate and
         # stage its candidate sets inside a shared-snapshot decision scope
         # (like schedule()), so every configuration reads one pair table.
-        pending = []  # (indices, config key, agent, StagedDecision, DecisionCache)
+        pending = []  # (indices, config key, agent, StagedDecision)
         for key, idxs in configs.items():
-            answer = state.answers.get(key)
+            answer = decided.get(key)
             if answer is not None:
                 # This configuration was already decided at this pool
                 # state — the decision is a pure function of (config,
@@ -271,7 +253,7 @@ class SchedulingService:
                 continue
             try:
                 agent = self._agent(requests[idxs[0]], key)
-                with agent.info.decision_scope(snapshot) as cache:
+                with agent.info.decision_scope(snapshot):
                     staged = agent.stage(agent.candidate_sets())
             except Exception as exc:
                 for i in idxs:
@@ -279,11 +261,11 @@ class SchedulingService:
                 continue
             if tracer.enabled and staged.job is None:
                 tracer.metrics.counter("service.scalar_configs").inc()
-            pending.append((idxs, key, agent, staged, cache))
+            pending.append((idxs, key, agent, staged))
 
         # Phase B: one batched evaluation over every candidate set of every
         # configuration that batches, then one decision per configuration.
-        jobs = [staged.job for *_, staged, _ in pending if staged.job is not None]
+        jobs = [staged.job for *_, staged in pending if staged.job is not None]
         try:
             evaluations = evaluate_strip_batch(jobs)
         except Exception as exc:  # the outcome of every job in the call
@@ -306,18 +288,18 @@ class SchedulingService:
                 surrendered=surrendered,
             )
         batched = iter(evaluations)
-        for idxs, key, agent, staged, cache in pending:
+        for idxs, key, agent, staged in pending:
             ev = next(batched) if staged.job is not None else None
             try:
                 if isinstance(ev, Exception):
                     raise ev
-                with agent.info.decision_scope(snapshot, reuse=cache):
+                with agent.info.decision_scope(snapshot):
                     decision = agent.decide(staged, ev)
             except Exception as exc:
                 for i in idxs:
                     answers[i] = exc
                 continue
-            answer = state.answers[key] = ServiceAnswer.from_decision(decision, at)
+            answer = decided[key] = ServiceAnswer.from_decision(decision, at)
             if tracer.enabled:
                 # Every decision is counted by how it was scored, so the
                 # obs stream shows how many the batched core served.

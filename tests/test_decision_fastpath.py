@@ -112,12 +112,12 @@ def test_reference_path_reports_unbounded_stats(testbed, warmed_nws):
     assert decision.pruning.planned == decision.candidates_considered
 
 
-def test_decision_cache_closed_after_schedule(testbed, warmed_nws):
-    """begin_decision/end_decision bracket cleanly (no leaked cache)."""
+def test_decision_scope_closed_after_schedule(testbed, warmed_nws):
+    """schedule() closes its decision scope (no leaked snapshot)."""
     problem = JacobiProblem(n=600, iterations=40)
     agent = make_jacobi_agent(testbed, problem, nws=warmed_nws)
     agent.schedule()
-    assert agent.info.decision_cache is None
+    assert agent.info.forecasts is agent.info.pool
 
 
 def test_blocked_preference_equivalent(testbed, warmed_nws):

@@ -1,15 +1,21 @@
-"""Regression tests for per-request decision scoping.
+"""Regression tests for per-request decision scoping and pool-state memos.
 
-The bug class under guard: a :class:`~repro.core.infopool.DecisionCache`
-surviving from one service request into the next.  Rates, cost models and
-locality orders memoised for a decision at ``t1`` must never answer a
-decision at ``t2`` — the fix gives every request an explicit
-``decision_scope`` whose cache is dropped (and any enclosing scope's cache
-restored) on exit.
+The bug class under guard: a value derived from one pool state answering
+a decision at another.  Rates, plans, batch inputs and locality orders
+derived for a decision at ``t1`` must never answer a decision at ``t2``.
+Every such value is memoised on its pool state's
+:class:`~repro.nws.snapshot.ForecastSnapshot` through
+:meth:`~repro.core.infopool.InformationPool.derived`; a ``decision_scope``
+pins one snapshot, refuses a stale one, and restores any enclosing
+scope's snapshot on exit.  Configurations with equal selector, filter or
+planner values at one pool state share what they derive, and a stale
+pool state is freed by reference counting, not left for the cyclic
+collector (the pool-state lifetime guard).
 """
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -36,6 +42,7 @@ from repro.nile.apples import make_nile_agent
 from repro.nile.events import PASS2, EventBatch
 from repro.nile.storage import TAPE, StoredDataset
 from repro.nws import NetworkWeatherService
+from repro.nws.snapshot import ForecastSnapshot
 from repro.react.apples import make_react_agent
 from repro.react.tasks import ReactProblem
 from repro.service import DecisionRequest, SchedulingService, ServiceAnswer
@@ -206,34 +213,48 @@ def test_stale_snapshot_rejected():
     nws.advance_to(100.0)
     snapshot = info.pool.snapshot()
     nws.advance_to(200.0)  # epoch moves; the snapshot's floats are history
+    entered = []
     with pytest.raises(ValueError, match="stale"):
-        info.begin_decision(snapshot)
+        with info.decision_scope(snapshot):
+            entered.append(True)
+    assert not entered
+    assert info.forecasts is info.pool
 
 
 def test_decision_scope_drops_cache_and_restores_outer():
     testbed, nws = _world()
     info = _info(testbed, nws)
+    built = []
 
-    assert info.decision_cache is None
+    def probe(value):
+        return lambda: built.append(value) or value
+
+    assert info.forecasts is info.pool
     with info.decision_scope() as outer:
-        outer.memo["k"] = "outer-value"
+        assert info.forecasts is outer
+        assert info.derived(("probe",), probe("outer")) == "outer"
         with info.decision_scope() as inner:
-            assert info.decision_cache is inner
-            assert "k" not in inner.memo  # fresh memo per scope
-            inner.memo["k"] = "inner-value"
-        # The enclosing decision's cache comes back untouched.
-        assert info.decision_cache is outer
-        assert info.decision_cache.memo["k"] == "outer-value"
-    assert info.decision_cache is None
+            assert inner is not outer
+            assert info.forecasts is inner
+            # Nothing derived on the outer snapshot is seen on the inner one.
+            assert info.derived(("probe",), probe("inner")) == "inner"
+        # The enclosing decision's snapshot comes back untouched.
+        assert info.forecasts is outer
+    assert info.forecasts is info.pool
+    with info.decision_scope(outer):
+        assert info.derived(("probe",), probe("again")) == "outer"
+    assert built == ["outer", "inner"]
 
 
 def test_decision_scope_restores_on_error():
     testbed, nws = _world()
     info = _info(testbed, nws)
-    with pytest.raises(RuntimeError, match="boom"):
-        with info.decision_scope():
-            raise RuntimeError("boom")
-    assert info.decision_cache is None
+    with info.decision_scope() as outer:
+        with pytest.raises(RuntimeError, match="boom"):
+            with info.decision_scope():
+                raise RuntimeError("boom")
+        assert info.forecasts is outer
+    assert info.forecasts is info.pool
 
 
 def _read_from_the_scope(info, ask):
@@ -243,12 +264,12 @@ def _read_from_the_scope(info, ask):
     want = ask()
     assert want  # a non-empty answer, so the comparison below means something
     assert info.forecasts is info.pool
-    with info.decision_scope(info.pool.snapshot()) as cache:
+    with info.decision_scope(info.pool.snapshot()) as snapshot:
         with mock.patch.object(
             resources.ResourcePool, "predicted_speed",
             side_effect=AssertionError("pool read inside a decision scope"),
         ):
-            assert info.forecasts is cache.snapshot
+            assert info.forecasts is snapshot
             got = ask()
     assert info.forecasts is info.pool
     assert got == want
@@ -426,3 +447,81 @@ def test_feasible_machines_filter_once_per_pool_state_and_filter():
         selector.feasible_machines(info)
         selector.feasible_machines(info)
         assert permits.call_count == 2 * len(names)
+
+
+# -- one home for pool-state memos --------------------------------------------
+def test_equal_planner_values_share_batch_inputs_at_one_snapshot():
+    """Planners key their memos by value: at one pool state, configurations
+    that differ only in ``max_machines`` build ``StripBatchInputs`` once,
+    equal to each one's unshared build; a different memory policy or
+    problem builds its own; outside a scope every call builds."""
+    testbed, nws = _world()
+    nws.advance_to(300.0)
+    problem = JacobiProblem(n=600, iterations=10)
+
+    def agent(p=problem, memory=True, cap=None):
+        return make_jacobi_agent(
+            testbed, p, nws, userspec=UserSpecification(max_machines=cap),
+            account_memory=memory,
+        )
+
+    def strip(a):
+        return a.planner.batch_planner(a.info)
+
+    snapshot = resources.ResourcePool(testbed.topology, nws).snapshot()
+    with mock.patch.object(
+        apples, "StripBatchInputs", wraps=apples.StripBatchInputs
+    ) as built:
+        twins = [agent(cap=cap) for cap in (None, 3, 5)]
+        shared = []
+        for twin in twins:
+            with twin.info.decision_scope(snapshot):
+                shared.append(twin.stage(twin.candidate_sets()).job[0])
+        assert built.call_count == 1
+        assert all(inputs is shared[0] for inputs in shared)
+        for other in (agent(memory=False), agent(p=JacobiProblem(n=900, iterations=10))):
+            with other.info.decision_scope(snapshot):
+                assert strip(other).batch_inputs(other.info) is not shared[0]
+        assert built.call_count == 3
+        with twins[1].info.decision_scope(snapshot):
+            alone = strip(twins[1]).batch_inputs(twins[1].info)
+        assert alone is shared[0] and built.call_count == 3
+        unshared = [strip(t).batch_inputs(t.info) for t in twins]
+        assert built.call_count == 6
+    for inputs in unshared:
+        assert inputs is not shared[0]
+        assert inputs.rank_names == shared[0].rank_names
+        for name in ("rates", "caps", "avail_mb", "pair", "risks"):
+            assert getattr(inputs, name).tobytes() == getattr(shared[0], name).tobytes()
+
+
+def test_stale_pool_states_are_freed_by_reference_counting():
+    """The pool-state lifetime guard: nothing memoised on a snapshot may
+    refer back to it, so with the cyclic collector off a reusing service
+    that decides at several instants keeps exactly one snapshot alive."""
+    testbed, nws = _world()
+    requests = [
+        DecisionRequest(
+            problem=JacobiProblem(n=n, iterations=20),
+            userspec=UserSpecification(max_machines=cap),
+            account_memory=memory,
+        )
+        for n in (600, 900)
+        for memory in (True, False)
+        for cap in (None, 3)
+    ]
+    service = SchedulingService(testbed, nws, reuse=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for at in (300.0, 330.0, 360.0, 390.0):
+            service.decide([replace(r, at=at) for r in requests])
+        alive = [
+            o for o in gc.get_objects()
+            if isinstance(o, ForecastSnapshot) and o.pool.nws is nws
+        ]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(alive) == 1
+    assert not alive[0].stale

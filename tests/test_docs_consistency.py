@@ -217,3 +217,18 @@ class TestModulesReferencedExist:
             for attr in parts[cut:]:
                 assert hasattr(mod, attr), f"{doc}: {dotted} has no {attr}"
                 mod = getattr(mod, attr)
+
+
+class TestPoolStateMemosDocumented:
+    """Values derived from a pool state have one home, the forecast
+    snapshot, reached through ``InformationPool.derived``; the docs must
+    not describe the per-decision cache it replaced."""
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "docs/TUTORIAL.md"])
+    def test_deleted_scope_api_not_named(self, doc):
+        text = (ROOT / doc).read_text()
+        for gone in ("DecisionCache", "begin_decision", "end_decision", "decision_cache"):
+            assert gone not in text, f"{doc} still names {gone}"
+
+    def test_design_names_the_one_home(self):
+        assert "InformationPool.derived" in (ROOT / "DESIGN.md").read_text()

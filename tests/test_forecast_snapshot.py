@@ -13,11 +13,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.infopool import DecisionCache, InformationPool
+from repro.core.infopool import InformationPool
 from repro.core.resources import ResourcePool
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem, jacobi_hat
 from repro.nws.service import NetworkWeatherService
+from repro.nws.snapshot import ForecastSnapshot
 from repro.sim.host import Host
 from repro.sim.link import Link
 from repro.sim.load import ConstantLoad
@@ -63,7 +64,7 @@ def test_snapshot_memoises(pool):
     a, b = names[0], names[1]
     first = snap.predicted_transfer_time(a, b, 1024.0)
     assert snap.predicted_transfer_time(a, b, 1024.0) == first
-    assert (a, b, 1024.0, 1) in snap._transfer
+    assert (a, b, 1024.0) in snap._transfer
     cs = snap.predicted_speed_conservative(a)
     assert snap._conservative[(a, 1.0)] == cs
     # A frozen view is its own snapshot, whatever it is asked to capture.
@@ -103,21 +104,24 @@ def test_snapshot_subset_capture(pool):
     assert set(snap.speed) == set(names)
 
 
-def test_begin_end_decision_lifecycle(pool):
+def test_decision_scope_lifecycle(pool):
     info = InformationPool(pool=pool, hat=jacobi_hat(JacobiProblem(n=400)))
-    assert info.decision_cache is None
-    cache = info.begin_decision()
-    assert isinstance(cache, DecisionCache)
-    assert info.decision_cache is cache
-    assert cache.snapshot.machines == tuple(pool.machine_names())
-    cache.memo[("x", 1)] = "y"
-    # Re-entry replaces the cache (fresh memo, fresh snapshot).
-    cache2 = info.begin_decision()
-    assert info.decision_cache is cache2
-    assert cache2 is not cache
-    assert not cache2.memo
-    info.end_decision()
-    assert info.decision_cache is None
+    assert info.forecasts is pool
+    with info.decision_scope() as snapshot:
+        assert isinstance(snapshot, ForecastSnapshot)
+        assert info.forecasts is snapshot
+        assert snapshot.machines == tuple(pool.machine_names())
+        assert info.derived(("x", 1), lambda: "y") == "y"
+        # A nested scope takes a fresh snapshot, with nothing derived on it.
+        with info.decision_scope() as nested:
+            assert nested is not snapshot
+            assert info.forecasts is nested
+            assert info.derived(("x", 1), lambda: "z") == "z"
+        assert info.forecasts is snapshot
+        assert info.derived(("x", 1), lambda: "z") == "y"
+    assert info.forecasts is pool
+    # Outside a scope every value is built afresh.
+    assert info.derived(("x", 1), lambda: "w") == "w"
 
 
 class TestTransferMatrix:

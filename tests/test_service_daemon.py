@@ -9,11 +9,12 @@ tests pin the edges of that claim:
 - micro-batch policy lingers only when arrivals will fill the batch;
 - shards are isolated (a backlogged pool does not stall another's
   answers) and drain-on-shutdown answers everything already queued;
-- the cross-call reuse layer (`SchedulingService(reuse=True)`,
-  `DecisionCache` adoption in `begin_decision`) never serves an answer
-  derived from a stale pool state — the regression tests mutate the NWS
-  between calls and compare against fresh solo agents — and a retry
-  after a batch that raised answers like a fresh service;
+- the cross-call reuse layer (`SchedulingService(reuse=True)`, which
+  keeps one `ForecastSnapshot`, and every value derived on it, while the
+  snapshot is fresh) never serves an answer derived from a stale pool
+  state — the regression tests mutate the NWS between calls and compare
+  against fresh solo agents — and a retry after a batch that raised
+  answers like a fresh service;
 - a Hypothesis property: however a request multiset is sliced into
   submissions, daemon answers equal one `SchedulingService.decide()`;
 - a process pool whose workers were killed is rebuilt for later batches;
@@ -38,12 +39,13 @@ from hypothesis import strategies as st
 
 import repro.service.core as service_core
 from repro.core.coordinator import AppLeSAgent
-from repro.core.infopool import DecisionCache
+from repro.core.resources import ResourcePool
 from repro.core.sweep import NoFeasibleCandidate
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
+from repro.nws.snapshot import ForecastSnapshot
 from repro.obs.trace import tracing
 from repro.service import (
     DecisionRequest,
@@ -520,54 +522,69 @@ class TestBitIdentity:
 
 # -- cross-call reuse staleness (the satellite regression) ----------------
 class TestReuseStaleness:
-    def test_decision_cache_stale_property(self):
+    def test_snapshot_goes_stale_and_a_scope_refuses_it(self):
         testbed = sdsc_pcl_testbed(seed=1996)
         nws = NetworkWeatherService.for_testbed(testbed, seed=7)
         agent = make_jacobi_agent(
             testbed, JacobiProblem(n=600, iterations=10), nws
         )
-        cache = agent.info.begin_decision()
-        assert isinstance(cache, DecisionCache)
-        assert not cache.stale
+        with agent.info.decision_scope() as snapshot:
+            assert isinstance(snapshot, ForecastSnapshot)
+            assert not snapshot.stale
         nws.advance_to(100.0)
-        assert cache.stale
+        assert snapshot.stale
+        with pytest.raises(ValueError, match="stale"):
+            with agent.info.decision_scope(snapshot):
+                pass
 
-    def test_begin_decision_discards_stale_reuse(self):
+    def test_reusing_service_renews_a_stale_snapshot(self):
+        """A reusing service keeps its snapshot while it is fresh; once the
+        NWS advances it takes a new one, on which nothing derived from the
+        old pool state is found."""
         testbed = sdsc_pcl_testbed(seed=1996)
         nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
-            testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        first = agent.info.begin_decision()
-        first.memo[("probe",)] = "from-stale-state"
-        nws.advance_to(60.0)
-        second = agent.info.begin_decision(reuse=first)
-        assert second is not first
-        assert ("probe",) not in second.memo
+        service = SchedulingService(testbed, nws, reuse=True)
+        taken = []
+        real = ResourcePool.snapshot
 
-    def test_begin_decision_discards_mismatched_snapshot(self):
+        def snapshot(pool, machines=None):
+            taken.append(real(pool, machines))
+            return taken[-1]
+
+        with mock.patch.object(ResourcePool, "snapshot", snapshot):
+            service.decide([_request(0)])
+            taken[0].derived(("probe",), lambda: "from-stale-state")
+            service.decide([_request(1)])  # same pool state, same snapshot
+            assert len(taken) == 1
+            service.decide([_request(0, at=AT + 60.0)])
+        assert len(taken) == 2
+        assert taken[0].stale and not taken[1].stale
+        assert taken[1].derived(("probe",), lambda: "fresh") == "fresh"
+
+    def test_another_snapshot_sees_no_derived_values(self):
         testbed = sdsc_pcl_testbed(seed=1996)
         nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
+        info = make_jacobi_agent(
             testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        cache = agent.info.begin_decision()
-        other = agent.info.pool.snapshot()
-        fresh = agent.info.begin_decision(snapshot=other, reuse=cache)
-        assert fresh is not cache
-        assert fresh.snapshot is other
+        ).info
+        with info.decision_scope():
+            info.derived(("probe",), lambda: 42)
+        other = info.pool.snapshot()
+        with info.decision_scope(other) as snapshot:
+            assert snapshot is other
+            assert info.derived(("probe",), lambda: "other") == "other"
 
-    def test_begin_decision_adopts_current_reuse(self):
+    def test_same_fresh_snapshot_sees_derived_values(self):
         testbed = sdsc_pcl_testbed(seed=1996)
         nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
+        info = make_jacobi_agent(
             testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        cache = agent.info.begin_decision()
-        cache.memo[("probe",)] = 42
-        again = agent.info.begin_decision(reuse=cache)
-        assert again is cache
-        assert again.memo[("probe",)] == 42
+        ).info
+        with info.decision_scope() as snapshot:
+            info.derived(("probe",), lambda: 42)
+        with info.decision_scope(snapshot) as again:
+            assert again is snapshot
+            assert info.derived(("probe",), lambda: "rebuilt") == 42
 
     def test_reuse_requires_nws(self):
         testbed = sdsc_pcl_testbed(seed=1996)
