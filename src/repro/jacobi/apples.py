@@ -486,11 +486,13 @@ class StripBatchEvaluation:
 # Structural bound on batched re-plan passes: membership shrinks by at
 # least one machine per pass per row, matching the scalar _MAX_REPLAN.
 _MAX_BATCH_PASSES = _MAX_REPLAN
+# Cells (rows times universe size) per block of a fixpoint pass: a block's
+# float64 temporaries stay cache-sized instead of as tall as the call.
+_BLOCK_CELLS = 2**15
 
 
 def evaluate_strip_batch(
     jobs: Sequence[tuple[StripBatchInputs, np.ndarray]],
-    chunk_rows: int = 32768,
 ) -> list[StripBatchEvaluation]:
     """Evaluate the candidate sets of many scheduling requests at once.
 
@@ -504,12 +506,13 @@ def evaluate_strip_batch(
     driven through NumPy replicas of the scalar plan pipeline — locality
     orders, neighbour comm costs, the drop/re-balance fixpoint,
     largest-remainder integerisation, and the risk-adjusted step-time
-    prediction — in chunks of ``chunk_rows`` (at least 1) to bound peak
-    memory.  Each fixpoint pass works in strip-order arrays only as wide as
-    the widest member set among its rows, gathers every row's neighbour
-    transfers once, and finalises the rows that converge in it straight
-    from those arrays.  The first pass, before any member is dropped, also
-    bounds every row from its arrays (:func:`_strip_bounds`).
+    prediction.  Each fixpoint pass runs in blocks of at most
+    ``_BLOCK_CELLS`` cells (rows times universe size) to bound peak memory,
+    while continuation spans the call.  A block works in strip-order arrays
+    only as wide as the widest member set among its rows, gathers every
+    row's neighbour transfers once, and finalises the rows that converge in
+    it straight from those arrays.  The first pass, before any member is
+    dropped, also bounds every row from its arrays (:func:`_strip_bounds`).
 
     Memory capacity only vetoes: it changes no float of a plan it does not
     stop, so each class runs memory-blind, and its memory-accounting
@@ -531,12 +534,14 @@ def evaluate_strip_batch(
     overshoot — is surrendered to the scalar planner rather than
     approximated.
     """
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows!r}")
     if not jobs:
         return []
     n = len(jobs[0][0].rank_names)
-    for inputs, masks in jobs:
+    for j, (inputs, masks) in enumerate(jobs):
+        if np.ndim(masks) != 2:
+            raise ValueError(
+                f"job {j}: candidate masks must be 2-D, got shape {np.shape(masks)}"
+            )
         if len(inputs.rank_names) != n or masks.shape[1] != n:
             raise ValueError("all jobs must share one machine universe size")
 
@@ -560,12 +565,7 @@ def evaluate_strip_batch(
         bounds=np.full(distinct, np.inf),
     )
     veto = np.zeros(distinct, dtype=bool)
-    for lo in range(0, distinct, chunk_rows):
-        chunk = slice(lo, lo + chunk_rows)
-        _evaluate_chunk(
-            member[first[chunk]], row_class[first[chunk]], starts[chunk],
-            tables, plans.rows(chunk), veto[chunk],
-        )
+    _fixpoint(member[first], row_class[first], starts, tables, plans, veto)
     tracer = get_tracer()
     if tracer.enabled:
         tracer.metrics.counter("apples.rows_computed").inc(distinct)
@@ -743,10 +743,65 @@ def _select(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a[idx] for a in arrays)
 
 
-def _evaluate_chunk(member, class_of, starts, tables, out, veto):
-    """One chunk of distinct rows of :func:`evaluate_strip_batch`, their
-    sorted keys ``starts`` (outcomes written to ``out`` and ``veto``)."""
-    stopped, continues = _fixpoint(member, class_of, starts, tables, out, veto)
+def _fixpoint(member, class_of, starts, tables, out, veto):
+    """The memory-blind drop/re-balance fixpoint of the distinct rows of
+    :func:`evaluate_strip_batch`, outcomes written to ``out`` and ``veto``.
+
+    The rows are distinct (class, usable-member set) pairs, ``starts``
+    their sorted keys.  Batch plan continuation: from a given member set
+    onward, a row's fixpoint depends on that set and its class alone —
+    the scalar planner's ``("jacobi-plan", ...)`` continuation memo,
+    applied across rows and jobs.  A row whose members shrink (balance
+    drop or dead-link drop) to the starting member set of another row of
+    its class anywhere in the call stops iterating and takes that row's
+    final outcome and veto; the passes the other row needs count toward
+    ``_MAX_BATCH_PASSES`` exactly as the passes they replace.  On
+    exhaustive candidate spaces every shrunk set is some row's start, so
+    the fixpoint ends after one pass.
+
+    Each pass sends its pending rows through :func:`_strip_pass` in blocks
+    of at most ``_BLOCK_CELLS`` cells.  A block settles its rows at its own
+    width and hands back the ones that converged, with the strip-order
+    arrays they converged in; its other temporaries are freed when it
+    returns, before :func:`_finalise` writes those rows' outcomes.  A block
+    touches only its own rows' state, so blocks change no outcome.
+    Surrendered rows are flagged in ``out.fallback``, rows the class's
+    memory variant vetoes in ``veto``.
+    """
+    m, n = member.shape
+    block = max(1, _BLOCK_CELLS // max(n, 1))
+    pending = np.ones(m, dtype=bool)
+    # The pass in which each row stopped iterating; a continued row also
+    # names the row whose outcome it takes.
+    stopped = np.zeros(m, dtype=np.int64)
+    continues = np.full(m, -1, dtype=np.int64)
+
+    def continue_shrunk(grows):
+        """Rows ``grows`` just shrank; those whose member set now starts
+        another row stop iterating and continue as that row."""
+        keys = _member_keys(member[grows], class_of[grows])
+        pos = np.minimum(np.searchsorted(starts, keys), m - 1)
+        hit = starts[pos] == keys
+        continues[grows[hit]] = pos[hit]
+        pending[grows[hit]] = False
+
+    for npass in range(1, _MAX_BATCH_PASSES + 1):
+        rows = np.nonzero(pending)[0]
+        if rows.size == 0:
+            break
+        stopped[rows] = npass
+        for lo in range(0, rows.size, block):
+            converged = _strip_pass(
+                rows[lo:lo + block], member, class_of, tables, pending,
+                out.fallback, veto, continue_shrunk,
+                out.bounds if npass == 1 else None,
+            )
+            if converged is not None:
+                _finalise(*converged, member, tables, out, veto)
+    else:
+        # Rows still pending after the structural bound: let the scalar
+        # planner raise (or converge) exactly as solo would.
+        out.fallback[pending] = True
 
     # Follow each continuation chain to the row that finished, adding up
     # the passes the chain stands for and OR-ing the vetoes along it.
@@ -774,71 +829,11 @@ def _evaluate_chunk(member, class_of, starts, tables, out, veto):
     out.fallback[crows[~within]] = True
 
 
-def _fixpoint(member, class_of, starts, tables, out, veto):
-    """The memory-blind drop/re-balance fixpoint of one chunk of rows.
-
-    The rows are distinct (class, usable-member set) pairs, ``starts``
-    their sorted keys.  Batch plan continuation: from a given member set
-    onward, a row's fixpoint depends on that set and its class alone —
-    the scalar planner's ``("jacobi-plan", ...)`` continuation memo,
-    applied across rows and jobs.  A row whose members shrink (balance
-    drop or dead-link drop) to the starting member set of another row of
-    its class in this chunk stops iterating and takes that row's final
-    outcome and veto; the passes the other row needs count toward
-    ``_MAX_BATCH_PASSES`` exactly as the passes they replace.  On
-    exhaustive candidate spaces every shrunk set is some row's start, so
-    the fixpoint ends after one pass.
-
-    Each pass (:func:`_strip_pass`) settles its rows at its own width and
-    hands back the ones that converged, with the strip-order arrays they
-    converged in; its other temporaries are freed when it returns, before
-    :func:`_finalise` writes those rows' outcomes.  Returns ``(stopped,
-    continues)``: the pass in which each row stopped iterating, and the
-    row each continued row takes its outcome from (``-1`` for none).
-    Surrendered rows are flagged in ``out.fallback``, rows the class's
-    memory variant vetoes in ``veto``.
-    """
-    m = member.shape[0]
-    pending = np.ones(m, dtype=bool)
-    # The pass in which each row stopped iterating; a continued row also
-    # names the row whose outcome it takes.
-    stopped = np.zeros(m, dtype=np.int64)
-    continues = np.full(m, -1, dtype=np.int64)
-
-    def continue_shrunk(grows):
-        """Rows ``grows`` just shrank; those whose member set now starts
-        another row stop iterating and continue as that row."""
-        keys = _member_keys(member[grows], class_of[grows])
-        pos = np.minimum(np.searchsorted(starts, keys), m - 1)
-        hit = starts[pos] == keys
-        continues[grows[hit]] = pos[hit]
-        pending[grows[hit]] = False
-
-    for npass in range(1, _MAX_BATCH_PASSES + 1):
-        rows = np.nonzero(pending)[0]
-        if rows.size == 0:
-            break
-        stopped[rows] = npass
-        converged = _strip_pass(
-            rows, member, class_of, tables, pending, out.fallback, veto,
-            continue_shrunk, out.bounds if npass == 1 else None,
-        )
-        if converged is not None:
-            _finalise(*converged, member, tables, out, veto)
-    else:
-        # Rows still pending after the structural bound: let the scalar
-        # planner raise (or converge) exactly as solo would.
-        out.fallback[pending] = True
-        pending[:] = False
-
-    return stopped, continues
-
-
 def _strip_pass(
     rows, member, class_of, tables, pending, fallback, veto, continue_shrunk,
     bounds,
 ):
-    """One drop/re-balance pass over the pending ``rows`` of a chunk.
+    """One drop/re-balance pass over a block of pending ``rows``.
 
     Works in strip-order arrays only as wide as the widest member set
     among ``rows``.  Rows that empty, hit a dead link, surrender or shrink

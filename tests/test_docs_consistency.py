@@ -232,3 +232,13 @@ class TestPoolStateMemosDocumented:
 
     def test_design_names_the_one_home(self):
         assert "InformationPool.derived" in (ROOT / "DESIGN.md").read_text()
+
+
+class TestKernelBlocksDocumented:
+    """The strip kernel bounds its peak memory with fixed-size blocks per
+    pass, continuation spanning the call; the docs must not describe the
+    call-level row chunks the blocks replaced."""
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "docs/TUTORIAL.md"])
+    def test_chunk_rows_not_named(self, doc):
+        assert "chunk_rows" not in (ROOT / doc).read_text(), f"{doc} still names chunk_rows"

@@ -5,11 +5,13 @@ independent scalar evaluations: the batch is an optimisation, never a
 semantic.  Hypothesis drives the kernels with synthetic pools and checks:
 
 - **batch-order invariance** — permuting the candidate rows (or the jobs
-  of a batch) permutes the results bitwise, nothing else, and chunking
-  (with it, batch plan continuation) changes nothing;
+  of a batch) permutes the results bitwise, nothing else, and neither
+  block boundaries nor batch plan continuation change anything;
 - **the oracle's bounds** — every row's pruning bound equals the
   name-space bound of ``tests/strip_bounds_reference.py`` bit for bit,
-  tie order included, whatever the chunking, stacking or continuation;
+  tie order included, whatever the blocks, stacking or continuation;
+- **bounded memory** — an exhaustive 14-machine call's pass temporaries
+  are block-sized, not as tall as the call;
 - **conservation** — integerised strip rows sum exactly to the grid size
   for every row the kernel certifies as exact, with every positive-area
   member keeping at least one row;
@@ -21,7 +23,8 @@ semantic.  Hypothesis drives the kernels with synthetic pools and checks:
 
 from __future__ import annotations
 
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.core.planner import balance_prefix_exact_batched
 from repro.core.resources import ResourcePool
 from repro.experiments.fig6 import run_fig6
 from repro.jacobi.apples import (
+    StripBatchEvaluation,
     StripBatchInputs,
     batched_locality_orders,
     evaluate_strip_batch,
@@ -164,6 +168,17 @@ def _assert_oracle_bounds(inputs, masks, result) -> None:
     assert np.array_equal(result.bounds, inputs_bounds(inputs, masks))
 
 
+def _row_by_row(inputs: StripBatchInputs, masks: np.ndarray) -> StripBatchEvaluation:
+    """``masks`` evaluated one row per call, the outcomes concatenated: a
+    one-row call has no other row to continue into."""
+    calls = [evaluate_strip_batch([(inputs, masks[i:i + 1])])[0]
+             for i in range(len(masks))]
+    return StripBatchEvaluation(*(
+        np.concatenate([getattr(c, f.name) for c in calls])
+        for f in fields(StripBatchEvaluation)
+    ))
+
+
 # -- batch-order invariance ----------------------------------------------
 
 
@@ -214,7 +229,7 @@ class TestBatchOrderInvariance:
         rb2, ra2 = evaluate_strip_batch([(b, mb), (a, ma)])
         for inputs, masks, stacked in ((a, ma, (ra1, ra2)), (b, mb, (rb1, rb2))):
             alone = evaluate_strip_batch([(inputs, masks)])[0]
-            single = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+            single = _row_by_row(inputs, masks)
             _assert_unusable_rows_infeasible(inputs, masks, alone)
             _assert_oracle_bounds(inputs, masks, alone)
             for other in (*stacked, single):
@@ -222,7 +237,7 @@ class TestBatchOrderInvariance:
 
     @given(
         inputs=synthetic_inputs(),
-        chunk=st.integers(1, 7),
+        rows=st.integers(1, 7),
         subset_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
         dead=dead_links(),
         cap=st.one_of(st.none(), st.integers(1, 4)),
@@ -231,18 +246,19 @@ class TestBatchOrderInvariance:
         memory=squeezed_memory(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_chunking_is_invisible(
-        self, inputs, chunk, subset_seed, dead, cap, universe, spill, memory
+    def test_block_boundaries_are_invisible(
+        self, inputs, rows, subset_seed, dead, cap, universe, spill, memory
     ):
-        """Chunk boundaries never change a result — nor, therefore, does
-        batch plan continuation, which only links rows of one chunk: with
-        ``chunk_rows=1`` no row can continue into another.  Random subsets
-        of the exhaustive masks leave some shrunk sets without a row to
-        continue into, and dead links force member drops.  Capped spaces
-        in universes padded with unusable machines keep every set far
-        narrower than the universe; sets that ``spill`` into the padding
-        hold zero-rate members, or padding alone; and squeezed memory
-        makes capacities bind."""
+        """A call whose passes run in blocks of ``rows`` rows equals the
+        default call and the one-row oracle, in which no row can continue
+        into another: neither block boundaries nor batch plan
+        continuation, which links rows across blocks, change a result.
+        Random subsets of the exhaustive masks leave some shrunk sets
+        without a row to continue into, and dead links force member drops.
+        Capped spaces in universes padded with unusable machines keep every
+        set far narrower than the universe; sets that ``spill`` into the
+        padding hold zero-rate members, or padding alone; and squeezed
+        memory makes capacities bind."""
         k = len(inputs.rank_names)
         inputs = _squeeze_memory(_kill_links(inputs, dead), memory)
         inputs = _pad(inputs, max(k, universe))
@@ -255,30 +271,10 @@ class TestBatchOrderInvariance:
         whole = evaluate_strip_batch([(inputs, masks)])[0]
         _assert_unusable_rows_infeasible(inputs, masks, whole)
         _assert_oracle_bounds(inputs, masks, whole)
-        for rows in (1, chunk):
-            pieces = evaluate_strip_batch([(inputs, masks)], chunk_rows=rows)[0]
-            _assert_same_evaluation(whole, pieces)
-
-    @pytest.mark.parametrize("rows", [0, -5])
-    def test_non_positive_chunk_sizes_are_rejected(self, rows):
-        inputs = StripBatchInputs(
-            rank_names=("m0",),
-            pool_positions=np.array([0]),
-            rates=np.array([1e6]),
-            caps=np.array([1e12]),
-            avail_mb=np.array([1e6]),
-            pair=np.zeros((1, 1)),
-            sync_overhead_s=0.0,
-            total_points=1600.0,
-            grid_n=40,
-            bytes_per_point=16.0,
-            iterations=1,
-            risk_aversion=0.0,
-            risks=np.zeros(1),
-            account_memory=True,
-        )
-        with pytest.raises(ValueError, match="chunk_rows"):
-            evaluate_strip_batch([(inputs, np.array([[True]]))], chunk_rows=rows)
+        with mock.patch.object(apples, "_BLOCK_CELLS", rows * n):
+            blocks = evaluate_strip_batch([(inputs, masks)])[0]
+        for other in (blocks, _row_by_row(inputs, masks)):
+            _assert_same_evaluation(whole, other)
 
 
 class TestBatchPlanContinuation:
@@ -286,27 +282,37 @@ class TestBatchPlanContinuation:
         inputs=synthetic_inputs(),
         cap=st.one_of(st.none(), st.integers(1, 4)),
         dead=dead_links(),
+        rows=st.one_of(st.none(), st.integers(1, 3)),
     )
     @settings(max_examples=30, deadline=None)
-    def test_exhaustive_spaces_need_one_pass(self, inputs, cap, dead):
+    def test_exhaustive_spaces_need_one_pass(self, inputs, cap, dead, rows):
         """Every shrunk set of an exhaustive (or size-capped) space starts
         a row of its own, so the drop/re-balance fixpoint ends after a
         single balancing pass — and finalising its converged rows reuses
-        that pass's strip orders instead of deriving them again."""
+        that pass's strip orders instead of deriving them again.  In
+        blocks of ``rows`` rows (the default block for ``None``), a shrunk
+        row still continues into a row of another block, so every
+        ``_strip_pass`` call is one of the first pass's blocks."""
         inputs = _kill_links(inputs, dead)
-        masks = _all_masks(len(inputs.rank_names))
+        n = len(inputs.rank_names)
+        masks = _all_masks(n)
         if cap is not None:
             masks = masks[masks.sum(axis=1) <= cap]
-        with mock.patch.object(
+        cells = apples._BLOCK_CELLS if rows is None else rows * n
+        with mock.patch.object(apples, "_BLOCK_CELLS", cells), mock.patch.object(
             apples, "balance_prefix_exact_batched",
             wraps=apples.balance_prefix_exact_batched,
         ) as balance, mock.patch.object(
+            apples, "_strip_pass", wraps=apples._strip_pass,
+        ) as strip_pass, mock.patch.object(
             apples, "batched_locality_orders",
             wraps=apples.batched_locality_orders,
         ) as orders:
             evaluate_strip_batch([(inputs, masks)])
-        assert balance.call_count <= 1
-        assert orders.call_count == 1
+        # Every row is distinct and usable; the default block holds them all.
+        blocks = 1 if rows is None else -(-len(masks) // rows)
+        assert balance.call_count <= blocks
+        assert strip_pass.call_count == orders.call_count == blocks
 
     @given(
         inputs=synthetic_inputs(),
@@ -322,7 +328,7 @@ class TestBatchPlanContinuation:
         masks = _all_masks(len(inputs.rank_names))
         with mock.patch.object(apples, "_MAX_BATCH_PASSES", bound):
             whole = evaluate_strip_batch([(inputs, masks)])[0]
-            alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+            alone = _row_by_row(inputs, masks)
         np.testing.assert_array_equal(whole.fallback, alone.fallback)
         np.testing.assert_array_equal(whole.feasible, alone.feasible)
         np.testing.assert_array_equal(whole.kept, alone.kept)
@@ -359,7 +365,7 @@ class TestBatchPlanContinuation:
         ) as balance:
             whole = evaluate_strip_batch([(inputs, masks)])[0]
         assert balance.call_count == 1  # row 0 never re-balances
-        alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
+        alone = _row_by_row(inputs, masks)
         assert whole.feasible.all() and not whole.fallback.any()
         np.testing.assert_array_equal(whole.kept[0], [True, True, False])
         assert whole.predicted[0] == whole.predicted[1]
@@ -387,15 +393,18 @@ def tied_inputs(draw):
 
 
 class TestKernelBounds:
-    @given(inputs=tied_inputs(), chunk=st.sampled_from([1, 32768]))
+    @given(inputs=tied_inputs(), one_row=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_tied_floor_costs_add_in_pool_order(self, inputs, chunk):
+    def test_tied_floor_costs_add_in_pool_order(self, inputs, one_row):
         """With equal floor costs the water-fill adds tied members in pool
         order, as the name-space bound's stable sort does — not in the
         locality order the kernel's strip arrays list them in.  Every
         subset, singletons included, one row at a time or all at once."""
         masks = _all_masks(len(inputs.rank_names))
-        result = evaluate_strip_batch([(inputs, masks)], chunk_rows=chunk)[0]
+        result = (
+            _row_by_row(inputs, masks) if one_row
+            else evaluate_strip_batch([(inputs, masks)])[0]
+        )
         _assert_oracle_bounds(inputs, masks, result)
         # JacobiPlanner.lower_bounds runs the same routine.
         member = masks & (inputs.rates > 0.0)
@@ -440,8 +449,60 @@ class TestKernelBounds:
         assert whole.bounds[0] == problem.total_points / 1e7 * 10
         assert whole.bounds[0] < whole.bounds[1]
         _assert_oracle_bounds(inputs, masks, whole)
-        alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
-        _assert_same_evaluation(whole, alone)
+        _assert_same_evaluation(whole, _row_by_row(inputs, masks))
+
+
+def _chatty_fourteen() -> StripBatchInputs:
+    """A fixed 14-machine world whose first three machines pay slow border
+    exchanges, so most sets drop them and continue into smaller sets."""
+    rng = np.random.default_rng(14)
+    n = 14
+    problem = JacobiProblem(n=1000, iterations=50)
+    pair = rng.uniform(1e-4, 2e-2, (n, n))
+    pair[:, :3] *= 40.0
+    np.fill_diagonal(pair, 0.0)
+    avail_mb = np.full(n, 1e6)
+    return StripBatchInputs(
+        rank_names=tuple(f"m{j}" for j in range(n)),
+        pool_positions=rng.permutation(n),
+        rates=rng.uniform(2e5, 2e6, n),
+        caps=avail_mb * 1e6 / 16.0,
+        avail_mb=avail_mb,
+        pair=pair,
+        sync_overhead_s=0.01,
+        total_points=float(problem.total_points),
+        grid_n=problem.n,
+        bytes_per_point=16.0,
+        iterations=problem.iterations,
+        risk_aversion=0.5,
+        risks=rng.uniform(0.0, 0.2, n),
+        account_memory=True,
+    )
+
+
+class TestKernelMemory:
+    def test_exhaustive_call_peaks_in_blocks(self):
+        """An exhaustive 14-machine call (16,383 rows) peaks under 8 MB of
+        traced allocations: its pass temporaries are block-sized, where
+        one block holding every row peaks near 24 MB.  It equals the call
+        run as one block, bounds included."""
+        inputs, masks = _chatty_fourteen(), _all_masks(14)
+        tracing_already = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            blocked = evaluate_strip_batch([(inputs, masks)])[0]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing_already:
+                tracemalloc.stop()
+        assert peak < 8e6
+        with mock.patch.object(apples, "_BLOCK_CELLS", masks.size):
+            whole = evaluate_strip_batch([(inputs, masks)])[0]
+        _assert_same_evaluation(blocked, whole)
+        # Most rows shrink and continue, many into rows of other blocks.
+        assert (blocked.kept != masks).any(axis=1).sum() > len(masks) // 2
 
 
 def _pad(inputs: StripBatchInputs, n: int) -> StripBatchInputs:
@@ -666,6 +727,40 @@ class TestDegenerateRejection:
         with pytest.raises(ValueError):
             batched_locality_orders(np.array([True, False]))
 
+    @pytest.mark.parametrize(
+        "masks, match",
+        [
+            (np.array([True]), r"job 1: candidate masks must be 2-D, got shape \(1,\)"),
+            (np.array([[[True]]]), r"job 1: candidate masks must be 2-D"),
+            (np.array(True), r"job 1: candidate masks must be 2-D"),
+            (np.array([[True, True]]), "one machine universe size"),
+        ],
+        ids=["1-d", "3-d", "0-d", "universe"],
+    )
+    def test_malformed_jobs_are_rejected(self, masks, match):
+        """Masks that are not ``(rows, machines)`` name their job; a job
+        over another universe size is refused before any work."""
+        inputs = StripBatchInputs(
+            rank_names=("m0",),
+            pool_positions=np.array([0]),
+            rates=np.array([1e6]),
+            caps=np.array([1e12]),
+            avail_mb=np.array([1e6]),
+            pair=np.zeros((1, 1)),
+            sync_overhead_s=0.0,
+            total_points=1600.0,
+            grid_n=40,
+            bytes_per_point=16.0,
+            iterations=1,
+            risk_aversion=0.0,
+            risks=np.zeros(1),
+            account_memory=True,
+        )
+        with mock.patch.object(apples._ClassTables, "of") as classes:
+            with pytest.raises(ValueError, match=match):
+                evaluate_strip_batch([(inputs, np.array([[True]])), (inputs, masks)])
+        classes.assert_not_called()
+
 
 # -- shared rows and the memory veto -------------------------------------
 
@@ -680,8 +775,7 @@ def _assert_each_alone(jobs) -> None:
     one row at a time, in every field."""
     for stacked in (jobs, jobs[::-1]):
         for (inputs, masks), got in zip(stacked, evaluate_strip_batch(stacked)):
-            alone = evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
-            _assert_same_evaluation(got, alone)
+            _assert_same_evaluation(got, _row_by_row(inputs, masks))
 
 
 def _arithmetic(inputs: StripBatchInputs) -> tuple:
@@ -838,9 +932,7 @@ class TestSharedRows:
         rng = np.random.default_rng(seed)
         masks = space[rng.integers(0, len(space), size=2 * len(space))]
         whole = evaluate_strip_batch([(inputs, masks)])[0]
-        _assert_same_evaluation(
-            whole, evaluate_strip_batch([(inputs, masks)], chunk_rows=1)[0]
-        )
+        _assert_same_evaluation(whole, _row_by_row(inputs, masks))
         _assert_oracle_bounds(inputs, masks, whole)
 
     @given(
