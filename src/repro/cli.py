@@ -738,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="testbed load seed (default 1996)")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes for trial parallelism "
-                            "(1 = serial, -1 = all CPUs; results are "
+                            "(1 = serial, -1 = all usable CPUs; results are "
                             "identical for any value)")
         p.add_argument("--trace", metavar="PATH", default=None,
                        help="write a repro.obs JSONL trace of the run to "

@@ -20,6 +20,8 @@ execute the numerics and charge simulated time.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -51,6 +53,7 @@ from repro.jacobi.partition import (
 )
 from repro.nws.service import NetworkWeatherService
 from repro.obs.trace import get_tracer
+from repro.runner import usable_cpus
 from repro.sim.testbeds import Testbed
 
 __all__ = [
@@ -486,9 +489,11 @@ class StripBatchEvaluation:
 # Structural bound on batched re-plan passes: membership shrinks by at
 # least one machine per pass per row, matching the scalar _MAX_REPLAN.
 _MAX_BATCH_PASSES = _MAX_REPLAN
-# Cells (rows times universe size) per block of a fixpoint pass: a block's
-# float64 temporaries stay cache-sized instead of as tall as the call.
-_BLOCK_CELLS = 2**15
+# Cells (rows times their widest member set) per block of a fixpoint pass:
+# two blocks in flight keep their float64 temporaries cache-sized.
+_BLOCK_CELLS = 2**14
+# (pid, executor) of the block helper thread: a forked child has no thread.
+_helper: tuple[int, ThreadPoolExecutor] | None = None
 
 
 def evaluate_strip_batch(
@@ -506,13 +511,14 @@ def evaluate_strip_batch(
     driven through NumPy replicas of the scalar plan pipeline — locality
     orders, neighbour comm costs, the drop/re-balance fixpoint,
     largest-remainder integerisation, and the risk-adjusted step-time
-    prediction.  Each fixpoint pass runs in blocks of at most
-    ``_BLOCK_CELLS`` cells (rows times universe size) to bound peak memory,
-    while continuation spans the call.  A block works in strip-order arrays
-    only as wide as the widest member set among its rows, gathers every
-    row's neighbour transfers once, and finalises the rows that converge in
-    it straight from those arrays.  The first pass, before any member is
-    dropped, also bounds every row from its arrays (:func:`_strip_bounds`).
+    prediction.  Each fixpoint pass runs in width-ordered blocks of at most
+    ``_BLOCK_CELLS`` cells (rows times their widest member set), taken in
+    turn by the caller and at most one helper thread, while continuation
+    spans the call.  A block works in strip-order arrays only as wide as
+    its widest set, gathers every row's neighbour transfers once, and
+    finalises the rows that converge in it straight from those arrays.
+    The first pass, before any member is dropped, also bounds every row
+    from its arrays (:func:`_strip_bounds`).
 
     Memory capacity only vetoes: it changes no float of a plan it does not
     stop, so each class runs memory-blind, and its memory-accounting
@@ -521,7 +527,8 @@ def evaluate_strip_batch(
     along continuation chains.  A memory-accounting job's flagged row is
     surrendered (``fallback``, no schedule, its own bound kept).  Traced,
     ``apples.rows_computed`` counts the distinct rows and
-    ``apples.rows_shared`` the others.
+    ``apples.rows_shared`` the others, ``apples.blocks`` the blocks and
+    ``apples.helper_blocks`` those the helper thread ran.
 
     Bit-identity contract: every number produced for a row either equals
     the scalar ``JacobiPlanner.plan`` result for that candidate set
@@ -759,17 +766,19 @@ def _fixpoint(member, class_of, starts, tables, out, veto):
     exhaustive candidate spaces every shrunk set is some row's start, so
     the fixpoint ends after one pass.
 
-    Each pass sends its pending rows through :func:`_strip_pass` in blocks
-    of at most ``_BLOCK_CELLS`` cells.  A block settles its rows at its own
-    width and hands back the ones that converged, with the strip-order
-    arrays they converged in; its other temporaries are freed when it
-    returns, before :func:`_finalise` writes those rows' outcomes.  A block
-    touches only its own rows' state, so blocks change no outcome.
+    Each pass sends its pending rows through :func:`_strip_pass` in the
+    blocks of :func:`_pass_blocks`, taken in turn by the caller and at most
+    one helper thread (:func:`_self_schedule`).  A block settles its rows
+    at its own width and hands back the ones that converged, with the
+    strip-order arrays they converged in; its other temporaries are freed
+    when it returns, before :func:`_finalise` writes those rows' outcomes.
+    A block writes only its own rows' state and reads no other block's, so
+    neither the blocks nor their interleaving change an outcome.
     Surrendered rows are flagged in ``out.fallback``, rows the class's
     memory variant vetoes in ``veto``.
     """
-    m, n = member.shape
-    block = max(1, _BLOCK_CELLS // max(n, 1))
+    m = len(member)
+    tracer = get_tracer()
     pending = np.ones(m, dtype=bool)
     # The pass in which each row stopped iterating; a continued row also
     # names the row whose outcome it takes.
@@ -785,19 +794,24 @@ def _fixpoint(member, class_of, starts, tables, out, veto):
         continues[grows[hit]] = pos[hit]
         pending[grows[hit]] = False
 
+    def run(block):
+        converged = _strip_pass(
+            block, member, class_of, tables, pending, out.fallback, veto,
+            continue_shrunk, out.bounds if npass == 1 else None,
+        )
+        if converged is not None:
+            _finalise(*converged, member, tables, out, veto)
+
     for npass in range(1, _MAX_BATCH_PASSES + 1):
         rows = np.nonzero(pending)[0]
         if rows.size == 0:
             break
         stopped[rows] = npass
-        for lo in range(0, rows.size, block):
-            converged = _strip_pass(
-                rows[lo:lo + block], member, class_of, tables, pending,
-                out.fallback, veto, continue_shrunk,
-                out.bounds if npass == 1 else None,
-            )
-            if converged is not None:
-                _finalise(*converged, member, tables, out, veto)
+        blocks = _pass_blocks(rows, member)
+        helped = _self_schedule(run, blocks)
+        if tracer.enabled:
+            tracer.metrics.counter("apples.blocks").inc(len(blocks))
+            tracer.metrics.counter("apples.helper_blocks").inc(helped)
     else:
         # Rows still pending after the structural bound: let the scalar
         # planner raise (or converge) exactly as solo would.
@@ -827,6 +841,59 @@ def _fixpoint(member, class_of, starts, tables, out, veto):
         outcome[dst] = outcome[src]
     # Past the structural bound the row would still have been pending.
     out.fallback[crows[~within]] = True
+
+
+def _pass_blocks(rows, member):
+    """A pass's pending ``rows`` as blocks: one, in row order, if they fit;
+    else ordered by member count (stable) and cut into blocks of at most
+    ``_BLOCK_CELLS`` cells, counted at each block's widest set."""
+    width = np.count_nonzero(member[rows], axis=1)
+    if rows.size * width.max() <= _BLOCK_CELLS:
+        return [rows]
+    by_width = np.argsort(width, kind="stable")
+    rows, width = rows[by_width], width[by_width]
+    blocks = []
+    while rows.size:
+        # A block's cells grow with each row, its last row being its widest.
+        window = width[:_BLOCK_CELLS // max(width[0], 1)]
+        cells = np.arange(1, window.size + 1) * window
+        take = max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        blocks.append(rows[:take])
+        rows, width = rows[take:], width[take:]
+    return blocks
+
+
+def _self_schedule(run, blocks):
+    """``run`` each block, taken from one shared cursor by the caller and,
+    given two blocks and two usable CPUs, the helper thread; returns how
+    many the helper ran.  After a block raises no block starts, and the
+    error is raised once every started block has finished."""
+    global _helper
+    cursor = iter(blocks)  # one next() at a time, under the GIL
+
+    def drain():
+        ran = 0
+        try:
+            for block in cursor:
+                run(block)
+                ran += 1
+        except BaseException:
+            list(cursor)  # leave no block to start
+            raise
+        return ran
+
+    if len(blocks) < 2 or usable_cpus() < 2:
+        drain()
+        return 0
+    if _helper is None or _helper[0] != os.getpid():
+        _helper = os.getpid(), ThreadPoolExecutor(1, "strip-kernel-helper")
+    task = _helper[1].submit(drain)
+    try:
+        drain()
+    finally:
+        if not task.cancel():
+            task.exception()  # a started helper finishes its block first
+    return 0 if task.cancelled() else task.result()
 
 
 def _strip_pass(

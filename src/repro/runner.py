@@ -35,19 +35,22 @@ from repro.util.rng import derive_seed
 __all__ = ["Task", "ParallelRunner", "resolve_workers", "run_tasks", "derive_seed"]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | None) -> int:
     """Normalise a ``--workers`` value.
 
-    ``None`` and ``0`` mean serial (1); a negative count means "all CPUs".
+    ``None`` and ``0`` mean serial (1); a negative count means every
+    usable CPU (:func:`usable_cpus`).
     """
-    if workers is None:
-        return 1
-    workers = int(workers)
-    if workers == 0:
-        return 1
-    if workers < 0:
-        return max(1, os.cpu_count() or 1)
-    return workers
+    workers = int(workers or 0)
+    return usable_cpus() if workers < 0 else max(1, workers)
 
 
 @dataclass(frozen=True)

@@ -235,10 +235,15 @@ class TestPoolStateMemosDocumented:
 
 
 class TestKernelBlocksDocumented:
-    """The strip kernel bounds its peak memory with fixed-size blocks per
-    pass, continuation spanning the call; the docs must not describe the
-    call-level row chunks the blocks replaced."""
+    """The strip kernel bounds its peak memory with width-ordered blocks
+    per pass, run by the caller and at most one helper thread, while
+    continuation spans the call; the docs must name the helper thread and
+    must not describe the call-level row chunks the blocks replaced."""
 
     @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "docs/TUTORIAL.md"])
     def test_chunk_rows_not_named(self, doc):
         assert "chunk_rows" not in (ROOT / doc).read_text(), f"{doc} still names chunk_rows"
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_helper_thread_named(self, doc):
+        assert "helper thread" in (ROOT / doc).read_text(), f"{doc} omits the helper thread"

@@ -13,10 +13,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import pytest
 
 import repro
+import repro.jacobi.apples as apples
 from repro.cli import main
 from repro.core.coordinator import AppLeSAgent, PruningStats, record_pruning_stats
 from repro.core.hat import (
@@ -36,6 +39,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import read_trace
 from repro.obs.trace import Tracer, load_records, tracing
 from repro.service import DecisionRequest, SchedulingService
+from repro.sim.testbeds import synthetic_metacomputer
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -390,6 +394,39 @@ class TestPruningMetrics:
         assert [(a.best_objective, a.machines, a.pruning) for a in traced] == [
             (a.best_objective, a.machines, a.pruning) for a in untraced
         ]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-thread", "helper"])
+    def test_kernel_blocks_on_fourteen_machines(self, cpus):
+        """A traced exhaustive decision on 14 machines makes one kernel
+        call: 16,383 distinct rows, none shared, whose one pass runs in 8
+        width-ordered blocks.  ``apples.helper_blocks`` counts the blocks
+        that ran off the calling thread — none on one usable CPU."""
+        selector = ResourceSelector(
+            exhaustive_limit=14, max_sets=2**14 - 1, regime="exhaustive"
+        )
+        agent = apples.make_jacobi_agent(
+            synthetic_metacomputer(14, 3, seed=1996),
+            JacobiProblem(n=1000, iterations=50), selector=selector,
+        )
+        caller, lock, elsewhere = threading.get_ident(), threading.Lock(), []
+        strip_pass = apples._strip_pass
+
+        def counted(*args, **kwargs):
+            if threading.get_ident() != caller:
+                with lock:
+                    elsewhere.append(1)
+            return strip_pass(*args, **kwargs)
+
+        with tracing() as tr, mock.patch.object(
+            apples, "usable_cpus", return_value=cpus
+        ), mock.patch.object(apples, "_strip_pass", counted):
+            agent.schedule()
+        metrics = tr.metrics.as_dict()
+        assert metrics["apples.rows_computed"]["value"] == 2**14 - 1
+        assert metrics["apples.rows_shared"]["value"] == 0
+        assert metrics["apples.blocks"]["value"] == 8
+        assert metrics["apples.helper_blocks"]["value"] == len(elsewhere)
+        assert cpus > 1 or not elsewhere
 
     def test_record_pruning_stats_direct(self):
         reg = MetricsRegistry()

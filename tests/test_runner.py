@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.runner import ParallelRunner, Task, derive_seed, resolve_workers, run_tasks
+from repro.runner import (
+    ParallelRunner,
+    Task,
+    derive_seed,
+    resolve_workers,
+    run_tasks,
+    usable_cpus,
+)
 from repro.sim.testbeds import sdsc_pcl_testbed
 from repro.sim.warmcache import clear_warm_cache, warm_cache_stats, warmed_state
 
@@ -28,6 +37,18 @@ class TestResolveWorkers:
 
     def test_negative_means_all_cpus(self):
         assert resolve_workers(-1) >= 1
+
+    def test_negative_counts_only_usable_cpus(self, monkeypatch):
+        """A process limited to one CPU of a 64-CPU host starts one worker."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 1
+        assert resolve_workers(-1) == 1
+
+    def test_without_affinity_every_cpu_is_usable(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers(-1) == usable_cpus() == 64
 
 
 class TestTask:

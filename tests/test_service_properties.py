@@ -12,6 +12,9 @@ semantic.  Hypothesis drives the kernels with synthetic pools and checks:
   tie order included, whatever the blocks, stacking or continuation;
 - **bounded memory** — an exhaustive 14-machine call's pass temporaries
   are block-sized, not as tall as the call;
+- **the helper thread** — a pass's blocks give the same bytes on one
+  thread or two, a failing block fails only its own call, a forked child
+  gets a helper of its own, and concurrent callers get lone answers;
 - **conservation** — integerised strip rows sum exactly to the grid size
   for every row the kernel certifies as exact, with every positive-area
   member keeping at least one row;
@@ -23,7 +26,14 @@ semantic.  Hypothesis drives the kernels with synthetic pools and checks:
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -179,6 +189,50 @@ def _row_by_row(inputs: StripBatchInputs, masks: np.ndarray) -> StripBatchEvalua
     ))
 
 
+def _cpus(cpus: int):
+    """The kernel seeing ``cpus`` usable CPUs: its helper thread joins
+    multi-block passes at two, never at one."""
+    return mock.patch.object(apples, "usable_cpus", return_value=cpus)
+
+
+@contextlib.contextmanager
+def _counting(*names: str):
+    """Count the calls of the named ``apples`` functions, made from any
+    thread, under one lock; yields the name -> count mapping."""
+    counts = dict.fromkeys(names, 0)
+    lock = threading.Lock()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(
+                apples, name, counted(name, getattr(apples, name))
+            ))
+        yield counts
+
+
+def _block_plan(widths: np.ndarray, cells: int) -> int:
+    """How many blocks one pass over rows of member counts ``widths``
+    takes: one when every row fits at the widest count; else, over the
+    counts in ascending order, a block takes rows while its row count
+    times its newest (widest) count stays within ``cells``."""
+    widths = np.sort(widths)
+    if len(widths) * widths[-1] <= cells:
+        return 1
+    blocks, size = 1, 0
+    for width in widths:
+        if size and (size + 1) * width > cells:
+            blocks, size = blocks + 1, 0
+        size += 1
+    return blocks
+
+
 # -- batch-order invariance ----------------------------------------------
 
 
@@ -249,10 +303,12 @@ class TestBatchOrderInvariance:
     def test_block_boundaries_are_invisible(
         self, inputs, rows, subset_seed, dead, cap, universe, spill, memory
     ):
-        """A call whose passes run in blocks of ``rows`` rows equals the
-        default call and the one-row oracle, in which no row can continue
-        into another: neither block boundaries nor batch plan
-        continuation, which links rows across blocks, change a result.
+        """A call whose passes run in width-ordered blocks of ``rows``
+        universe-wide rows' worth of cells, on one thread or with the
+        helper, equals the one-block call and the one-row oracle, in which
+        no row can continue into another: neither block boundaries, nor
+        the thread a block runs on, nor batch plan continuation, which
+        links rows across blocks, change a result.
         Random subsets of the exhaustive masks leave some shrunk sets
         without a row to continue into, and dead links force member drops.
         Capped spaces in universes padded with unusable machines keep every
@@ -268,13 +324,15 @@ class TestBatchOrderInvariance:
             keep = np.random.default_rng(subset_seed).random(len(masks)) < 0.5
             keep[-1] = True
             masks = masks[keep]
-        whole = evaluate_strip_batch([(inputs, masks)])[0]
+        with mock.patch.object(apples, "_BLOCK_CELLS", masks.size):
+            whole = evaluate_strip_batch([(inputs, masks)])[0]
         _assert_unusable_rows_infeasible(inputs, masks, whole)
         _assert_oracle_bounds(inputs, masks, whole)
-        with mock.patch.object(apples, "_BLOCK_CELLS", rows * n):
-            blocks = evaluate_strip_batch([(inputs, masks)])[0]
-        for other in (blocks, _row_by_row(inputs, masks)):
-            _assert_same_evaluation(whole, other)
+        for cpus in (1, 2):
+            with mock.patch.object(apples, "_BLOCK_CELLS", rows * n), _cpus(cpus):
+                blocks = evaluate_strip_batch([(inputs, masks)])[0]
+            _assert_same_evaluation(whole, blocks)
+        _assert_same_evaluation(whole, _row_by_row(inputs, masks))
 
 
 class TestBatchPlanContinuation:
@@ -290,29 +348,47 @@ class TestBatchPlanContinuation:
         a row of its own, so the drop/re-balance fixpoint ends after a
         single balancing pass — and finalising its converged rows reuses
         that pass's strip orders instead of deriving them again.  In
-        blocks of ``rows`` rows (the default block for ``None``), a shrunk
-        row still continues into a row of another block, so every
-        ``_strip_pass`` call is one of the first pass's blocks."""
+        width-ordered blocks of ``rows`` universe-wide rows' worth of
+        cells (the default block for ``None``), on one thread or with the
+        helper, a shrunk row still continues into a row of another block,
+        so every ``_strip_pass`` call is one of the first pass's blocks."""
         inputs = _kill_links(inputs, dead)
         n = len(inputs.rank_names)
         masks = _all_masks(n)
         if cap is not None:
             masks = masks[masks.sum(axis=1) <= cap]
         cells = apples._BLOCK_CELLS if rows is None else rows * n
-        with mock.patch.object(apples, "_BLOCK_CELLS", cells), mock.patch.object(
-            apples, "balance_prefix_exact_batched",
-            wraps=apples.balance_prefix_exact_batched,
-        ) as balance, mock.patch.object(
-            apples, "_strip_pass", wraps=apples._strip_pass,
-        ) as strip_pass, mock.patch.object(
-            apples, "batched_locality_orders",
-            wraps=apples.batched_locality_orders,
-        ) as orders:
-            evaluate_strip_batch([(inputs, masks)])
-        # Every row is distinct and usable; the default block holds them all.
-        blocks = 1 if rows is None else -(-len(masks) // rows)
-        assert balance.call_count <= blocks
-        assert strip_pass.call_count == orders.call_count == blocks
+        # Every row is distinct and usable, so all are pending in pass 1.
+        blocks = _block_plan(masks.sum(axis=1), cells)
+        for cpus in (1, 2):
+            with mock.patch.object(apples, "_BLOCK_CELLS", cells), _cpus(cpus):
+                with _counting("balance_prefix_exact_batched", "_strip_pass",
+                               "batched_locality_orders") as calls:
+                    evaluate_strip_batch([(inputs, masks)])
+            assert calls["balance_prefix_exact_batched"] <= blocks
+            assert calls["_strip_pass"] == calls["batched_locality_orders"] == blocks
+
+    def test_blocks_are_width_ordered(self):
+        """An exhaustive 14-machine pass is cut in member-count order into
+        blocks of at most ``_BLOCK_CELLS`` cells at their widest set: 8
+        blocks of 121,430 cells, 114,688 of them members, where the same
+        8 blocks in key order (the parent's plan) held 201,282."""
+        masks = _all_masks(14)
+        rows = np.arange(len(masks))
+        blocks = apples._pass_blocks(rows, masks)
+        widths = [masks[b].sum(axis=1) for b in blocks]
+        assert len(blocks) == _block_plan(masks.sum(axis=1), apples._BLOCK_CELLS) == 8
+        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), rows)
+        cells = [len(b) * w.max() for b, w in zip(blocks, widths)]
+        assert max(cells) <= apples._BLOCK_CELLS and sum(cells) == 121_430
+        flat = np.concatenate(widths)
+        assert (np.diff(flat) >= 0).all()
+        # Stable: rows of one width keep their order.
+        assert all((np.diff(np.concatenate(blocks)[flat == k]) > 0).all()
+                   for k in range(1, 15))
+        # A pass that fits one block keeps its rows in order.
+        few = rows[:100]
+        assert [b.tolist() for b in apples._pass_blocks(few, masks)] == [few.tolist()]
 
     @given(
         inputs=synthetic_inputs(),
@@ -480,29 +556,187 @@ def _chatty_fourteen() -> StripBatchInputs:
     )
 
 
+# Every 16th row of the exhaustive chatty call: evaluating all 16,383 rows
+# one per call takes tens of seconds.
+_SAMPLE = slice(None, None, 16)
+
+
+@functools.lru_cache(maxsize=1)
+def _chatty_rows_alone() -> StripBatchEvaluation:
+    """The sampled rows of the chatty exhaustive call, each evaluated alone."""
+    return _row_by_row(_chatty_fourteen(), _all_masks(14)[_SAMPLE])
+
+
 class TestKernelMemory:
     def test_exhaustive_call_peaks_in_blocks(self):
         """An exhaustive 14-machine call (16,383 rows) peaks under 8 MB of
-        traced allocations: its pass temporaries are block-sized, where
-        one block holding every row peaks near 24 MB.  It equals the call
-        run as one block, bounds included."""
+        traced allocations, on one thread and with the helper's block in
+        flight too: its pass temporaries are block-sized, where one block
+        holding every row peaks near 24 MB.  Either way it equals the call
+        run as one block, bounds included, and its sampled rows equal each
+        row evaluated alone."""
         inputs, masks = _chatty_fourteen(), _all_masks(14)
-        tracing_already = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            blocked = evaluate_strip_batch([(inputs, masks)])[0]
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing_already:
-                tracemalloc.stop()
-        assert peak < 8e6
+        blocked = {}
+        for cpus in (1, 2):
+            tracing_already = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                with _cpus(cpus):
+                    blocked[cpus] = evaluate_strip_batch([(inputs, masks)])[0]
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing_already:
+                    tracemalloc.stop()
+            assert peak < 8e6, cpus
         with mock.patch.object(apples, "_BLOCK_CELLS", masks.size):
             whole = evaluate_strip_batch([(inputs, masks)])[0]
-        _assert_same_evaluation(blocked, whole)
+        for result in blocked.values():
+            _assert_same_evaluation(result, whole)
+            _assert_same_evaluation(result.rows(_SAMPLE), _chatty_rows_alone())
         # Most rows shrink and continue, many into rows of other blocks.
-        assert (blocked.kept != masks).any(axis=1).sum() > len(masks) // 2
+        assert (whole.kept != masks).any(axis=1).sum() > len(masks) // 2
+
+
+@contextlib.contextmanager
+def _helper_takes_a_block(timeout: float = 10.0):
+    """Force the helper thread on, and hold the calling thread's blocks
+    until the helper has started one (or ``timeout`` passes): a
+    multi-block pass then runs blocks on both threads.  Yields the list
+    of threads, ``"caller"`` or ``"helper"``, in the order their blocks
+    started."""
+    caller, started, lock = threading.get_ident(), threading.Event(), threading.Lock()
+    threads: list[str] = []
+    strip_pass = apples._strip_pass
+
+    def held(*args, **kwargs):
+        mine = threading.get_ident() == caller
+        with lock:
+            threads.append("caller" if mine else "helper")
+        if mine:
+            started.wait(timeout)
+        else:
+            started.set()
+        return strip_pass(*args, **kwargs)
+
+    with _cpus(2), mock.patch.object(apples, "_strip_pass", held):
+        yield threads
+
+
+def _call_in_child(send, inputs, masks) -> None:
+    """A forked child's multi-block call: its outcomes and how many blocks
+    its helper thread ran, sent back to the parent."""
+    with tracing() as tr, _helper_takes_a_block():
+        result = evaluate_strip_batch([(inputs, masks)])[0]
+    send.send((result, tr.metrics.as_dict()["apples.helper_blocks"]["value"]))
+
+
+class TestKernelHelper:
+    """The caller and the helper thread take a pass's blocks from one
+    cursor: a failing block fails only its own call, a forked child gets
+    a helper of its own, and concurrent callers get lone answers."""
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_a_failing_block_fails_its_call_alone(self, where):
+        """The first block the caller (or the helper) runs raises.  The
+        call raises that error once every started block has finished, no
+        block starts after it returns, and the next call answers as a
+        clean one does."""
+        inputs, masks = _chatty_fourteen(), _all_masks(14)
+        clean = evaluate_strip_batch([(inputs, masks)])[0]
+        caller, lock = threading.get_ident(), threading.Lock()
+        helper_started = threading.Event()
+        started, finished = [], []
+        strip_pass = apples._strip_pass
+
+        def failing(*args, **kwargs):
+            thread = "caller" if threading.get_ident() == caller else "helper"
+            with lock:
+                first = thread not in started
+                started.append(thread)
+            try:
+                if thread == "caller":
+                    helper_started.wait(10.0)
+                else:
+                    helper_started.set()
+                    if where == "caller":
+                        time.sleep(0.05)  # still running when the caller fails
+                if first and thread == where:
+                    raise RuntimeError(f"{thread} block failed")
+                return strip_pass(*args, **kwargs)
+            finally:
+                with lock:
+                    finished.append(thread)
+
+        with _cpus(2), mock.patch.object(apples, "_strip_pass", failing):
+            with pytest.raises(RuntimeError, match=f"{where} block failed"):
+                evaluate_strip_batch([(inputs, masks)])
+            assert len(finished) == len(started) < 8
+            ran = len(started)
+            # The helper runs its tasks in order: once this no-op has run,
+            # no earlier task of the failed call can still start a block.
+            apples._helper[1].submit(lambda: None).result(timeout=10.0)
+            assert len(started) == ran
+            assert {"caller", "helper"} <= set(started)
+        with _cpus(2):
+            _assert_same_evaluation(evaluate_strip_batch([(inputs, masks)])[0], clean)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_a_forked_child_starts_its_own_helper(self):
+        """After a multi-block call has started the helper thread, a child
+        forked from the process inherits the executor but not its thread.
+        The child's multi-block call must start a helper of its own: its
+        blocks run on both of its threads, and it answers as the parent."""
+        inputs, masks = _chatty_fourteen(), _all_masks(14)
+        with _helper_takes_a_block() as threads:
+            parent = evaluate_strip_batch([(inputs, masks)])[0]
+        assert "helper" in threads
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_call_in_child, args=(send, inputs, masks))
+        child.start()
+        try:
+            assert receive.poll(60.0), "the forked child's call did not answer"
+            result, helped = receive.recv()
+            child.join(10.0)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        _assert_same_evaluation(result, parent)
+        assert helped >= 1
+
+    def test_concurrent_callers_get_lone_answers(self):
+        """Three threads call the kernel at once, as daemon shards would,
+        sharing the one helper thread — more threads than this host's two
+        CPUs, switching every 10 us: each gets the outcomes of its call
+        made alone, so no block's writes are lost or crossed."""
+        base, masks = _chatty_fourteen(), _all_masks(14)
+        jobs = [(base, masks),
+                (replace(base, risk_aversion=1.5, sync_overhead_s=0.02), masks),
+                (replace(base, iterations=80), masks[::3])]
+        alone = [evaluate_strip_batch([job])[0] for job in jobs]
+        barrier = threading.Barrier(len(jobs))
+
+        def call(job):
+            barrier.wait(10.0)
+            return evaluate_strip_batch([job])[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _cpus(2), ThreadPoolExecutor(len(jobs)) as callers:
+                for _ in range(3):
+                    answers = callers.map(call, jobs, timeout=60.0)
+                    for got, want in zip(answers, alone):
+                        _assert_same_evaluation(got, want)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _pad(inputs: StripBatchInputs, n: int) -> StripBatchInputs:
