@@ -101,6 +101,14 @@ def _invoke_traced(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> tuple[A
     return result, worker_tracer.records()
 
 
+def _task_span(tracer: Tracer, task: Task, **attrs: Any):
+    """The ``runner.task`` span of one task (a no-op when untraced)."""
+    return tracer.span(
+        "runner.task", layer="runner", **attrs,
+        key=str(task.key), fn=getattr(task.fn, "__name__", str(task.fn)),
+    )
+
+
 class ParallelRunner:
     """Execute a task list serially or over a process pool.
 
@@ -199,10 +207,7 @@ class ParallelRunner:
             except BaseException as exc:
                 outer.set_exception(exc)
                 return
-            with tracer.span(
-                "runner.task", layer="runner",
-                key=str(task.key), fn=getattr(task.fn, "__name__", str(task.fn)),
-            ) as span:
+            with _task_span(tracer, task) as span:
                 tracer.absorb(records, parent=span.id)
             outer.set_result(result)
 
@@ -226,35 +231,9 @@ class ParallelRunner:
         tasks = list(tasks)
         tracer = get_tracer()
         serial = self.workers <= 1 or len(tasks) < self.min_parallel_tasks
-        if not tracer.enabled:
-            if serial:
-                return [task() for task in tasks]
-            if prime is not None:
-                prime()
-            pool = self._executor(min(self.workers, len(tasks)))
-            try:
-                futures = [pool.submit(_invoke, task.fn, dict(task.kwargs)) for task in tasks]
-                return [future.result() for future in futures]
-            finally:
-                if not self.persistent:
-                    pool.shutdown(wait=True)
-        return self._run_traced(tracer, tasks, prime, serial)
-
-    def _run_traced(
-        self,
-        tracer: Tracer,
-        tasks: list[Task],
-        prime: Callable[[], Any] | None,
-        serial: bool,
-    ) -> list[Any]:
-        """Traced twin of :meth:`run`: same execution, plus runner spans.
-
-        Serial tasks run inside the parent's tracer directly; pool tasks
-        run under :func:`_invoke_traced` and their records are absorbed in
-        task order, so the merged trace does not depend on worker timing.
-        """
-        tracer.metrics.counter("runner.batches").inc()
-        tracer.metrics.counter("runner.tasks").inc(len(tasks))
+        if tracer.enabled:
+            tracer.metrics.counter("runner.batches").inc()
+            tracer.metrics.counter("runner.tasks").inc(len(tasks))
         with tracer.span(
             "runner.batch", layer="runner", tasks=len(tasks),
             workers=1 if serial else min(self.workers, len(tasks)),
@@ -263,27 +242,25 @@ class ParallelRunner:
             if serial:
                 results = []
                 for idx, task in enumerate(tasks):
-                    with tracer.span(
-                        "runner.task", layer="runner", index=idx,
-                        key=str(task.key), fn=getattr(task.fn, "__name__", str(task.fn)),
-                    ):
+                    with _task_span(tracer, task, index=idx):
                         results.append(task())
                 return results
             if prime is not None:
                 prime()
+            # Traced, each pool task runs under its own tracer and its
+            # records are absorbed in task order, so the merged trace does
+            # not depend on worker timing.
+            invoke = _invoke_traced if tracer.enabled else _invoke
             pool = self._executor(min(self.workers, len(tasks)))
             try:
-                futures = [
-                    pool.submit(_invoke_traced, task.fn, dict(task.kwargs)) for task in tasks
-                ]
+                futures = [pool.submit(invoke, task.fn, dict(task.kwargs)) for task in tasks]
                 results = []
                 for idx, (task, future) in enumerate(zip(tasks, futures)):
-                    result, records = future.result()
-                    with tracer.span(
-                        "runner.task", layer="runner", index=idx,
-                        key=str(task.key), fn=getattr(task.fn, "__name__", str(task.fn)),
-                    ) as span:
-                        tracer.absorb(records, parent=span.id)
+                    result = future.result()
+                    if tracer.enabled:
+                        result, records = result
+                        with _task_span(tracer, task, index=idx) as span:
+                            tracer.absorb(records, parent=span.id)
                     results.append(result)
                 return results
             finally:

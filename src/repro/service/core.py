@@ -68,7 +68,6 @@ import numpy as np
 
 from repro.core.coordinator import AppLeSAgent
 from repro.core.resources import ResourcePool
-from repro.core.selector import ResourceSelector
 # Not called here: perfbench/layers.py rebinds these names on this module
 # and fails on a missing one.
 from repro.core.sweep import materialise_winner, objective_bounds, replay_sweep  # noqa: F401
@@ -100,6 +99,9 @@ class PartialBatchError(RuntimeError):
 class SchedulingService:
     """Answer batches of scheduling requests over one testbed + NWS.
 
+    Every request's agent uses the default exhaustive Resource Selector,
+    as a solo agent does.
+
     Parameters
     ----------
     testbed:
@@ -107,9 +109,6 @@ class SchedulingService:
     nws:
         The shared Network Weather Service (``None`` = agents plan from
         nominal information, like solo agents built without an NWS).
-    selector:
-        Resource Selector shared by every request's agent (defaults to
-        the exhaustive enumerator, matching solo agents).
     reuse:
         Keep the snapshot and answers alive across ``decide()`` calls
         while the pool state is unchanged (see the module docstring).
@@ -121,12 +120,10 @@ class SchedulingService:
         self,
         testbed: Testbed,
         nws: NetworkWeatherService | None = None,
-        selector: ResourceSelector | None = None,
         reuse: bool = False,
     ) -> None:
         self.testbed = testbed
         self.nws = nws
-        self.selector = selector
         if reuse and nws is None:
             raise ValueError(
                 "SchedulingService(reuse=True) needs an NWS: cross-call "
@@ -194,7 +191,6 @@ class SchedulingService:
                 request.problem,
                 self.nws,
                 userspec=request.userspec,
-                selector=self.selector,
                 account_memory=request.account_memory,
             )
             if self._reuse:

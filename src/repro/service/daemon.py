@@ -38,14 +38,21 @@ Three mechanisms carry the load story:
 
 Execution modes
 ---------------
-``start()`` spawns one worker thread per shard (always-on mode): a slow
-pool's backlog cannot stall another shard.  ``pump()`` processes every
-queue to empty in the calling thread, in shard-name order — the
-deterministic cooperative mode used by tests and ``python -m repro serve``.
-With ``workers > 1`` and :class:`ShardSpec`-built shards, micro-batches
-are dispatched through the :mod:`repro.runner` process-pool machinery
+Both lanes and both modes walk a ticket through one lifecycle: one
+admission (:meth:`~SchedulingDaemon.submit` and
+:meth:`~SchedulingDaemon.submit_reservation`), one take — a micro-batch
+of decisions, which always pre-empt the reservation lane, else one
+reservation — and one settle that resolves each taken ticket and
+accounts for it.  ``start()`` serves each shard from its own worker
+thread (always-on mode), lingering as the :class:`MicroBatcher` says: a
+slow pool's backlog cannot stall another shard.  ``pump()`` serves every
+shard to empty in the calling thread, in shard-name order, never
+lingering — the deterministic cooperative mode used by tests and
+one-shot drivers.  Shards are :class:`ShardSpec` recipes, so with
+``workers > 1`` micro-batches are dispatched through the
+:mod:`repro.runner` process-pool machinery
 (:class:`~repro.runner.ParallelRunner` tasks over a picklable
-``(spec, requests)`` trampoline with a per-process shard registry), so
+``(spec, requests)`` trampoline with a per-process shard registry), and
 independent pools scale across cores exactly like experiment trials do.
 A pool whose worker processes died (``BrokenProcessPool``) fails the batch
 that found it and is then closed and dropped; the next pooled batch builds
@@ -68,7 +75,7 @@ import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.sweep import NoFeasibleCandidate
 from repro.nws.service import NetworkWeatherService
@@ -97,6 +104,9 @@ BOOKED = "booked"
 SHED = "shed"
 REJECTED = "rejected"
 FAILED = "failed"
+
+# Weight of the newest arrival gap in the MicroBatcher's rate estimate.
+_EWMA_ALPHA = 0.2
 
 
 @dataclass(frozen=True)
@@ -156,22 +166,13 @@ class Ticket:
         assert self._reply is not None
         return self._reply
 
-    def _resolve(
-        self,
-        status: str,
-        answer: ServiceAnswer | None = None,
-        reason: str | None = None,
-        batch_size: int = 0,
-        bookings: tuple = (),
-    ) -> None:
+    def _resolve(self, status: str, **fields: Any) -> None:
+        """Resolve with ``status`` and the given :class:`DaemonReply` fields."""
         self._reply = DaemonReply(
             status=status,
-            answer=answer,
-            reason=reason,
             latency_s=time.perf_counter() - self.submitted_wall,
-            batch_size=batch_size,
             shard=self.shard,
-            bookings=bookings,
+            **fields,
         )
         self._event.set()
 
@@ -204,7 +205,6 @@ class MicroBatcher:
         max_batch: int = 64,
         target_batch: int = 32,
         max_linger_s: float = 0.005,
-        ewma_alpha: float = 0.2,
     ) -> None:
         check_positive("max_batch", max_batch)
         check_positive("target_batch", target_batch)
@@ -214,12 +214,9 @@ class MicroBatcher:
             )
         if max_linger_s < 0:
             raise ValueError("max_linger_s must be >= 0")
-        if not (0.0 < ewma_alpha <= 1.0):
-            raise ValueError("ewma_alpha must be in (0, 1]")
         self.max_batch = int(max_batch)
         self.target_batch = int(target_batch)
         self.max_linger_s = float(max_linger_s)
-        self._alpha = float(ewma_alpha)
         self._last_arrival: float | None = None
         self._gap_ewma: float | None = None
 
@@ -233,7 +230,7 @@ class MicroBatcher:
         if self._gap_ewma is None:
             self._gap_ewma = gap
         else:
-            self._gap_ewma += self._alpha * (gap - self._gap_ewma)
+            self._gap_ewma += _EWMA_ALPHA * (gap - self._gap_ewma)
 
     def wait_budget(self, queued: int, oldest_wait_s: float) -> float:
         """Seconds worth waiting before dispatching ``queued`` requests.
@@ -261,8 +258,10 @@ class MicroBatcher:
 class ShardSpec:
     """A picklable recipe for one shard's world (pool + NWS).
 
-    The process-pool execution mode ships specs — not live worlds — to
-    workers, which rebuild deterministically from the seeds (the same
+    Every daemon shard is one: the shard builds its world from the spec
+    on first use, its reservation lane plans over a private replica, and
+    the process-pool execution mode ships the spec — not a live world —
+    to workers.  Each rebuilds deterministically from the seeds (the same
     argument that makes :mod:`repro.sim.warmcache` reuse safe: a world
     advanced to ``t`` is bit-identical however it got there).
 
@@ -323,20 +322,26 @@ def _shard_decide(
     return service.decide(requests)
 
 
-class _Shard:
-    """One pool's queue, clock, worker state and (lazily built) service."""
+@dataclass(frozen=True)
+class _Lane:
+    """The names that tell a shard's two queues apart."""
 
-    def __init__(
-        self,
-        name: str,
-        spec: ShardSpec | None,
-        world: tuple[Testbed, NetworkWeatherService] | None,
-        queue_capacity: int,
-    ) -> None:
-        self.name = name
+    admitted: str  # stats key and ``daemon.<admitted>`` counter
+    full: str  # the reason a full lane sheds with
+    depth: str  # stats key and ``daemon.<depth>.<shard>`` gauge
+
+
+_DECISIONS = _Lane("submitted", "queue-full", "queue_depth")
+_RESERVATIONS = _Lane("reservations", "reservation-lane-full", "reservation_depth")
+
+
+class _Shard:
+    """One pool's lanes, clock, worker state and (lazily built) service."""
+
+    def __init__(self, spec: ShardSpec, batcher: MicroBatcher) -> None:
+        self.name = spec.name
         self.spec = spec
-        self._world = world
-        self.queue_capacity = queue_capacity
+        self.batcher = batcher
         self.queue: deque[tuple[Ticket, float]] = deque()  # (ticket, enqueue wall)
         # Reservation lane: a priority heap of (priority class, admission
         # seq, ticket) — lower class numbers plan first.
@@ -345,6 +350,7 @@ class _Shard:
         self.cond = threading.Condition()
         self.clock = 0.0  # latest admitted decision instant (sim time)
         self.in_flight = 0
+        self._world: tuple[Testbed, NetworkWeatherService] | None = None
         self.service: SchedulingService | None = None
         self.planner = None  # lazily built ReservationPlanner
         self.ledger = None  # the shard's ReservationLedger
@@ -355,18 +361,21 @@ class _Shard:
             "reservations": 0, "booked": 0, "pool_rebuilds": 0,
         }
 
+    def entries(self, lane: _Lane) -> deque | list:
+        """The queued entries of one lane."""
+        return self.queue if lane is _DECISIONS else self.reservations
+
     def ensure_service(self) -> SchedulingService:
-        """The shard's in-parent reusing service (threaded / pump modes)."""
+        """The shard's in-parent reusing service, over the spec's world
+        (built once and kept, so a dropped service is rebuilt over it)."""
         if self.service is None:
             if self._world is None:
-                assert self.spec is not None
                 self._world = self.spec.build()
-            testbed, nws = self._world
-            self.service = SchedulingService(testbed, nws, reuse=True)
+            self.service = SchedulingService(*self._world, reuse=True)
         return self.service
 
     def ensure_reservation_lane(self):
-        """The shard's planner + ledger (lazily built, spec shards only).
+        """The shard's planner + ledger (lazily built).
 
         The planner expands over a *private* spec-built world — planning
         at reservation instants must never advance the decision lane's
@@ -375,7 +384,6 @@ class _Shard:
         Imported lazily: :mod:`repro.reserve` sits above this module.
         """
         if self.planner is None:
-            assert self.spec is not None
             from repro.reserve.ledger import ReservationLedger
             from repro.reserve.repair import ReservationPlanner
 
@@ -392,19 +400,20 @@ class SchedulingDaemon:
     Parameters
     ----------
     shards:
-        Either a sequence of :class:`ShardSpec` (required for
-        ``workers > 1``) or a mapping ``{name: (testbed, nws)}`` of live
-        worlds.
+        One :class:`ShardSpec` per pool (anything else raises
+        ``TypeError``).  A shard builds its world from its spec on first
+        use and keeps it.
     queue_capacity:
-        Bound on each shard's request queue; overflow is shed.
+        Bound on each shard's decision queue; overflow is shed.
     batcher:
         The :class:`MicroBatcher` policy (a fresh default if omitted).
         Each shard gets its own policy instance with the same parameters.
     workers:
-        ``1`` (default) answers batches in the shard's own thread (or the
-        pumping thread).  ``> 1`` dispatches batches through a persistent
-        process pool via the :mod:`repro.runner` machinery — shards must
-        then be spec-built so their worlds can be rebuilt in workers.
+        ``1`` (default) answers batches in the thread serving the shard
+        (its worker thread, or the pumping thread).  ``> 1`` dispatches
+        batches through a persistent process pool via the
+        :mod:`repro.runner` machinery, whose workers rebuild each
+        shard's world from its spec.
     reservation_capacity:
         Bound on each shard's reservation lane; overflow is shed.  The
         lane admits :class:`~repro.reserve.requests.ReservationRequest`\\ s
@@ -412,11 +421,16 @@ class SchedulingDaemon:
         order against the shard's ledger (incremental repair, never a
         from-scratch re-plan), and resolves tickets with
         :data:`BOOKED`.  Decision traffic always pre-empts the lane.
+
+    Both lanes, threaded and cooperative, walk a ticket through one path:
+    :meth:`_admit` queues it or refuses it at once, :meth:`_take` hands
+    the shard's next work to the thread serving it, and :meth:`_settle`
+    resolves what was taken and accounts for it.
     """
 
     def __init__(
         self,
-        shards: Sequence[ShardSpec] | Mapping[str, tuple[Testbed, NetworkWeatherService]],
+        shards: Sequence[ShardSpec],
         queue_capacity: int = 256,
         batcher: MicroBatcher | None = None,
         workers: int = 1,
@@ -424,84 +438,30 @@ class SchedulingDaemon:
     ) -> None:
         check_positive("queue_capacity", queue_capacity)
         check_positive("reservation_capacity", reservation_capacity)
+        self.queue_capacity = int(queue_capacity)
         self.reservation_capacity = int(reservation_capacity)
         proto = batcher if batcher is not None else MicroBatcher()
-        self._batcher_args = (
-            proto.max_batch, proto.target_batch, proto.max_linger_s, proto._alpha
-        )
+        limits = (proto.max_batch, proto.target_batch, proto.max_linger_s)
         self.shards: dict[str, _Shard] = {}
-        if isinstance(shards, Mapping):
-            for name, (testbed, nws) in shards.items():
-                self.shards[name] = _Shard(name, None, (testbed, nws), queue_capacity)
-        else:
-            for spec in shards:
-                if spec.name in self.shards:
-                    raise ValueError(f"duplicate shard name {spec.name!r}")
-                self.shards[spec.name] = _Shard(spec.name, spec, None, queue_capacity)
+        for spec in shards:
+            if not isinstance(spec, ShardSpec):
+                raise TypeError(f"a shard is a ShardSpec, not a {type(spec).__name__}")
+            if spec.name in self.shards:
+                raise ValueError(f"duplicate shard name {spec.name!r}")
+            self.shards[spec.name] = _Shard(spec, MicroBatcher(*limits))
         if not self.shards:
             raise ValueError("a daemon needs at least one shard")
         self.workers = max(1, int(workers))
-        if self.workers > 1 and any(s.spec is None for s in self.shards.values()):
-            raise ValueError(
-                "workers > 1 needs ShardSpec-built shards (live worlds "
-                "cannot be shipped to worker processes)"
-            )
-        self._batchers = {
-            name: MicroBatcher(*self._batcher_args) for name in self.shards
-        }
         self._runner: ParallelRunner | None = None  # persistent, created lazily
         self._runner_lock = threading.Lock()
         self._started = False
-        self._draining = False
         self._stopped = False
         self._lock = threading.Lock()
 
     # -- admission ---------------------------------------------------------
     def submit(self, shard: str, request: DecisionRequest) -> Ticket:
-        """Queue one request; returns a ticket (possibly already resolved).
-
-        Shed and rejection decisions are taken here, synchronously — the
-        caller learns about backpressure immediately instead of waiting on
-        a queue that cannot help.
-        """
-        try:
-            sh = self.shards[shard]
-        except KeyError:
-            raise KeyError(
-                f"unknown shard {shard!r} (have: {sorted(self.shards)})"
-            ) from None
-        ticket = Ticket(request, shard)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.metrics.counter("daemon.submitted").inc()
-        with sh.cond:
-            if self._stopped or self._draining:
-                sh.stats["rejected"] += 1
-                ticket._resolve(REJECTED, reason="shutdown")
-            elif request.at < sh.clock:
-                # The shared NWS is monotone; a decision instant behind the
-                # shard clock could never be answered, so say so now.
-                sh.stats["rejected"] += 1
-                ticket._resolve(
-                    REJECTED,
-                    reason=f"stale-instant: at={request.at} < clock={sh.clock}",
-                )
-            elif len(sh.queue) >= sh.queue_capacity:
-                sh.stats["shed"] += 1
-                ticket._resolve(SHED, reason="queue-full")
-            else:
-                now = time.perf_counter()
-                sh.clock = max(sh.clock, request.at)
-                sh.stats["submitted"] += 1
-                self._batchers[shard].note_arrival(now)
-                sh.queue.append((ticket, now))
-                sh.cond.notify_all()
-        if tracer.enabled:
-            reply = ticket._reply
-            if reply is not None:
-                tracer.metrics.counter(f"daemon.{reply.status}").inc()
-            tracer.metrics.gauge(f"daemon.queue_depth.{shard}").set(len(sh.queue))
-        return ticket
+        """Queue one decision request; returns its ticket (see :meth:`_admit`)."""
+        return self._admit(shard, request, _DECISIONS, DecisionRequest)
 
     def submit_many(
         self, shard: str, requests: Iterable[DecisionRequest]
@@ -512,12 +472,24 @@ class SchedulingDaemon:
     def submit_reservation(self, shard: str, request) -> Ticket:
         """Queue one :class:`ReservationRequest` on the shard's lane.
 
-        Admission mirrors :meth:`submit`: shutdown rejects, a full lane
-        sheds, both synchronously.  There is no stale-instant rejection —
+        Admission is :meth:`submit`'s without the stale-instant check —
         the lane plans over a private world it can rebuild at any
         instant, so the decision clock does not constrain reservations.
-        Requires a :class:`ShardSpec`-built shard (``ValueError``
-        otherwise: a live borrowed world cannot be rebuilt privately).
+        """
+        # Imported here: repro.reserve imports this package.
+        from repro.reserve.requests import ReservationRequest
+
+        return self._admit(shard, request, _RESERVATIONS, ReservationRequest)
+
+    def _admit(self, shard: str, request, lane: _Lane, kind: type) -> Ticket:
+        """Queue ``request`` on one lane of ``shard``, or refuse it at once.
+
+        The checks run in order — the request's type (``TypeError``),
+        shutdown, then the lane's own: a decision instant behind the
+        shard clock, a full lane — and the shard changes only after all
+        of them.  Shed and rejection are decided here, synchronously: the
+        caller learns about backpressure immediately instead of waiting
+        on a queue that cannot help.
         """
         try:
             sh = self.shards[shard]
@@ -525,43 +497,52 @@ class SchedulingDaemon:
             raise KeyError(
                 f"unknown shard {shard!r} (have: {sorted(self.shards)})"
             ) from None
-        if sh.spec is None:
-            raise ValueError(
-                f"shard {shard!r} holds a live world; the reservation lane "
-                f"needs ShardSpec-built shards (their worlds rebuild from "
-                f"seeds for conflict-free planning)"
-            )
+        if not isinstance(request, kind):
+            raise TypeError(f"expected a {kind.__name__}, got a {type(request).__name__}")
+        decision = lane is _DECISIONS
+        capacity = self.queue_capacity if decision else self.reservation_capacity
+        entries = sh.entries(lane)
         ticket = Ticket(request, shard)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.metrics.counter("daemon.reservations").inc()
+            tracer.metrics.counter(f"daemon.{lane.admitted}").inc()
         with sh.cond:
-            if self._stopped or self._draining:
-                sh.stats["rejected"] += 1
-                ticket._resolve(REJECTED, reason="shutdown")
-            elif len(sh.reservations) >= self.reservation_capacity:
-                sh.stats["shed"] += 1
-                ticket._resolve(SHED, reason="reservation-lane-full")
+            if self._stopped:
+                status, reason = REJECTED, "shutdown"
+            elif decision and request.at < sh.clock:
+                # The shared NWS is monotone; a decision instant behind the
+                # shard clock could never be answered, so say so now.
+                status = REJECTED
+                reason = f"stale-instant: at={request.at} < clock={sh.clock}"
+            elif len(entries) >= capacity:
+                status, reason = SHED, lane.full
             else:
-                sh.reservation_seq += 1
-                sh.stats["reservations"] += 1
-                heapq.heappush(
-                    sh.reservations,
-                    (request.priority, sh.reservation_seq, ticket),
-                )
+                status = None
+                sh.stats[lane.admitted] += 1
+                if decision:
+                    now = time.perf_counter()
+                    sh.clock = max(sh.clock, request.at)
+                    sh.batcher.note_arrival(now)
+                    entries.append((ticket, now))
+                else:
+                    sh.reservation_seq += 1
+                    heapq.heappush(
+                        entries, (request.priority, sh.reservation_seq, ticket)
+                    )
                 sh.cond.notify_all()
+            if status is not None:
+                sh.stats[status] += 1
+                ticket._resolve(status, reason=reason)
+            depth = len(entries)
         if tracer.enabled:
-            reply = ticket._reply
-            if reply is not None:
-                tracer.metrics.counter(f"daemon.{reply.status}").inc()
-            tracer.metrics.gauge(f"daemon.reservation_depth.{shard}").set(
-                len(sh.reservations)
-            )
+            if status is not None:
+                tracer.metrics.counter(f"daemon.{status}").inc()
+            tracer.metrics.gauge(f"daemon.{lane.depth}.{shard}").set(depth)
         return ticket
 
-    # -- always-on mode ----------------------------------------------------
+    # -- execution modes ---------------------------------------------------
     def start(self) -> None:
-        """Spawn one worker thread per shard (idempotent)."""
+        """Serve each shard from its own worker thread (idempotent)."""
         with self._lock:
             if self._stopped:
                 raise RuntimeError("daemon already shut down")
@@ -572,49 +553,32 @@ class SchedulingDaemon:
                 self._ensure_runner()
             for sh in self.shards.values():
                 sh.thread = threading.Thread(
-                    target=self._worker, args=(sh,),
+                    target=self._serve, args=(sh, True),
                     name=f"shard-{sh.name}", daemon=True,
                 )
                 sh.thread.start()
 
-    def shutdown(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Stop the daemon.
+    def pump(self) -> int:
+        """Answer everything queued, in the calling thread; returns count.
 
-        ``drain=True`` answers everything already queued first;
-        ``drain=False`` rejects queued tickets with reason ``"shutdown"``.
-        Either way, later submits are rejected.  Idempotent.
+        Shards are served in name order, each to empty and without
+        lingering — the deterministic mode for tests and one-shot
+        drivers.  With ``workers > 1`` the per-shard batches still run
+        through the process pool (one :class:`~repro.runner.Task` per
+        micro-batch).
         """
-        with self._lock:
-            if self._stopped:
-                return
-            self._draining = drain
-            self._stopped = True
-        for sh in self.shards.values():
-            with sh.cond:
-                if not drain:
-                    while sh.queue:
-                        ticket, _ = sh.queue.popleft()
-                        sh.stats["rejected"] += 1
-                        ticket._resolve(REJECTED, reason="shutdown")
-                    while sh.reservations:
-                        _, _, ticket = heapq.heappop(sh.reservations)
-                        sh.stats["rejected"] += 1
-                        ticket._resolve(REJECTED, reason="shutdown")
-                sh.cond.notify_all()
         if self._started:
-            for sh in self.shards.values():
-                if sh.thread is not None:
-                    sh.thread.join(timeout)
-        elif drain:
-            self._pump_all()  # cooperative daemon: drain in this thread
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
+            raise RuntimeError("pump() is for daemons without start()ed workers")
+        return sum(
+            self._serve(self.shards[name], block=False)
+            for name in sorted(self.shards)
+        )
 
     def drain(self, timeout: float | None = 30.0) -> None:
-        """Block until every queue is empty and no batch is in flight."""
+        """Block until every queue is empty and no batch is in flight
+        (a daemon never started is pumped in the calling thread)."""
         if not self._started:
-            self._pump_all()
+            self.pump()
             return
         deadline = None if timeout is None else time.perf_counter() + timeout
         for sh in self.shards.values():
@@ -630,38 +594,171 @@ class SchedulingDaemon:
                         )
                     sh.cond.wait(timeout=remaining)
 
-    # -- cooperative mode --------------------------------------------------
-    def pump(self) -> int:
-        """Answer everything queued, in the calling thread; returns count.
+    def shutdown(self, drain: bool = True, timeout: float | None = 30.0) -> None:
+        """Stop the daemon.
 
-        Shards are processed in name order and each queue drained to
-        empty — the deterministic mode for tests and one-shot drivers.
-        With ``workers > 1`` the per-shard batches still run through the
-        process pool (one :class:`~repro.runner.Task` per micro-batch).
+        ``drain=True`` answers everything already queued first;
+        ``drain=False`` rejects queued tickets with reason ``"shutdown"``.
+        Either way, later submits are rejected.  Idempotent.
         """
+        with self._lock:
+            if self._stopped:
+                return
+            self._stopped = True
+        for sh in self.shards.values():
+            with sh.cond:
+                if not drain:
+                    refused = [t for t, _ in sh.queue] + [t for *_, t in sh.reservations]
+                    sh.queue.clear()
+                    sh.reservations.clear()
+                    sh.stats["rejected"] += len(refused)
+                    for ticket in refused:
+                        ticket._resolve(REJECTED, reason="shutdown")
+                sh.cond.notify_all()
         if self._started:
-            raise RuntimeError("pump() is for daemons without start()ed workers")
-        return self._pump_all()
+            for sh in self.shards.values():
+                if sh.thread is not None:
+                    sh.thread.join(timeout)
+        elif drain:
+            self.pump()  # cooperative daemon: drain in this thread
+        if self._runner is not None:
+            self._runner.close()
+            self._runner = None
 
-    def _pump_all(self) -> int:
-        answered = 0
-        for name in sorted(self.shards):
-            sh = self.shards[name]
-            while True:
-                batch = self._take_now(sh)
-                if not batch:
-                    break
-                self._process(sh, batch)
-                answered += len(batch)
-            while True:
-                ticket = self._take_reservation(sh)
-                if ticket is None:
-                    break
-                self._process_reservation(sh, ticket)
-                answered += 1
-        return answered
+    # -- the ticket lifecycle ----------------------------------------------
+    def _serve(self, sh: _Shard, block: bool) -> int:
+        """Take, work and settle the shard's tickets until :meth:`_take`
+        has nothing more; returns how many were settled.  A shard's
+        worker thread serves blocking, :meth:`pump` without blocking."""
+        served = 0
+        while (work := self._take(sh, block)) is not None:
+            lane, tickets = work
+            outcomes = (self._decide(sh, tickets) if lane is _DECISIONS
+                        else [self._book(sh, tickets[0])])
+            self._settle(sh, lane, tickets, outcomes)
+            served += len(tickets)
+        return served
 
-    # -- internals ---------------------------------------------------------
+    def _take(self, sh: _Shard, block: bool) -> tuple[_Lane, list[Ticket]] | None:
+        """The shard's next work, in flight until :meth:`_settle`: up to
+        ``max_batch`` decisions, else one reservation (decisions always
+        pre-empt the lane), or ``None`` when there is no more.
+
+        A blocking take (the worker thread) lingers as the shard's
+        :class:`MicroBatcher` says and waits for work until the daemon
+        stops; a non-blocking one (``pump()``) does neither.
+        """
+        with sh.cond:
+            while True:
+                if sh.queue:
+                    wait = 0.0
+                    if block and not self._stopped:
+                        oldest = time.perf_counter() - sh.queue[0][1]
+                        wait = sh.batcher.wait_budget(len(sh.queue), oldest)
+                    if wait <= 0.0:
+                        take = min(len(sh.queue), sh.batcher.max_batch)
+                        work = _DECISIONS, [sh.queue.popleft()[0] for _ in range(take)]
+                        break
+                    sh.cond.wait(timeout=wait)
+                elif sh.reservations:
+                    work = _RESERVATIONS, [heapq.heappop(sh.reservations)[2]]
+                    break
+                elif not block or self._stopped:
+                    return None
+                else:
+                    sh.cond.wait(timeout=0.1)
+            sh.in_flight += len(work[1])
+            return work
+
+    def _decide(self, sh: _Shard, tickets: list[Ticket]) -> list[tuple[str, dict]]:
+        """Answer one micro-batch: each ticket's status and reply fields.
+
+        Each ticket resolves from its own request's outcome — no feasible
+        placement is REJECTED, any other error FAILED — and carries the
+        size of the batch it rode in.
+        """
+        requests = [t.request for t in tickets]
+        size = len(requests)
+        tracer = get_tracer()
+        runner = None
+        try:
+            with tracer.span(
+                "daemon.batch", layer="daemon",
+                t=min(r.at for r in requests),
+                shard=sh.name, requests=size,
+                mode="pool" if self.workers > 1 else "inline",
+            ):
+                if tracer.enabled:
+                    tracer.metrics.counter("daemon.batches").inc()
+                    tracer.metrics.histogram("daemon.batch_size").observe(size)
+                if self.workers > 1:
+                    runner = self._ensure_runner()
+                    task = Task(_shard_decide, {"spec": sh.spec, "requests": requests},
+                                key=(sh.name,))
+                    answers = runner.submit(task).result()
+                else:
+                    answers = sh.ensure_service().decide(requests)
+        except PartialBatchError as exc:
+            answers = exc.outcomes
+        except Exception as exc:  # resolve, never hang the callers
+            if isinstance(exc, BrokenProcessPool) and runner is not None:
+                self._drop_runner(runner, sh)
+            answers = [exc] * size
+        return [
+            (ANSWERED, {"answer": a, "batch_size": size}) if not isinstance(a, Exception)
+            else (REJECTED if isinstance(a, NoFeasibleCandidate) else FAILED,
+                  {"reason": f"{type(a).__name__}: {a}", "batch_size": size})
+            for a in answers
+        ]
+
+    def _book(self, sh: _Shard, ticket: Ticket) -> tuple[str, dict]:
+        """Book one reservation through the shard's repair engine.
+
+        One request per pass: each arrival is an incremental
+        ``repair(new_requests=[...])`` against the shard ledger, so
+        earlier bookings are never re-planned — at most shifted, shrunk
+        or bumped, exactly as the repair ladder allows.
+        """
+        request = ticket.request
+        try:
+            planner, ledger = sh.ensure_reservation_lane()
+            with get_tracer().span(
+                "daemon.reservation", layer="daemon",
+                t=request.earliest_start,
+                shard=sh.name, request=request.request_id,
+            ):
+                outcome = planner.repair(ledger, new_requests=[request])
+            booked = tuple(ledger.get(bid) for bid in outcome.booked)
+        except Exception as exc:  # resolve, never hang the caller
+            return FAILED, {"reason": f"{type(exc).__name__}: {exc}"}
+        if not booked:
+            return REJECTED, {"reason": "no-feasible-candidate"}
+        partial = len(booked) < request.repeat_count
+        reason = f"partial: {len(booked)}/{request.repeat_count}" if partial else None
+        return BOOKED, {"bookings": booked, "reason": reason}
+
+    def _settle(self, sh: _Shard, lane: _Lane, tickets: list[Ticket],
+                outcomes: list[tuple[str, dict]]) -> None:
+        """Resolve taken tickets from their outcomes and account for them."""
+        with sh.cond:
+            sh.in_flight -= len(tickets)
+            for ticket, (status, fields) in zip(tickets, outcomes):
+                ticket._resolve(status, **fields)
+                sh.stats[status] += 1
+            if any(status == ANSWERED for status, _ in outcomes):
+                sh.stats["batches"] += 1
+                sh.stats["max_batch"] = max(sh.stats["max_batch"], len(tickets))
+            sh.cond.notify_all()
+            depth = len(sh.entries(lane))
+        tracer = get_tracer()
+        if tracer.enabled:
+            for ticket in tickets:
+                reply = ticket._reply
+                tracer.metrics.counter(f"daemon.{reply.status}").inc()
+                tracer.metrics.histogram("daemon.latency_s").observe(reply.latency_s)
+            tracer.metrics.gauge(f"daemon.{lane.depth}.{sh.name}").set(depth)
+
+    # -- process pool ------------------------------------------------------
     def _ensure_runner(self) -> ParallelRunner:
         """The persistent process-pool runner for ``workers > 1`` dispatch."""
         with self._runner_lock:
@@ -684,200 +781,14 @@ class SchedulingDaemon:
         with sh.cond:
             sh.stats["pool_rebuilds"] += 1
 
-    def _take_now(self, sh: _Shard) -> list[tuple[Ticket, float]]:
-        """Pop up to ``max_batch`` queued entries without lingering."""
-        with sh.cond:
-            if not sh.queue:
-                return []
-            take = min(len(sh.queue), self._batchers[sh.name].max_batch)
-            batch = [sh.queue.popleft() for _ in range(take)]
-            sh.in_flight += len(batch)
-            return batch
-
-    def _take_reservation(self, sh: _Shard) -> Ticket | None:
-        """Pop the strongest queued reservation, if any."""
-        with sh.cond:
-            if not sh.reservations:
-                return None
-            _, _, ticket = heapq.heappop(sh.reservations)
-            sh.in_flight += 1
-            return ticket
-
-    def _take(self, sh: _Shard) -> tuple[str, Any] | None:
-        """Worker-thread blocking take, honouring the micro-batch policy.
-
-        Returns ``("batch", tickets)`` for decision work,
-        ``("reservation", ticket)`` when only the reservation lane has
-        work (decision traffic always pre-empts the lane), or ``None``
-        when the daemon stopped and this shard's work is done.
-        """
-        batcher = self._batchers[sh.name]
-        with sh.cond:
-            while True:
-                if sh.queue:
-                    if self._stopped:
-                        wait = 0.0  # draining: no linger, just finish
-                    else:
-                        oldest = time.perf_counter() - sh.queue[0][1]
-                        wait = batcher.wait_budget(len(sh.queue), oldest)
-                    if wait <= 0.0 or len(sh.queue) >= batcher.max_batch:
-                        take = min(len(sh.queue), batcher.max_batch)
-                        batch = [sh.queue.popleft() for _ in range(take)]
-                        sh.in_flight += len(batch)
-                        return ("batch", batch)
-                    sh.cond.wait(timeout=wait)
-                elif sh.reservations:
-                    _, _, ticket = heapq.heappop(sh.reservations)
-                    sh.in_flight += 1
-                    return ("reservation", ticket)
-                elif self._stopped:
-                    return None
-                else:
-                    sh.cond.wait(timeout=0.1)
-
-    def _worker(self, sh: _Shard) -> None:
-        while True:
-            work = self._take(sh)
-            if work is None:
-                return
-            kind, payload = work
-            if kind == "batch":
-                self._process(sh, payload)
-            else:
-                self._process_reservation(sh, payload)
-
-    def _process(self, sh: _Shard, batch: list[tuple[Ticket, float]]) -> None:
-        """Answer one micro-batch and resolve its tickets."""
-        tickets = [t for t, _ in batch]
-        requests = [t.request for t in tickets]
-        size = len(requests)
-        tracer = get_tracer()
-        runner = None
-        try:
-            pooled = self.workers > 1 and sh.spec is not None
-            with tracer.span(
-                "daemon.batch", layer="daemon",
-                t=min(r.at for r in requests),
-                shard=sh.name, requests=size,
-                mode="pool" if pooled else "inline",
-            ):
-                if tracer.enabled:
-                    tracer.metrics.counter("daemon.batches").inc()
-                    tracer.metrics.histogram("daemon.batch_size").observe(size)
-                if pooled:
-                    runner = self._ensure_runner()
-                    answers = runner.submit(
-                        Task(
-                            _shard_decide,
-                            {"spec": sh.spec, "requests": requests},
-                            key=(sh.name,),
-                        )
-                    ).result()
-                else:
-                    answers = sh.ensure_service().decide(requests)
-        except PartialBatchError as exc:
-            answers = exc.outcomes
-        except Exception as exc:  # resolve, never hang the callers
-            if isinstance(exc, BrokenProcessPool) and runner is not None:
-                self._drop_runner(runner, sh)
-            answers = [exc] * size
-        # Each ticket resolves from its own request's outcome.
-        answered = 0
-        with sh.cond:
-            sh.in_flight -= size
-            for ticket, outcome in zip(tickets, answers):
-                if not isinstance(outcome, Exception):
-                    answered += 1
-                    ticket._resolve(ANSWERED, answer=outcome, batch_size=size)
-                else:  # no feasible placement is the request's own answer
-                    ticket._resolve(
-                        REJECTED if isinstance(outcome, NoFeasibleCandidate) else FAILED,
-                        reason=f"{type(outcome).__name__}: {outcome}",
-                    )
-                sh.stats[ticket._reply.status] += 1
-            if answered:
-                sh.stats["batches"] += 1
-                sh.stats["max_batch"] = max(sh.stats["max_batch"], size)
-            sh.cond.notify_all()
-        if tracer.enabled:
-            for ticket in tickets:
-                reply = ticket._reply
-                if reply is not None:
-                    tracer.metrics.counter(f"daemon.{reply.status}").inc()
-                    tracer.metrics.histogram("daemon.latency_s").observe(
-                        reply.latency_s
-                    )
-            tracer.metrics.gauge(f"daemon.queue_depth.{sh.name}").set(
-                len(sh.queue)
-            )
-
-    def _process_reservation(self, sh: _Shard, ticket: Ticket) -> None:
-        """Plan one reservation through the shard's repair engine.
-
-        One request per pass: each arrival is an incremental
-        ``repair(new_requests=[...])`` against the shard ledger, so
-        earlier bookings are never re-planned — at most shifted, shrunk
-        or bumped, exactly as the repair ladder allows.
-        """
-        request = ticket.request
-        tracer = get_tracer()
-        try:
-            planner, ledger = sh.ensure_reservation_lane()
-            with tracer.span(
-                "daemon.reservation", layer="daemon",
-                t=getattr(request, "earliest_start", None),
-                shard=sh.name, request=request.request_id,
-            ):
-                outcome = planner.repair(ledger, new_requests=[request])
-            booked = tuple(ledger.get(bid) for bid in outcome.booked)
-        except Exception as exc:  # resolve, never hang the caller
-            with sh.cond:
-                sh.stats["failed"] += 1
-                sh.in_flight -= 1
-                ticket._resolve(FAILED, reason=f"{type(exc).__name__}: {exc}")
-                sh.cond.notify_all()
-            if tracer.enabled:
-                tracer.metrics.counter("daemon.failed").inc()
-            return
-        with sh.cond:
-            sh.in_flight -= 1
-            if booked:
-                sh.stats["booked"] += 1
-                partial = len(booked) < request.repeat_count
-                ticket._resolve(
-                    BOOKED,
-                    bookings=booked,
-                    reason=(
-                        f"partial: {len(booked)}/{request.repeat_count}"
-                        if partial else None
-                    ),
-                )
-            else:
-                sh.stats["rejected"] += 1
-                ticket._resolve(REJECTED, reason="no-feasible-candidate")
-            sh.cond.notify_all()
-        if tracer.enabled:
-            reply = ticket._reply
-            if reply is not None:
-                tracer.metrics.counter(f"daemon.{reply.status}").inc()
-                tracer.metrics.histogram("daemon.latency_s").observe(
-                    reply.latency_s
-                )
-            tracer.metrics.gauge(f"daemon.reservation_depth.{sh.name}").set(
-                len(sh.reservations)
-            )
-
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict[str, dict[str, Any]]:
         """Per-shard admission/answer counters (a snapshot copy)."""
         out = {}
         for name, sh in self.shards.items():
             with sh.cond:
-                row = dict(sh.stats)
-                row["queue_depth"] = len(sh.queue)
-                row["reservation_depth"] = len(sh.reservations)
-                row["clock"] = sh.clock
-            out[name] = row
+                out[name] = dict(sh.stats, queue_depth=len(sh.queue),
+                                 reservation_depth=len(sh.reservations), clock=sh.clock)
         return out
 
     def __enter__(self) -> "SchedulingDaemon":

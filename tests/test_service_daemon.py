@@ -22,13 +22,19 @@ tests pin the edges of that claim:
   REJECTED alone, a configuration raising in staging or deciding fails
   only its tickets, and an error in the shared kernel call fails the call;
 - traced and untraced daemon runs are bit-identical, with the queue
-  gauge / admission counters / batch spans present when traced.
+  gauge / admission counters / batch spans present when traced;
+- both lanes walk one lifecycle: a mixed load ends every ticket alike
+  whether pumped or served by a started worker, `stats()` counts each
+  status the replies carry, a request of the other lane's type is
+  refused before the shard changes, and every ticket resolved from a
+  batch carries the batch's size.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from dataclasses import replace
 from unittest import mock
@@ -56,7 +62,7 @@ from repro.service import (
     ShardSpec,
 )
 from repro.service.core import PartialBatchError
-from repro.service.daemon import ANSWERED, FAILED, REJECTED, SHED
+from repro.service.daemon import ANSWERED, BOOKED, FAILED, REJECTED, SHED
 from repro.service.loadgen import (
     SyntheticPopulation,
     open_loop_events,
@@ -158,6 +164,31 @@ class TestAdmission:
         with pytest.raises(ValueError, match="duplicate shard"):
             SchedulingDaemon([_spec(), _spec()])
 
+    def test_shards_must_be_specs(self):
+        testbed = sdsc_pcl_testbed(seed=1996)
+        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
+        with pytest.raises(TypeError, match="ShardSpec"):
+            SchedulingDaemon({"sdsc": (testbed, nws)})
+        with pytest.raises(TypeError, match="ShardSpec"):
+            SchedulingDaemon([_spec(), (testbed, nws)])
+
+    @pytest.mark.parametrize("lane", ["decision", "reservation"])
+    def test_a_wrong_request_type_changes_nothing(self, lane):
+        """Admission checks the request's type before it touches the
+        shard: the lane refuses the other lane's request with a
+        ``TypeError``, every counter and depth as it was."""
+        daemon = SchedulingDaemon([_spec()], queue_capacity=8)
+        daemon.submit("sdsc", _request(0))
+        daemon.submit_reservation("sdsc", _reservation(0))
+        before = daemon.stats()
+        with pytest.raises(TypeError):
+            if lane == "decision":
+                daemon.submit("sdsc", _reservation(1))
+            else:
+                daemon.submit_reservation("sdsc", _request(1))
+        assert daemon.stats() == before
+        daemon.shutdown(drain=False)
+
 
 # -- shutdown and drain ---------------------------------------------------
 class TestShutdown:
@@ -232,8 +263,6 @@ class TestMicroBatcher:
             MicroBatcher(max_batch=8, target_batch=16)
         with pytest.raises(ValueError):
             MicroBatcher(max_linger_s=-1.0)
-        with pytest.raises(ValueError):
-            MicroBatcher(ewma_alpha=0.0)
 
     def test_max_batch_bounds_dispatch(self):
         daemon = SchedulingDaemon(
@@ -372,6 +401,19 @@ class TestFailureIsolation:
         got = [r for k, r in enumerate(replies) if k != 5]
         assert [_sig(r.answer) for r in got] == [_sig(r.answer) for r in clean]
 
+    def test_every_ticket_of_a_batch_carries_its_size(self):
+        """A ticket resolved from a batch reads the batch's size whatever
+        its status: 0 means it never reached a batch."""
+        replies, _ = _pump_nile(_poisoned(_nile_requests(3), k=1))
+        assert [r.status for r in replies] == [ANSWERED, REJECTED, ANSWERED]
+        assert [r.batch_size for r in replies] == [3, 3, 3]
+        with mock.patch.object(
+            service_core, "evaluate_strip_batch",
+            side_effect=RuntimeError("kernel boom"),
+        ):
+            replies, _ = _pump_nile(_nile_requests(3))
+        assert [(r.status, r.batch_size) for r in replies] == [(FAILED, 3)] * 3
+
     def test_a_kernel_error_fails_every_configuration_in_the_call(self):
         with mock.patch.object(
             service_core, "evaluate_strip_batch",
@@ -488,12 +530,6 @@ class TestBitIdentity:
             assert daemon.stats()["sdsc"]["pool_rebuilds"] == 1
         finally:
             daemon.shutdown()
-
-    def test_process_mode_requires_specs(self):
-        testbed = sdsc_pcl_testbed(seed=1996)
-        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        with pytest.raises(ValueError, match="ShardSpec"):
-            SchedulingDaemon({"sdsc": (testbed, nws)}, workers=2)
 
     @settings(
         max_examples=12, deadline=None,
@@ -790,8 +826,6 @@ def _reservation(k: int = 0, priority: int = 2, **overrides):
 
 class TestReservationLane:
     def test_books_through_the_lane(self):
-        from repro.service.daemon import BOOKED
-
         daemon = SchedulingDaemon([_spec()], queue_capacity=8)
         ticket = daemon.submit_reservation("sdsc", _reservation(0))
         assert ticket._reply is None  # queued, not answered synchronously
@@ -807,8 +841,6 @@ class TestReservationLane:
 
     def test_lane_ledger_stays_conflict_free(self):
         from repro.reserve import verify_ledger
-        from repro.service.daemon import BOOKED
-
         daemon = SchedulingDaemon([_spec()], queue_capacity=8)
         requests = [_reservation(k) for k in range(3)]
         tickets = [
@@ -821,8 +853,6 @@ class TestReservationLane:
         assert verify_ledger(ledger, requests) == []
 
     def test_priority_classes_plan_first(self):
-        from repro.service.daemon import BOOKED
-
         daemon = SchedulingDaemon([_spec()], queue_capacity=8)
         weak = daemon.submit_reservation("sdsc", _reservation(0, priority=3))
         strong = daemon.submit_reservation("sdsc", _reservation(1, priority=1))
@@ -857,13 +887,6 @@ class TestReservationLane:
         assert reply.reason == "reservation-lane-full"
         assert daemon.stats()["sdsc"]["shed"] == 1
 
-    def test_live_world_shard_refused(self):
-        testbed = sdsc_pcl_testbed(seed=1996)
-        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        daemon = SchedulingDaemon({"live": (testbed, nws)}, queue_capacity=8)
-        with pytest.raises(ValueError, match="live world"):
-            daemon.submit_reservation("live", _reservation(0))
-
     def test_unknown_shard_raises(self):
         daemon = SchedulingDaemon([_spec()], queue_capacity=8)
         with pytest.raises(KeyError, match="unknown shard"):
@@ -879,8 +902,6 @@ class TestReservationLane:
         assert late.result(0.0).status == REJECTED
 
     def test_threaded_lane_books(self):
-        from repro.service.daemon import BOOKED
-
         daemon = SchedulingDaemon([_spec()], queue_capacity=8)
         daemon.start()
         ticket = daemon.submit_reservation("sdsc", _reservation(0))
@@ -898,3 +919,119 @@ class TestReservationLane:
         daemon.pump()
         reference = _service_answers([_request(0)])
         assert _sig(mixed.result(0.0).answer) == _sig(reference[0])
+
+
+# -- one lifecycle for both lanes and both modes ---------------------------
+def _booking_sig(booking):
+    return (
+        booking.booking_id, booking.request_id, booking.occurrence,
+        booking.start, booking.end, booking.machines, booking.points,
+        booking.objective,
+    )
+
+
+def _outcome(reply):
+    return (
+        reply.status,
+        reply.reason,
+        _sig(reply.answer) if reply.answer is not None else None,
+        tuple(_booking_sig(b) for b in reply.bookings),
+    )
+
+
+def _mixed_load(daemon, between, end):
+    """Submit one mixed load in two waves, calling ``between`` after the
+    first and ``end`` after the second; returns every ticket in order.
+
+    The first wave holds four decisions, one whose filter admits no
+    host, and four reservations of which one is unplaceable and one
+    finds the three-place lane full.  The second wave holds a decision
+    at a later instant and one behind the clock that instant set.
+    """
+    nowhere = UserSpecification(accessible_machines=frozenset({"no-such-host"}))
+    tickets = daemon.submit_many("sdsc", [_request(k) for k in range(4)])
+    tickets.append(daemon.submit("sdsc", replace(_request(4), userspec=nowhere)))
+    tickets += [
+        daemon.submit_reservation("sdsc", r)
+        for r in (
+            _reservation(0), _reservation(1, priority=1),
+            _reservation(2, min_machines=99), _reservation(3),
+        )
+    ]
+    between()
+    tickets.append(daemon.submit("sdsc", _request(5, at=AT + 120.0)))
+    tickets.append(daemon.submit("sdsc", _request(6)))
+    end()
+    return tickets
+
+
+class TestOneLifecycle:
+    """Both lanes, pumped or served by a started worker, walk one
+    admission, take and settle: every ticket ends alike."""
+
+    EXPECTED = [ANSWERED] * 4 + [REJECTED, BOOKED, BOOKED, REJECTED, SHED, ANSWERED, REJECTED]
+
+    def _daemon(self):
+        return SchedulingDaemon([_spec()], queue_capacity=16, reservation_capacity=3)
+
+    def _check(self, daemon, tickets):
+        replies = [t.result(0.0) for t in tickets]
+        assert [r.status for r in replies] == self.EXPECTED
+        assert "NoFeasibleCandidate" in replies[4].reason
+        assert replies[7].reason == "no-feasible-candidate"
+        assert replies[8].reason == "reservation-lane-full"
+        assert replies[10].reason.startswith("stale-instant")
+        stats = daemon.stats()["sdsc"]
+        statuses = [r.status for r in replies]
+        for status in (ANSWERED, BOOKED, SHED, REJECTED, FAILED):
+            assert stats[status] == statuses.count(status), status
+        assert stats["queue_depth"] == stats["reservation_depth"] == 0
+        return [_outcome(r) for r in replies]
+
+    def test_pump_and_started_worker_end_every_ticket_alike(self):
+        pumped = self._daemon()
+        tickets = _mixed_load(pumped, pumped.pump, pumped.pump)
+        pumped_outcomes = self._check(pumped, tickets)
+        pumped.shutdown()
+
+        served = self._daemon()
+        try:
+            tickets = _mixed_load(served, served.start, lambda: served.drain(120.0))
+            assert self._check(served, tickets) == pumped_outcomes
+        finally:
+            served.shutdown()
+
+    def test_shutdown_without_drain_rejects_both_lanes_of_a_started_daemon(self):
+        """While the worker holds one batch, queued decisions and
+        reservations are rejected at once; the held batch is answered."""
+        daemon = SchedulingDaemon([_spec()], queue_capacity=8)
+        shard = daemon.shards["sdsc"]
+        service = shard.ensure_service()
+        holding, release = threading.Event(), threading.Event()
+
+        class _Held:
+            def decide(self, requests):
+                holding.set()
+                release.wait(60.0)
+                return service.decide(requests)
+
+        shard.service = _Held()
+        daemon.start()
+        held = daemon.submit("sdsc", _request(0))
+        assert holding.wait(60.0)
+        queued = daemon.submit_many("sdsc", [_request(k) for k in (1, 2)])
+        queued += [daemon.submit_reservation("sdsc", _reservation(k)) for k in (0, 1)]
+        stopper = threading.Thread(target=daemon.shutdown, kwargs={"drain": False})
+        stopper.start()
+        try:
+            replies = [t.result(60.0) for t in queued]
+        finally:
+            release.set()
+            stopper.join(60.0)
+        assert not stopper.is_alive() and not shard.thread.is_alive()
+        assert all(r.status == REJECTED and r.reason == "shutdown" for r in replies)
+        assert held.result(0.0).status == ANSWERED
+        stats = daemon.stats()["sdsc"]
+        assert (stats["answered"], stats["rejected"]) == (1, 4)
+        assert stats["queue_depth"] == stats["reservation_depth"] == 0
+        assert daemon.submit_reservation("sdsc", _reservation(2)).result(0.0).reason == "shutdown"
