@@ -20,7 +20,9 @@ execute the numerics and charge simulated time.
 
 from __future__ import annotations
 
+import contextlib
 import os
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -494,6 +496,10 @@ _MAX_BATCH_PASSES = _MAX_REPLAN
 _BLOCK_CELLS = 2**14
 # (pid, executor) of the block helper thread: a forked child has no thread.
 _helper: tuple[int, ThreadPoolExecutor] | None = None
+# Row structures of recent candidate spaces, least recently used first; one
+# OrderedDict operation is atomic under the GIL, so no lock (none held at fork).
+_structures: OrderedDict = OrderedDict()
+_STRUCTURES_KEPT = 4
 
 
 def evaluate_strip_batch(
@@ -520,6 +526,12 @@ def evaluate_strip_batch(
     The first pass, before any member is dropped, also bounds every row
     from its arrays (:func:`_strip_bounds`).
 
+    What depends on the usable-member matrix and row classes alone — the
+    distinct rows, continuation lookup, first-pass blocks and strip orders
+    — is the candidate space's row structure (:func:`_structure`), built
+    once per space and read back by later calls, which run only the
+    arithmetic forecasts change.  All-distinct rows skip the gather.
+
     Memory capacity only vetoes: it changes no float of a plan it does not
     stop, so each class runs memory-blind, and its memory-accounting
     variant's checks — allocations over a cap in any pass, integer rows
@@ -528,7 +540,8 @@ def evaluate_strip_batch(
     surrendered (``fallback``, no schedule, its own bound kept).  Traced,
     ``apples.rows_computed`` counts the distinct rows and
     ``apples.rows_shared`` the others, ``apples.blocks`` the blocks and
-    ``apples.helper_blocks`` those the helper thread ran.
+    ``apples.helper_blocks`` those the helper thread ran, and each call
+    counts ``apples.structures_built`` or ``apples.structure_hits``.
 
     Bit-identity contract: every number produced for a row either equals
     the scalar ``JacobiPlanner.plan`` result for that candidate set
@@ -559,11 +572,10 @@ def evaluate_strip_batch(
     # The scalar plan first filters members predicted to deliver nothing.
     member = np.concatenate([np.asarray(masks, dtype=bool) for _, masks in jobs])
     member &= (tables.rates > 0.0)[row_class]
-    starts, first, share = np.unique(
-        _member_keys(member, row_class),
-        return_index=True, return_inverse=True,
-    )
-    distinct = len(first)
+    space, built = _structure(member, row_class, len(tables.sync))
+    if space.first is not None:
+        member, row_class = member[space.first], row_class[space.first]
+    distinct = len(member)
     plans = StripBatchEvaluation(
         feasible=np.zeros(distinct, dtype=bool),
         fallback=np.zeros(distinct, dtype=bool),
@@ -572,15 +584,18 @@ def evaluate_strip_batch(
         bounds=np.full(distinct, np.inf),
     )
     veto = np.zeros(distinct, dtype=bool)
-    _fixpoint(member[first], row_class[first], starts, tables, plans, veto)
+    _fixpoint(member, row_class, space, tables, plans, veto)
     tracer = get_tracer()
     if tracer.enabled:
         tracer.metrics.counter("apples.rows_computed").inc(distinct)
-        tracer.metrics.counter("apples.rows_shared").inc(len(share) - distinct)
+        tracer.metrics.counter("apples.rows_shared").inc(len(job_of) - distinct)
+        reuse = "apples.structures_built" if built else "apples.structure_hits"
+        tracer.metrics.counter(reuse).inc()
 
-    out = plans.rows(share)
+    out = plans if space.share is None else plans.rows(space.share)
+    veto = veto if space.share is None else veto[space.share]
     memory = np.array([inputs.account_memory for inputs, _ in jobs])
-    vetoed = np.nonzero(memory[job_of] & veto[share])[0]
+    vetoed = np.nonzero(memory[job_of] & veto)[0]
     out.feasible[vetoed] = out.kept[vetoed] = False
     out.fallback[vetoed] = True
     out.predicted[vetoed] = np.inf
@@ -728,12 +743,63 @@ class _ClassTables(NamedTuple):
         return table.reshape(*lead, chunks * 256)
 
 
-def _member_keys(member: np.ndarray, class_of: np.ndarray) -> np.ndarray:
-    """One opaque key per row: its class and its membership bits, as a
-    fixed-width byte string.
+class _RowStructure(NamedTuple):
+    """A candidate space's read-only row structure (:func:`_structure`):
+    each distinct row's ``first`` row and each row's distinct row
+    (``share``), both ``None`` when the rows are all distinct (in job
+    order); the distinct rows' sorted keys (``starts``) and the distinct row
+    of each (``at``); and the first pass's ``blocks``, ``(rows, (order,
+    cnt))`` each, strip orders and member counts in their narrowest dtype."""
 
-    Equal keys mean the same class and the same member set; the keys sort.
+    first: np.ndarray | None
+    share: np.ndarray | None
+    starts: np.ndarray
+    at: np.ndarray
+    blocks: tuple
+
+
+def _structure(member, class_of, classes):
+    """The row structure of the space with usable members ``member`` and
+    row classes ``class_of``, and whether this call built it.  Built once
+    and kept in ``_structures`` under the full matrix, class vector and
+    ``_BLOCK_CELLS``, each entry inserted only once complete."""
+    key = (_BLOCK_CELLS, member.shape, np.packbits(member).tobytes(), class_of.tobytes())
+    if (space := _structures.get(key)) is not None:
+        with contextlib.suppress(KeyError):  # evicted by another thread since
+            _structures.move_to_end(key)
+        return space, False
+    starts, first, share = np.unique(
+        _member_keys(member, class_of, classes), return_index=True, return_inverse=True
+    )
+    if len(first) == len(member):
+        at, first, share = first, None, None
+    else:
+        at, member = np.arange(len(first)), member[first]
+    small = np.min_scalar_type(member.shape[1])
+    arrays, blocks = [a for a in (first, share, starts, at) if a is not None], []
+    for rows in _pass_blocks(np.arange(len(member)), member):
+        orders = tuple(a.astype(small) for a in batched_locality_orders(member[rows]))
+        blocks.append((rows, orders))
+        arrays += rows, *orders
+    for array in arrays:
+        array.flags.writeable = False
+    space = _structures[key] = _RowStructure(first, share, starts, at, tuple(blocks))
+    with contextlib.suppress(KeyError):  # another thread evicted the last one
+        while len(_structures) > _STRUCTURES_KEPT:
+            _structures.popitem(last=False)
+    return space, True
+
+
+def _member_keys(member: np.ndarray, class_of: np.ndarray, classes: int) -> np.ndarray:
+    """One key per row, from its class (of ``classes``) and member bits:
+    sorted once per candidate space for its row structure, then searched by
+    continuation.  Equal keys mean the same class and member set.  A key is
+    one integer, the class above the member bits, where both fit in 63 bits
+    (every pool here); wider universes keep fixed-width byte strings.
     """
+    n = member.shape[1]
+    if n + (classes - 1).bit_length() <= 63:
+        return member @ (1 << np.arange(n, dtype=np.int64)) | class_of << n
     cls = class_of.astype(">u8").view(np.uint8).reshape(-1, 8)
     key = np.ascontiguousarray(
         np.concatenate([cls, np.packbits(member, axis=1)], axis=1)
@@ -750,12 +816,12 @@ def _select(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a[idx] for a in arrays)
 
 
-def _fixpoint(member, class_of, starts, tables, out, veto):
+def _fixpoint(member, class_of, space, tables, out, veto):
     """The memory-blind drop/re-balance fixpoint of the distinct rows of
     :func:`evaluate_strip_batch`, outcomes written to ``out`` and ``veto``.
 
-    The rows are distinct (class, usable-member set) pairs, ``starts``
-    their sorted keys.  Batch plan continuation: from a given member set
+    The rows are distinct (class, usable-member set) pairs and ``space``
+    their row structure.  Batch plan continuation: from a given member set
     onward, a row's fixpoint depends on that set and its class alone —
     the scalar planner's ``("jacobi-plan", ...)`` continuation memo,
     applied across rows and jobs.  A row whose members shrink (balance
@@ -775,7 +841,8 @@ def _fixpoint(member, class_of, starts, tables, out, veto):
     A block writes only its own rows' state and reads no other block's, so
     neither the blocks nor their interleaving change an outcome.
     Surrendered rows are flagged in ``out.fallback``, rows the class's
-    memory variant vetoes in ``veto``.
+    memory variant vetoes in ``veto``.  The first pass reads its blocks and
+    strip orders from ``space``, built once per candidate space.
     """
     m = len(member)
     tracer = get_tracer()
@@ -788,16 +855,16 @@ def _fixpoint(member, class_of, starts, tables, out, veto):
     def continue_shrunk(grows):
         """Rows ``grows`` just shrank; those whose member set now starts
         another row stop iterating and continue as that row."""
-        keys = _member_keys(member[grows], class_of[grows])
-        pos = np.minimum(np.searchsorted(starts, keys), m - 1)
-        hit = starts[pos] == keys
-        continues[grows[hit]] = pos[hit]
+        keys = _member_keys(member[grows], class_of[grows], len(tables.sync))
+        pos = np.minimum(np.searchsorted(space.starts, keys), m - 1)
+        hit = space.starts[pos] == keys
+        continues[grows[hit]] = space.at[pos[hit]]
         pending[grows[hit]] = False
 
     def run(block):
         converged = _strip_pass(
-            block, member, class_of, tables, pending, out.fallback, veto,
-            continue_shrunk, out.bounds if npass == 1 else None,
+            *block, member, class_of, tables, pending, out.fallback, veto,
+            continue_shrunk, out.bounds,
         )
         if converged is not None:
             _finalise(*converged, member, tables, out, veto)
@@ -807,7 +874,7 @@ def _fixpoint(member, class_of, starts, tables, out, veto):
         if rows.size == 0:
             break
         stopped[rows] = npass
-        blocks = _pass_blocks(rows, member)
+        blocks = space.blocks if npass == 1 else [(b, None) for b in _pass_blocks(rows, member)]
         helped = _self_schedule(run, blocks)
         if tracer.enabled:
             tracer.metrics.counter("apples.blocks").inc(len(blocks))
@@ -848,9 +915,10 @@ def _pass_blocks(rows, member):
     else ordered by member count (stable) and cut into blocks of at most
     ``_BLOCK_CELLS`` cells, counted at each block's widest set."""
     width = np.count_nonzero(member[rows], axis=1)
-    if rows.size * width.max() <= _BLOCK_CELLS:
+    if rows.size * width.max(initial=0) <= _BLOCK_CELLS:
         return [rows]
-    by_width = np.argsort(width, kind="stable")
+    # In a small integer type the counts sort stably by radix sort.
+    by_width = np.argsort(width.astype(np.min_scalar_type(member.shape[1])), kind="stable")
     rows, width = rows[by_width], width[by_width]
     blocks = []
     while rows.size:
@@ -897,8 +965,8 @@ def _self_schedule(run, blocks):
 
 
 def _strip_pass(
-    rows, member, class_of, tables, pending, fallback, veto, continue_shrunk,
-    bounds,
+    rows, orders, member, class_of, tables, pending, fallback, veto,
+    continue_shrunk, bounds,
 ):
     """One drop/re-balance pass over a block of pending ``rows``.
 
@@ -906,8 +974,9 @@ def _strip_pass(
     among ``rows``.  Rows that empty, hit a dead link, surrender or shrink
     are settled here (``pending``, ``fallback`` and the rank-space
     ``member`` matrix updated in place), and balanced rows over a cap of
-    their class's memory variant are flagged in ``veto``; the first pass
-    also writes every row's bound to ``bounds`` (``None`` later).  Returns
+    their class's memory variant are flagged in ``veto``.  The first pass
+    takes ``rows``' stored strip ``orders`` and writes every row's bound to
+    ``bounds``; a later one (``orders`` ``None``) derives its orders.  Returns
     the rows that converged, as ``(rows, cls, cn, counts, valid, rates,
     transfers, areas)`` in strip order — ``cn`` is each slot's flat
     ``class * n + machine`` index into the class tables — or ``None``
@@ -916,8 +985,10 @@ def _strip_pass(
     n = member.shape[1]
     cls = class_of[rows]
     members = member[rows]
-    order, cnt = batched_locality_orders(members)
-    if bounds is not None:
+    if orders is None:
+        order, cnt = batched_locality_orders(members)
+    else:
+        order, cnt = (a.astype(np.intp) for a in orders)
         bounds[rows] = _strip_bounds(members, order, cnt, cls, tables)
     del members
     # Rows whose member list emptied: plan() returns None.

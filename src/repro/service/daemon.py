@@ -598,8 +598,8 @@ class SchedulingDaemon:
         """Stop the daemon.
 
         ``drain=True`` answers everything already queued first;
-        ``drain=False`` rejects queued tickets with reason ``"shutdown"``.
-        Either way, later submits are rejected.  Idempotent.
+        ``drain=False`` rejects (counts and traces) queued tickets with reason
+        ``"shutdown"``.  Either way, later submits are rejected.  Idempotent.
         """
         with self._lock:
             if self._stopped:
@@ -608,12 +608,14 @@ class SchedulingDaemon:
         for sh in self.shards.values():
             with sh.cond:
                 if not drain:
-                    refused = [t for t, _ in sh.queue] + [t for *_, t in sh.reservations]
+                    queued = ((_DECISIONS, [t for t, _ in sh.queue]),
+                              (_RESERVATIONS, [t for *_, t in sh.reservations]))
                     sh.queue.clear()
                     sh.reservations.clear()
-                    sh.stats["rejected"] += len(refused)
-                    for ticket in refused:
-                        ticket._resolve(REJECTED, reason="shutdown")
+                    shut = (REJECTED, {"reason": "shutdown"})
+                    for lane, refused in queued:
+                        if refused:  # never taken, so not in flight
+                            self._resolve(sh, lane, refused, [shut] * len(refused))
                 sh.cond.notify_all()
         if self._started:
             for sh in self.shards.values():
@@ -742,21 +744,27 @@ class SchedulingDaemon:
         """Resolve taken tickets from their outcomes and account for them."""
         with sh.cond:
             sh.in_flight -= len(tickets)
-            for ticket, (status, fields) in zip(tickets, outcomes):
-                ticket._resolve(status, **fields)
-                sh.stats[status] += 1
             if any(status == ANSWERED for status, _ in outcomes):
                 sh.stats["batches"] += 1
                 sh.stats["max_batch"] = max(sh.stats["max_batch"], len(tickets))
-            sh.cond.notify_all()
-            depth = len(sh.entries(lane))
+            self._resolve(sh, lane, tickets, outcomes)
+
+    def _resolve(self, sh: _Shard, lane: _Lane, tickets: list[Ticket], outcomes: list) -> None:
+        """Resolve, count and trace one lane's tickets, and trace its depth,
+        all under ``sh.cond`` (re-entrant): no waiter sees a ticket gone
+        from its lane but unresolved."""
         tracer = get_tracer()
-        if tracer.enabled:
-            for ticket in tickets:
-                reply = ticket._reply
-                tracer.metrics.counter(f"daemon.{reply.status}").inc()
-                tracer.metrics.histogram("daemon.latency_s").observe(reply.latency_s)
-            tracer.metrics.gauge(f"daemon.{lane.depth}.{sh.name}").set(depth)
+        with sh.cond:
+            for ticket, (status, fields) in zip(tickets, outcomes):
+                ticket._resolve(status, **fields)
+                sh.stats[status] += 1
+                if tracer.enabled:
+                    tracer.metrics.counter(f"daemon.{status}").inc()
+                    tracer.metrics.histogram("daemon.latency_s").observe(ticket._reply.latency_s)
+            sh.cond.notify_all()
+            if tracer.enabled:
+                depth = len(sh.entries(lane))
+                tracer.metrics.gauge(f"daemon.{lane.depth}.{sh.name}").set(depth)
 
     # -- process pool ------------------------------------------------------
     def _ensure_runner(self) -> ParallelRunner:

@@ -237,8 +237,10 @@ class TestPoolStateMemosDocumented:
 class TestKernelBlocksDocumented:
     """The strip kernel bounds its peak memory with width-ordered blocks
     per pass, run by the caller and at most one helper thread, while
-    continuation spans the call; the docs must name the helper thread and
-    must not describe the call-level row chunks the blocks replaced."""
+    continuation spans the call, and builds each candidate space's row
+    structure once, kept in the structure memo; the docs must name the
+    helper thread and the memo and must not describe the call-level row
+    chunks the blocks replaced."""
 
     @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "docs/TUTORIAL.md"])
     def test_chunk_rows_not_named(self, doc):
@@ -247,3 +249,7 @@ class TestKernelBlocksDocumented:
     @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
     def test_helper_thread_named(self, doc):
         assert "helper thread" in (ROOT / doc).read_text(), f"{doc} omits the helper thread"
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_structure_memo_named(self, doc):
+        assert "structure memo" in (ROOT / doc).read_text(), f"{doc} omits the structure memo"

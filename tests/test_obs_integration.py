@@ -381,6 +381,7 @@ class TestPruningMetrics:
         configuration computed, the two counters add up to the call's
         rows, and traced answers equal untraced ones."""
         requests = _twelve_configurations(warmed_nws.now)
+        apples._structures.clear()
         with tracing() as tr:
             traced = SchedulingService(testbed, warmed_nws).decide(requests)
         untraced = SchedulingService(testbed, warmed_nws).decide(requests)
@@ -417,6 +418,7 @@ class TestPruningMetrics:
                     elsewhere.append(1)
             return strip_pass(*args, **kwargs)
 
+        apples._structures.clear()
         with tracing() as tr, mock.patch.object(
             apples, "usable_cpus", return_value=cpus
         ), mock.patch.object(apples, "_strip_pass", counted):
@@ -427,6 +429,42 @@ class TestPruningMetrics:
         assert metrics["apples.blocks"]["value"] == 8
         assert metrics["apples.helper_blocks"]["value"] == len(elsewhere)
         assert cpus > 1 or not elsewhere
+
+    def test_a_pool_builds_its_kernel_row_structure_once(self):
+        """Three traced solo decisions over one exhaustive 14-machine pool
+        build the kernel's row structure once and read it back twice.
+        The rows, blocks and helper blocks they count, and their answers,
+        equal those of the same decisions made with the memo cleared
+        before each."""
+        testbed = synthetic_metacomputer(14, 3, seed=1996)
+        selector = ResourceSelector(
+            exhaustive_limit=14, max_sets=2**14 - 1, regime="exhaustive"
+        )
+        problems = [JacobiProblem(n=n, iterations=i)
+                    for n, i in ((800, 40), (1000, 50), (1200, 60))]
+        counters = ("apples.rows_computed", "apples.rows_shared",
+                    "apples.blocks", "apples.helper_blocks")
+        runs = []
+        for cold in (False, True):
+            apples._structures.clear()
+            answers = []
+            # One usable CPU: which thread runs a block is then fixed.
+            with tracing() as tr, mock.patch.object(
+                apples, "usable_cpus", return_value=1
+            ):
+                for problem in problems:
+                    if cold:
+                        apples._structures.clear()
+                    decision = apples.make_jacobi_agent(
+                        testbed, problem, selector=selector
+                    ).schedule()
+                    answers.append((decision.best_objective, decision.best.resource_set))
+            metrics = tr.metrics.as_dict()
+            runs.append((answers, [metrics[c]["value"] for c in counters]))
+            built = metrics["apples.structures_built"]["value"]
+            hits = metrics.get("apples.structure_hits", {}).get("value", 0)
+            assert (built, hits) == ((3, 0) if cold else (1, 2))
+        assert runs[0] == runs[1]
 
     def test_record_pruning_stats_direct(self):
         reg = MetricsRegistry()

@@ -205,6 +205,29 @@ class TestShutdown:
         replies = [t.result(0.0) for t in tickets]
         assert all(r.status == REJECTED and r.reason == "shutdown" for r in replies)
 
+    def test_shutdown_without_drain_records_what_it_rejects(self):
+        """A traced daemon, never started, with three decisions and one
+        reservation queued: shut down without draining, it counts and
+        times each rejected ticket as it does a worked one, and both
+        lanes' depth gauges fall to 0."""
+        with tracing() as tr:
+            daemon = SchedulingDaemon([_spec()], queue_capacity=16)
+            tickets = daemon.submit_many("sdsc", [_request(k) for k in range(3)])
+            tickets.append(daemon.submit_reservation("sdsc", _reservation(0)))
+            daemon.shutdown(drain=False)
+        assert [(r.status, r.reason) for r in (t.result(0.0) for t in tickets)] == [
+            (REJECTED, "shutdown")
+        ] * 4
+        metrics = tr.metrics.as_dict()
+        assert metrics["daemon.rejected"]["value"] == 4
+        assert metrics["daemon.latency_s"]["count"] == 4
+        assert metrics["daemon.queue_depth.sdsc"]["value"] == 0
+        assert metrics["daemon.reservation_depth.sdsc"]["value"] == 0
+        stats = daemon.stats()["sdsc"]
+        assert (stats["submitted"], stats["reservations"], stats["rejected"]) == (3, 1, 4)
+        assert stats["answered"] == stats["batches"] == stats["queue_depth"] == 0
+        assert stats["reservation_depth"] == 0
+
     def test_threaded_drain_on_shutdown(self):
         daemon = SchedulingDaemon([_spec()], queue_capacity=64)
         daemon.start()

@@ -351,7 +351,10 @@ class TestBatchPlanContinuation:
         width-ordered blocks of ``rows`` universe-wide rows' worth of
         cells (the default block for ``None``), on one thread or with the
         helper, a shrunk row still continues into a row of another block,
-        so every ``_strip_pass`` call is one of the first pass's blocks."""
+        so every ``_strip_pass`` call is one of the first pass's blocks.
+        The call that builds the space's row structure derives the first
+        pass's strip orders once per block; a repeat call reads them back
+        and derives none, and both answer as each row alone."""
         inputs = _kill_links(inputs, dead)
         n = len(inputs.rank_names)
         masks = _all_masks(n)
@@ -360,13 +363,18 @@ class TestBatchPlanContinuation:
         cells = apples._BLOCK_CELLS if rows is None else rows * n
         # Every row is distinct and usable, so all are pending in pass 1.
         blocks = _block_plan(masks.sum(axis=1), cells)
+        alone = _row_by_row(inputs, masks)
         for cpus in (1, 2):
-            with mock.patch.object(apples, "_BLOCK_CELLS", cells), _cpus(cpus):
-                with _counting("balance_prefix_exact_batched", "_strip_pass",
-                               "batched_locality_orders") as calls:
-                    evaluate_strip_batch([(inputs, masks)])
-            assert calls["balance_prefix_exact_batched"] <= blocks
-            assert calls["_strip_pass"] == calls["batched_locality_orders"] == blocks
+            apples._structures.clear()
+            for orders in (blocks, 0):  # built, then read back
+                with mock.patch.object(apples, "_BLOCK_CELLS", cells), _cpus(cpus):
+                    with _counting("balance_prefix_exact_batched", "_strip_pass",
+                                   "batched_locality_orders") as calls:
+                        result = evaluate_strip_batch([(inputs, masks)])[0]
+                assert calls["balance_prefix_exact_batched"] <= blocks
+                assert calls["_strip_pass"] == blocks
+                assert calls["batched_locality_orders"] == orders
+                _assert_same_evaluation(result, alone)
 
     def test_blocks_are_width_ordered(self):
         """An exhaustive 14-machine pass is cut in member-count order into
@@ -737,6 +745,181 @@ class TestKernelHelper:
                         _assert_same_evaluation(got, want)
         finally:
             sys.setswitchinterval(interval)
+
+
+# -- row-structure reuse --------------------------------------------------
+
+
+def _cold(jobs) -> list[StripBatchEvaluation]:
+    """``evaluate_strip_batch(jobs)`` with the row-structure memo cleared
+    first, so the call builds its structure."""
+    apples._structures.clear()
+    return evaluate_strip_batch(jobs)
+
+
+def _traced_call(jobs) -> tuple[list[StripBatchEvaluation], dict]:
+    """One traced kernel call: its outcomes and its metrics."""
+    with tracing() as tr:
+        result = evaluate_strip_batch(jobs)
+    return result, tr.metrics.as_dict()
+
+
+def _built(metrics: dict) -> int:
+    """How many row structures a traced run built."""
+    return metrics.get("apples.structures_built", {}).get("value", 0)
+
+
+def _reuse_in_child(send, jobs) -> None:
+    """A forked child's kernel call: its outcomes and how many row
+    structures it built, sent back to the parent."""
+    result, metrics = _traced_call(jobs)
+    send.send((result, _built(metrics)))
+
+
+class TestRowStructureReuse:
+    """A candidate space's row structure is built on its first call and
+    read back by every later call over it, from any thread or forked
+    child: a call served from the memo answers as a cold call."""
+
+    @given(
+        inputs=synthetic_inputs(max_machines=4),
+        cap=st.one_of(st.none(), st.integers(1, 3)),
+        universe=st.sampled_from([4, 64]),
+        dead=dead_links(),
+        memory=squeezed_memory(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_reuse_changes_no_answer(self, inputs, cap, universe, dead, memory):
+        """Exhaustive and capped spaces, in a 4-machine universe or padded
+        to 64 machines (byte row keys), one job alone (every row distinct)
+        or stacked with its memory-blind twin and a job of another
+        arithmetic: the call served from the memo equals the cold call,
+        every outcome and bound byte for byte, and each row alone."""
+        k = len(inputs.rank_names)
+        mem = _pad(_squeeze_memory(_kill_links(inputs, dead), memory), universe)
+        masks = _space(k, universe, cap)
+        slow = replace(mem, rates=mem.rates * 0.5)
+        for jobs in ([(mem, masks)],
+                     [(mem, masks), (_blind(mem), masks), (slow, masks)]):
+            cold = _cold(jobs)
+            warm, metrics = _traced_call(jobs)
+            assert metrics["apples.structure_hits"]["value"] == 1
+            for (job, job_masks), one, two in zip(jobs, cold, warm):
+                _assert_same_evaluation(one, two)
+                _assert_same_evaluation(two, _row_by_row(job, job_masks))
+
+    @pytest.mark.parametrize("change", ["rate-drops-to-zero", "class-vector"])
+    def test_a_changed_space_builds_its_own(self, change):
+        """The same masks with a machine's rate dropped to 0 (other usable
+        members), and the same usable-member matrix with another class
+        vector (a job of another arithmetic where a memory twin stood):
+        each second call builds its own structure and answers as a cold
+        call does."""
+        base, masks = _chatty_fourteen(), _space(6, 14)
+        if change == "rate-drops-to-zero":
+            rates = base.rates.copy()
+            rates[2] = 0.0
+            first, second = [(base, masks)], [(replace(base, rates=rates), masks)]
+        else:
+            other = replace(base, iterations=80)
+            first = [(base, masks), (_blind(base), masks)]
+            second = [(base, masks), (other, masks)]
+        _cold(first)
+        got, metrics = _traced_call(second)
+        assert _built(metrics) == 1
+        for one, two in zip(got, _cold(second)):
+            _assert_same_evaluation(one, two)
+
+    def test_a_job_without_rows(self):
+        """A job with no candidate rows, alone or stacked with one that has
+        some, gets an empty evaluation when its structure is built and when
+        it is read back."""
+        inputs, masks = _chatty_fourteen(), _space(4, 14)
+        empty = masks[:0]
+        want = _cold([(inputs, masks)])[0]
+        for jobs in ([(inputs, empty)], [(inputs, empty), (inputs, masks)]):
+            for result in (_cold(jobs), evaluate_strip_batch(jobs)):
+                assert result[0].kept.shape == (0, 14) and result[0].bounds.size == 0
+                if len(jobs) == 2:
+                    _assert_same_evaluation(result[1], want)
+
+    def test_the_block_size_keys_the_structure(self):
+        """A call under a patched ``_BLOCK_CELLS`` never reads the
+        structure built under the default: it plans its own blocks."""
+        inputs, masks = _chatty_fourteen(), _space(10, 14)
+        default = _cold([(inputs, masks)])[0]
+        with mock.patch.object(apples, "_BLOCK_CELLS", 1000):
+            (small,), metrics = _traced_call([(inputs, masks)])
+        assert _built(metrics) == 1
+        assert metrics["apples.blocks"]["value"] == _block_plan(masks.sum(axis=1), 1000)
+        _assert_same_evaluation(small, default)
+
+    def test_threads_share_the_memo_while_it_evicts(self):
+        """Six threads, more than this host's CPUs, switching every 10 us,
+        call the kernel over three spaces in turn while the memo keeps
+        only two structures, so entries are evicted while other threads
+        read them: every call equals its cold call."""
+        base = _chatty_fourteen()
+        spaces = [
+            [(base, _space(12, 14))],
+            [(replace(base, iterations=80), _space(11, 14, 5))],
+            [(base, _space(10, 14)), (_blind(base), _space(12, 14, 3))],
+        ]
+        cold = [_cold(jobs) for jobs in spaces]
+        barrier, errors = threading.Barrier(6), []
+
+        def call(t):
+            try:
+                barrier.wait(10.0)
+                for r in range(6):
+                    i = (t + r) % len(spaces)
+                    for got, want in zip(evaluate_strip_batch(spaces[i]), cold[i]):
+                        _assert_same_evaluation(got, want)
+            except Exception as exc:  # raised again by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(apples, "_STRUCTURES_KEPT", 2), _cpus(2):
+                threads = [threading.Thread(target=call, args=(t,)) for t in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120.0)
+                    assert not thread.is_alive()
+                assert len(apples._structures) <= 2
+        finally:
+            sys.setswitchinterval(interval)
+        if errors:
+            raise errors[0]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_a_forked_child_reads_the_parents_structure(self):
+        """The parent fills the memo with a multi-block space; a child
+        forked from it answers the same call as the parent, within the
+        timeout, from the structure it inherited."""
+        jobs = [(_chatty_fourteen(), _all_masks(14))]
+        parent = _cold(jobs)
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_reuse_in_child, args=(send, jobs))
+        child.start()
+        try:
+            assert receive.poll(60.0), "the forked child's call did not answer"
+            result, built = receive.recv()
+            child.join(10.0)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10.0)
+        assert built == 0
+        for got, want in zip(result, parent):
+            _assert_same_evaluation(got, want)
 
 
 def _pad(inputs: StripBatchInputs, n: int) -> StripBatchInputs:
@@ -1231,6 +1414,7 @@ class TestSharedRows:
             (_arithmetic(i), row.tobytes())
             for i, masks in jobs for row in masks & (i.rates > 0.0)
         }
+        apples._structures.clear()
         with mock.patch.object(
             apples, "_strip_bounds", wraps=apples._strip_bounds
         ) as bounds, tracing() as tr:
